@@ -21,7 +21,6 @@ from .gaussian import (
     GaussianState,
     SourceParams,
     alice_source,
-    apply_loss,
     take_marginal,
     tap_split,
 )
@@ -31,6 +30,7 @@ from .photostats import (
     DiffMoments,
     NOISELESS,
     decode_bit,
+    detected_state,
     diff_number_moments,
     joint_diff_moments,
     sample_outcome,
@@ -110,7 +110,8 @@ def intercept_resend(
     """Attack one: capture the whole pulse, measure in a random basis,
     forward a fresh pulse encoding the inferred bit in that basis."""
     basis = _draw_basis(rng)
-    raw = sample_outcome(diff_number_moments(state, basis), detector, rng)
+    moments = diff_number_moments(detected_state(state, detector), basis)
+    raw = sample_outcome(moments, detector, rng)
     bit = decode_bit(raw)
     resent = alice_source(source_params, bit, basis)
     return resent, EveRecord(index, basis, (raw,), bit)
@@ -134,18 +135,9 @@ def beamsplitter_tap(
     bob = _cached_relabel(joint, ("V_B", "H_B"))
     eve = _cached_relabel(joint, ("V_E", "H_E"))
     basis = known_basis if known_basis is not None else _draw_basis(rng)
-    raw = sample_outcome(diff_number_moments(eve, basis), detector, rng)
+    moments = diff_number_moments(detected_state(eve, detector), basis)
+    raw = sample_outcome(moments, detector, rng)
     return bob, EveRecord(index, basis, (raw,), decode_bit(raw))
-
-
-def dual_basis_sigma_correct(
-    source_params: SourceParams, detector: DetectorModel = NOISELESS
-) -> float:
-    """Detected standard deviation of a correct-basis difference measurement
-    on a half-sampled pulse; the normalizer of the dual-basis inference."""
-    half = apply_loss(alice_source(source_params, 1, Basis.VH), 0.5)
-    var = diff_number_moments(half, Basis.VH).variance
-    return math.sqrt(var + detector.difference_noise_variance)
 
 
 def dual_basis_measure(
@@ -154,18 +146,17 @@ def dual_basis_measure(
     rng: np.random.Generator,
     source_params: SourceParams,
     detector: DetectorModel = NOISELESS,
-    sigma_correct: float | None = None,
 ) -> tuple[GaussianState, EveRecord]:
     """Attack three: split 50/50, measure one arm in each basis, forward a
     fresh pulse encoding the inferred (basis, bit).
 
     The two arm outcomes are drawn jointly from the four-mode tap state.
-    Eve scores each arm by |raw| / sigma_correct and takes the arm with the
-    *smaller* score as the correct basis (ties to V/H): the incorrect basis
-    sees the anti-squeezed fluctuations and so typically produces the
-    larger normalized magnitude. Her bit is the sign of the chosen arm.
+    Eve takes the arm with the *smaller* magnitude |raw| as the correct
+    basis (ties to V/H): the incorrect basis sees the anti-squeezed
+    fluctuations and so typically produces the larger magnitude. Her bit is
+    the sign of the chosen arm.
     """
-    joint = tap_split(state, 0.5)
+    joint = detected_state(tap_split(state, 0.5), detector)
     mean_vh, var_vh, mean_dg, var_dg, cov = joint_diff_moments(joint, Basis.VH, Basis.DIAG)
     var_vh += detector.difference_noise_variance
     var_dg += detector.difference_noise_variance
@@ -176,9 +167,7 @@ def dual_basis_measure(
     l22 = math.sqrt(max(var_dg - l21 * l21, 0.0))
     raw_vh = mean_vh + l11 * z0
     raw_dg = mean_dg + l21 * z0 + l22 * z1
-    if sigma_correct is None:
-        sigma_correct = dual_basis_sigma_correct(source_params, detector)
-    basis = Basis.VH if abs(raw_vh) / sigma_correct <= abs(raw_dg) / sigma_correct else Basis.DIAG
+    basis = Basis.VH if abs(raw_vh) <= abs(raw_dg) else Basis.DIAG
     raw = raw_vh if basis is Basis.VH else raw_dg
     bit = decode_bit(raw)
     resent = alice_source(source_params, bit, basis)
@@ -222,6 +211,7 @@ def eve_deferred_measure(
         if record.stored_state is None:
             raise ValueError(f"stored pulse {index} was already consumed")
         rng = derive_stream(seed, LANE_DEFERRED, index)
-        raw = sample_outcome(diff_number_moments(record.stored_state, basis), detector, rng)
+        stored = detected_state(record.stored_state, detector)
+        raw = sample_outcome(diff_number_moments(stored, basis), detector, rng)
         out.append(EveRecord(index, basis, (raw,), decode_bit(raw), deferred=True))
     return out

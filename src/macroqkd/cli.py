@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import validate as validate_mod
-from .attacks import AttackConfig, AttackKind
+from .attacks import AttackConfig, AttackKind, attack_config_violations
 from .gaussian import SourceParams, alice_source, apply_loss, source_param_violations
 from .photostats import (
     Basis,
@@ -183,6 +183,7 @@ def config_to_dict(config: SessionConfig) -> dict:
             "kind": config.attack.kind.value,
             "tap_fraction": config.attack.tap_fraction,
             "eve_detector_nen": config.attack.eve_detector.noise_equivalent_number,
+            "eve_detector_qe": config.attack.eve_detector.quantum_efficiency,
         },
         "num_pulses": config.num_pulses,
         "sample_fraction": config.sample_fraction,
@@ -209,7 +210,10 @@ def config_from_dict(data: dict) -> SessionConfig:
         attack=AttackConfig(
             kind=AttackKind(att["kind"]),
             tap_fraction=att["tap_fraction"],
-            eve_detector=DetectorModel(noise_equivalent_number=att["eve_detector_nen"]),
+            eve_detector=DetectorModel(
+                noise_equivalent_number=att["eve_detector_nen"],
+                quantum_efficiency=att["eve_detector_qe"],
+            ),
         ),
         num_pulses=data["num_pulses"],
         sample_fraction=data["sample_fraction"],
@@ -243,27 +247,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Run a full session and write the replayable report."""
     params = _source_from_args(args)
     detector = _detector_from_args(args)
-    try:
-        kind = AttackKind(args.attack)
-    except ValueError:
-        raise ConfigError(
-            f"--attack must be one of {[k.value for k in AttackKind]} (got {args.attack!r})"
-        ) from None
-    tap = args.tap_fraction if kind is AttackKind.BEAMSPLITTER_TAP else None
     problems = session_violations(
         args.loss, args.pulses, args.sample_fraction, args.detect_k, args.seed
     )
-    if kind is AttackKind.BEAMSPLITTER_TAP and (
-        args.tap_fraction is None or not 0.0 < args.tap_fraction < 1.0
-    ):
-        problems.append(f"--tap-fraction must be in (0, 1) for beamsplitter_tap (got {args.tap_fraction})")
+    try:
+        kind = AttackKind(args.attack)
+    except ValueError:
+        problems.append(
+            f"--attack must be one of {[k.value for k in AttackKind]} (got {args.attack!r})"
+        )
+    else:
+        problems += attack_config_violations(kind, args.tap_fraction)
     if problems:
         raise ConfigError("; ".join(problems))
     config = SessionConfig(
         source=params,
         channel_loss=args.loss,
         detector=detector,
-        attack=AttackConfig(kind=kind, tap_fraction=tap),
+        attack=AttackConfig(kind=kind, tap_fraction=args.tap_fraction),
         num_pulses=args.pulses,
         sample_fraction=args.sample_fraction,
         detection_sigma_k=args.detect_k,

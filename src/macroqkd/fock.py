@@ -24,9 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln
-from scipy.sparse.linalg import expm_multiply
 
 from .photostats import Basis
 
@@ -63,6 +60,11 @@ class FockState:
             )
 
 
+def _log_factorials(size: int) -> np.ndarray:
+    """log(k!) for k = 0..size."""
+    return np.array([math.lgamma(k + 1.0) for k in range(size + 1)])
+
+
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes of a single-mode coherent state."""
     n = np.arange(cutoff + 1)
@@ -70,7 +72,7 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
         out = np.zeros(cutoff + 1, dtype=complex)
         out[0] = 1.0
         return out
-    log_mag = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    log_mag = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff)
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
@@ -96,11 +98,11 @@ def build_state_exact(
     n = np.arange(cutoff + 1)
     c = c * np.exp(-g * (n[:, None] + n[None, :] + 1.0))
     out = np.zeros_like(c)
-    log_fact = gammaln(n + 1)
+    log_fact = _log_factorials(cutoff)
     # exp(Gam a+ b+): out[n,m] = sum_k Gam^k/k! sqrt(n!/(n-k)!) sqrt(m!/(m-k)!) c[n-k,m-k]
     for k in range(cutoff + 1):
         w = np.exp(0.5 * (log_fact[k:] - log_fact[: cutoff + 1 - k]))
-        coef = gam**k / math.exp(gammaln(k + 1))
+        coef = gam**k / math.factorial(k)
         out[k:, k:] += coef * w[:, None] * w[None, :] * c[: cutoff + 1 - k, : cutoff + 1 - k]
     state = FockState(cutoff, out)
     if truncation_bound is not None:
@@ -108,41 +110,43 @@ def build_state_exact(
     return state
 
 
-def _rotation_generator(size: int) -> sparse.csr_matrix:
-    """Sparse generator a_V^dag a_H - a_H^dag a_V on a (size+1)^2 space."""
-    dim = (size + 1) ** 2
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for nv in range(size + 1):
-        for nh in range(size + 1):
-            i = nv * (size + 1) + nh
-            if nv + 1 <= size and nh - 1 >= 0:
-                rows.append((nv + 1) * (size + 1) + (nh - 1))
-                cols.append(i)
-                vals.append(math.sqrt((nv + 1) * nh))
-            if nv - 1 >= 0 and nh + 1 <= size:
-                rows.append((nv - 1) * (size + 1) + (nh + 1))
-                cols.append(i)
-                vals.append(-math.sqrt(nv * (nh + 1)))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+@functools.lru_cache(maxsize=2 * MAX_CUTOFF + 1)
+def _rotation_block(total: int, phi: float) -> np.ndarray:
+    """exp(phi G) on the block of total photon number N = ``total``, with
+    rows and columns ordered by n_V = 0..N and G = a_V^dag a_H - a_H^dag a_V.
+
+    G is real, antisymmetric and tridiagonal on the block. With
+    D = diag(i^k) it equals D (-i S) D^-1 for the real symmetric tridiagonal
+    S sharing its off-diagonal, so one eigendecomposition S = V diag(lam) V^T
+    gives the real (Wigner-d) matrix exp(phi G) = D V exp(-i phi lam) V^T D^-1.
+    """
+    k = np.arange(total)
+    off = np.sqrt((k + 1.0) * (total - k))
+    lam, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+    d = np.array([1, 1j, -1, -1j])[np.arange(total + 1) % 4]
+    m = (v * np.exp(-1j * phi * lam)) @ v.T
+    return (d[:, None] * m * np.conj(d)[None, :]).real
 
 
 def rotate_exact(amplitudes: np.ndarray, phi: float) -> np.ndarray:
     """Polarization rotation of a two-mode Fock state (matches the Gaussian
     engine's convention: coherent (alpha, 0) -> (alpha cos phi, -alpha sin phi)).
 
-    The rotation conserves total photon number, so the array is zero-padded
-    to twice the cutoff first: that makes every number block that carries
-    weight complete, and the rotation exact up to the build's own deficit.
+    The rotation conserves total photon number N, so each N-block is
+    rotated exactly on its own. The output spans twice the cutoff, which
+    holds every block that carries weight in full; amplitudes beyond the
+    input cutoff count as zero, so the result is exact up to the build's
+    own deficit.
     """
     cut = amplitudes.shape[0] - 1
-    big = 2 * cut
-    padded = np.zeros((big + 1, big + 1), dtype=complex)
-    padded[: cut + 1, : cut + 1] = amplitudes
-    gen = _rotation_generator(big)
-    out = expm_multiply(phi * gen, padded.reshape(-1))
-    return out.reshape(big + 1, big + 1)
+    out = np.zeros((2 * cut + 1, 2 * cut + 1), dtype=complex)
+    for total in range(2 * cut + 1):
+        lo, hi = max(0, total - cut), min(total, cut)
+        nv_in = np.arange(lo, hi + 1)
+        nv_out = np.arange(total + 1)
+        block = _rotation_block(total, phi)[:, lo : hi + 1]
+        out[nv_out, total - nv_out] = block @ amplitudes[nv_in, total - nv_in]
+    return out
 
 
 def _thinning_kernel(size: int, transmission: float) -> np.ndarray:
@@ -155,14 +159,17 @@ def _thinning_kernel(size: int, transmission: float) -> np.ndarray:
         return out
     n = np.arange(size + 1)
     k_grid, n_grid = np.meshgrid(n, n, indexing="ij")
+    kept = k_grid <= n_grid
+    lost = np.where(kept, n_grid - k_grid, 0)
+    log_fact = _log_factorials(size)
     log_b = (
-        gammaln(n_grid + 1)
-        - gammaln(k_grid + 1)
-        - gammaln(n_grid - k_grid + 1)
+        log_fact[n_grid]
+        - log_fact[k_grid]
+        - log_fact[lost]
         + k_grid * math.log(transmission)
-        + (n_grid - k_grid) * math.log1p(-transmission)
+        + lost * math.log1p(-transmission)
     )
-    return np.where(k_grid <= n_grid, np.exp(np.where(k_grid <= n_grid, log_b, 0.0)), 0.0)
+    return np.where(kept, np.exp(log_b), 0.0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,7 +209,6 @@ def exact_loss_distribution(
     state: FockState,
     eta: float,
     basis: Basis,
-    ancilla_cutoff: int | None = None,
     truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
 ) -> dict[int, float]:
     """Difference-number distribution after a non-polarizing loss of eta.
@@ -211,19 +217,14 @@ def exact_loss_distribution(
     ancillas leaves a photon-counting POVM that is diagonal in photon
     number: binomial thinning with success probability 1 - eta applied to
     the joint number distribution. That thinning is evaluated here in
-    closed form, so no explicit ancilla dimension is needed;
-    ``ancilla_cutoff`` is accepted for interface compatibility and only
-    bounds the work when given.
+    closed form, so no explicit ancilla dimension is needed.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1] (got {eta})")
     if truncation_bound is not None:
         state.check_truncation(truncation_bound)
     joint = _joint_number_distribution(state, basis)
-    size = joint.shape[0] - 1
-    if ancilla_cutoff is not None and (size + 1) ** 2 * (ancilla_cutoff + 1) ** 2 > 10**8:
-        raise ValueError("requested dimension exceeds the toy-scale bound")
-    kernel = _thinning_kernel(size, 1.0 - eta)
+    kernel = _thinning_kernel(joint.shape[0] - 1, 1.0 - eta)
     return _difference_distribution(kernel @ joint @ kernel.T)
 
 

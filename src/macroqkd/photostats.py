@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .gaussian import (
     GaussianState,
@@ -60,7 +59,9 @@ class DetectorModel:
 
     ``noise_equivalent_number`` is the RMS read noise of each detector in
     photon units; both detectors contribute independently to the measured
-    difference. Non-unity quantum efficiency is treated as loss upstream.
+    difference. Quantum efficiency below one acts as a further loss of
+    1 - quantum_efficiency in front of ideal detectors (see
+    ``detected_state``).
     """
 
     noise_equivalent_number: float = 250.0
@@ -78,6 +79,15 @@ class DetectorModel:
 
 
 NOISELESS = DetectorModel(noise_equivalent_number=0.0)
+
+
+def detected_state(state: GaussianState, detector: DetectorModel) -> GaussianState:
+    """The state a detector pair registers: ``state`` itself at unit
+    quantum efficiency, otherwise ``state`` after a loss of 1 - qe."""
+    if detector.quantum_efficiency < 1.0:
+        return apply_loss(state, 1.0 - detector.quantum_efficiency)
+    return state
+
 
 _F_VH = 0.5 * np.diag([1.0, 1.0, -1.0, -1.0])
 _S_DIAG = rotation_symplectic(math.pi / 4)
@@ -170,7 +180,7 @@ def error_probability(moments: DiffMoments, detector: DetectorModel) -> float:
     total_var = moments.variance + detector.difference_noise_variance
     if total_var <= 0.0:
         return 0.0
-    return 0.5 * float(erfc(abs(moments.mean) / math.sqrt(2.0 * total_var)))
+    return 0.5 * math.erfc(abs(moments.mean) / math.sqrt(2.0 * total_var))
 
 
 def bob_error_vs_loss(
@@ -179,7 +189,7 @@ def bob_error_vs_loss(
     """Bob's bit-flip probability after a channel losing a fraction eta."""
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must be in [0, 1) (got {eta})")
-    pulse = apply_loss(alice_source(params, 1, Basis.VH), eta)
+    pulse = detected_state(apply_loss(alice_source(params, 1, Basis.VH), eta), detector)
     return error_probability(diff_number_moments(pulse, Basis.VH), detector)
 
 
@@ -204,7 +214,7 @@ def distribution_curve(
     grid = np.asarray(n_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("n_grid must be non-empty")
-    mom = diff_number_moments(state, basis)
+    mom = diff_number_moments(detected_state(state, detector), basis)
     var = mom.variance + detector.difference_noise_variance
     sigma = math.sqrt(var)
     pdf = np.exp(-0.5 * ((grid - mom.mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))

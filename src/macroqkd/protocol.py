@@ -10,15 +10,15 @@ Determinism contract: every pulse draws from its own counter-based stream
     4. Bob's basis          integers(0, 2)
     5. Bob's outcome        one standard normal
 
-so a session is reproducible bit-for-bit from (config, seed) regardless of
-execution order or parallel fan-out. Error-estimation sampling uses the
+so a session is reproducible bit-for-bit from (config, seed), and each
+pulse's records do not depend on how the index range is split or in what
+order the pieces run. Error-estimation sampling uses the
 dedicated session lane; Eve's deferred measurements use the deferred lane.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +29,6 @@ from .attacks import (
     EveRecord,
     beamsplitter_tap,
     dual_basis_measure,
-    dual_basis_sigma_correct,
     eve_deferred_measure,
     intercept_resend,
     superior_channel,
@@ -39,6 +38,7 @@ from .photostats import (
     Basis,
     DetectorModel,
     decode_bit,
+    detected_state,
     diff_number_moments,
     bob_error_vs_loss,
     sample_outcome,
@@ -139,7 +139,8 @@ def bob_measure(
 ) -> MeasurementRecord:
     """Bob's randomized-basis difference-number measurement of one pulse."""
     basis = Basis.VH if rng.integers(0, 2) == 0 else Basis.DIAG
-    raw = sample_outcome(diff_number_moments(state, basis), config.detector, rng)
+    moments = diff_number_moments(detected_state(state, config.detector), basis)
+    raw = sample_outcome(moments, config.detector, rng)
     return MeasurementRecord(index, basis, raw, decode_bit(raw))
 
 
@@ -201,10 +202,7 @@ def detect_eavesdropping(
 
 
 def _simulate_pulse(
-    index: int,
-    config: SessionConfig,
-    store: dict[int, EveRecord],
-    sigma_correct: float | None,
+    index: int, config: SessionConfig, store: dict[int, EveRecord]
 ) -> tuple[PulseRecord, MeasurementRecord, EveRecord | None]:
     rng = derive_stream(config.seed, LANE_PULSE, index)
     pulse_rec, state = alice_prepare(index, config, rng)
@@ -222,7 +220,7 @@ def _simulate_pulse(
         )
     elif attack.kind is AttackKind.DUAL_BASIS:
         state, eve_rec = dual_basis_measure(
-            state, index, rng, config.source, attack.eve_detector, sigma_correct
+            state, index, rng, config.source, attack.eve_detector
         )
     elif attack.kind is AttackKind.SUPERIOR_CHANNEL:
         state = superior_channel(state, index, store)
@@ -235,13 +233,13 @@ def _simulate_pulse(
 
 
 def _simulate_range(
-    indices: range, config: SessionConfig, sigma_correct: float | None
+    indices: range, config: SessionConfig
 ) -> tuple[list[PulseRecord], list[MeasurementRecord], list[EveRecord], dict[int, EveRecord]]:
     store: dict[int, EveRecord] = {}
     pulses, measurements, eve_records = [], [], []
     for i in indices:
         try:
-            p, m, e = _simulate_pulse(i, config, store, sigma_correct)
+            p, m, e = _simulate_pulse(i, config, store)
         except Exception as exc:
             raise RuntimeError(f"pulse {i} failed: {exc}") from exc
         pulses.append(p)
@@ -251,37 +249,11 @@ def _simulate_range(
     return pulses, measurements, eve_records, store
 
 
-def run_session(config: SessionConfig, workers: int | None = None) -> RunReport:
-    """Execute a full QKD session and summarize it.
-
-    ``workers`` > 1 fans the pulse simulation out across a thread pool;
-    per-pulse derived streams make the result identical to the serial run.
-    """
+def run_session(config: SessionConfig) -> RunReport:
+    """Execute a full QKD session and summarize it."""
     attack = config.attack
-    sigma_correct = None
-    if attack.kind is AttackKind.DUAL_BASIS:
-        sigma_correct = dual_basis_sigma_correct(config.source, attack.eve_detector)
-
     n = config.num_pulses
-    if workers is not None and workers > 1:
-        chunk = max(1, -(-n // (workers * 4)))
-        ranges = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda rg: _simulate_range(rg, config, sigma_correct), ranges)
-            )
-    else:
-        parts = [_simulate_range(range(n), config, sigma_correct)]
-
-    pulses: list[PulseRecord] = []
-    measurements: list[MeasurementRecord] = []
-    eve_records: list[EveRecord] = []
-    store: dict[int, EveRecord] = {}
-    for p, m, e, s in parts:  # parts arrive in index order
-        pulses.extend(p)
-        measurements.extend(m)
-        eve_records.extend(e)
-        store.update(s)
+    pulses, measurements, eve_records, store = _simulate_range(range(n), config)
 
     sifted = sift(pulses, measurements)
     alice_bits = [pulses[i].alice_bit for i in sifted]

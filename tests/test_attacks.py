@@ -10,7 +10,6 @@ from macroqkd.attacks import (
     AttackKind,
     beamsplitter_tap,
     dual_basis_measure,
-    dual_basis_sigma_correct,
     eve_deferred_measure,
     intercept_resend,
     superior_channel,
@@ -19,6 +18,7 @@ from macroqkd.gaussian import SourceParams, alice_source, apply_loss
 from macroqkd.photostats import (
     NOISELESS,
     Basis,
+    DetectorModel,
     diff_number_moments,
 )
 from macroqkd.protocol import (
@@ -117,6 +117,20 @@ def test_tap_keeps_bob_equivalent_to_extra_loss():
     combined = apply_loss(state, 1 - (1 - 0.3) * (1 - 0.2))
     np.testing.assert_allclose(chained.mean, combined.mean, atol=1e-10)
     np.testing.assert_allclose(chained.cov, combined.cov, atol=1e-10)
+
+
+def test_tap_eve_quantum_efficiency_acts_as_smaller_tap():
+    # Eve detecting a 50% tap at qe = 0.5 sees what a 25% tap shows a perfect detector
+    state = alice_source(DESIGN_POINT, 1, Basis.VH)
+    half_qe = DetectorModel(noise_equivalent_number=0.0, quantum_efficiency=0.5)
+    for i in range(20):
+        _, rec = beamsplitter_tap(
+            state, i, 0.5, derive_stream(35, LANE_PULSE, i), half_qe, known_basis=Basis.VH
+        )
+        _, ref = beamsplitter_tap(
+            state, i, 0.25, derive_stream(35, LANE_PULSE, i), NOISELESS, known_basis=Basis.VH
+        )
+        assert rec.raw_values[0] == pytest.approx(ref.raw_values[0], rel=1e-9)
 
 
 def test_tap_vanishing_fraction_gives_eve_nothing():

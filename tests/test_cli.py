@@ -1,6 +1,7 @@
 """Command-line harness: subcommands, CSV/report formats, exit codes,
 byte-level determinism."""
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -10,8 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macroqkd.cli import config_from_dict, main, report_text
-from macroqkd.protocol import run_session
+from macroqkd.attacks import AttackConfig, AttackKind
+from macroqkd.cli import config_from_dict, config_to_dict, main, report_text
+from macroqkd.gaussian import SourceParams
+from macroqkd.photostats import DetectorModel
+from macroqkd.protocol import SessionConfig, run_session
+
+REPO = Path(__file__).resolve().parents[1]
 
 BASELINE_P_ERR = 1.891139854477733e-08
 P_ERR_HALF_LOSS = 0.04860510117992879
@@ -89,6 +95,20 @@ def test_fig_csv_byte_identical(tmp_path):
     assert b"\r" not in a.read_bytes()  # LF endings
 
 
+def test_reproduce_figures_matches_tracked_csvs(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_figures", REPO / "scripts" / "reproduce_figures.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    assert script.run() == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in (REPO / "out").glob("*.csv"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (REPO / "out" / name).read_bytes(), name
+
+
 # ------------------------------------------------------------------------- run
 
 
@@ -132,6 +152,18 @@ def test_run_csv_format(tmp_path):
     assert "config.seed" in keys
 
 
+def test_config_roundtrip_keeps_detector_efficiencies():
+    config = SessionConfig(
+        source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0),
+        detector=DetectorModel(noise_equivalent_number=100.0, quantum_efficiency=0.9),
+        attack=AttackConfig(
+            kind=AttackKind.INTERCEPT_RESEND,
+            eve_detector=DetectorModel(noise_equivalent_number=50.0, quantum_efficiency=0.7),
+        ),
+    )
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
 def test_run_attack_flag(tmp_path):
     out = tmp_path / "r.json"
     assert main(run_args("--attack", "intercept_resend", "--out", str(out))) == 0
@@ -151,6 +183,12 @@ def test_exit_code_config_errors(capsys):
     assert main(["run", "--attack", "nonsense"]) == 1
     assert main(["fig2", "--grid", "0.9:0:5"]) == 1
     assert main(["run", "--attack", "beamsplitter_tap"]) == 1  # missing tap fraction
+    capsys.readouterr()
+    # a tap fraction on an attack that takes none is an error, listed with the rest
+    argv = ["run", "--attack", "intercept_resend", "--tap-fraction", "0.3", "--pulses", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "tap_fraction" in err and "num_pulses" in err
     assert main(["nonexistent-command"]) == 1
 
 
@@ -168,6 +206,17 @@ def test_exit_code_validation(tmp_path):
     assert all(line.endswith(",pass") for line in lines[1:])
     # an absurdly tight tolerance must flip the exit code to 2
     assert main(["validate", "--tol", "1e-18", "--out", str(out)]) == 2
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, macroqkd; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point(tmp_path):

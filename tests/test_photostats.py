@@ -200,6 +200,21 @@ def test_bob_error_vs_loss_anchors():
     )
 
 
+def test_quantum_efficiency_acts_as_loss():
+    # qe = 0.5 on a lossless channel is the same detection as 50% loss at qe = 1
+    half_qe = DetectorModel(noise_equivalent_number=250.0, quantum_efficiency=0.5)
+    half_loss = DetectorModel(noise_equivalent_number=250.0)
+    assert bob_error_vs_loss(DESIGN_POINT, 0.0, half_qe) == bob_error_vs_loss(
+        DESIGN_POINT, 0.5, half_loss
+    )
+    # transmission (1 - 0.3) * 0.8 = 0.56
+    qe = DetectorModel(noise_equivalent_number=250.0, quantum_efficiency=0.8)
+    assert bob_error_vs_loss(DESIGN_POINT, 0.3, qe) == pytest.approx(0.0474649, rel=1e-6)
+    assert bob_error_vs_loss(DESIGN_POINT, 0.3, qe) == pytest.approx(
+        bob_error_vs_loss(DESIGN_POINT, 0.44, half_loss), rel=1e-12
+    )
+
+
 def test_bob_error_vs_loss_strictly_increasing():
     etas = np.linspace(0.0, 0.9, 46)
     vals = [bob_error_vs_loss(DESIGN_POINT, float(e), NOISELESS) for e in etas]

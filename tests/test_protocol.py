@@ -226,12 +226,33 @@ def test_session_error_rate_tracks_loss_curve():
         assert rep.detection_verdict == VERDICT_CLEAN
 
 
-def test_session_determinism_and_parallel_equivalence():
+def test_session_quantum_efficiency_acts_as_loss():
+    half_qe = make_config(
+        num_pulses=2000, detector=DetectorModel(noise_equivalent_number=0.0, quantum_efficiency=0.5)
+    )
+    half_loss = make_config(num_pulses=2000, channel_loss=0.5)
+    rep, ref = run_session(half_qe), run_session(half_loss)
+    assert rep.expected_systematic_error == ref.expected_systematic_error
+    # Bob's detector registers the same half-lossy pulses, draw for draw
+    assert rep == ref
+
+
+def test_session_determinism_and_split_independence():
     cfg = make_config(num_pulses=20_000, channel_loss=0.2, seed=999)
-    serial = run_session(cfg)
-    again = run_session(cfg)
-    threaded = run_session(cfg, workers=4)
-    assert serial == again == threaded
+    assert run_session(cfg) == run_session(cfg)
+    # per-pulse records do not depend on how range(n) is split or in what
+    # order the pieces run
+    from macroqkd.protocol import _simulate_range
+
+    cfg = make_config(
+        num_pulses=3000, channel_loss=0.2, seed=999,
+        attack=AttackConfig(kind=AttackKind.INTERCEPT_RESEND),
+    )
+    whole = _simulate_range(range(3000), cfg)
+    tail = _simulate_range(range(1234, 3000), cfg)
+    head = _simulate_range(range(0, 1234), cfg)
+    for part in range(3):
+        assert whole[part] == head[part] + tail[part]
 
 
 def test_wrong_basis_pulses_carry_no_information():
@@ -239,7 +260,7 @@ def test_wrong_basis_pulses_carry_no_information():
     # correlate alice bits with bob decoded bits on discarded pulses
     from macroqkd.protocol import _simulate_range
 
-    pulses, measurements, _, _ = _simulate_range(range(cfg.num_pulses), cfg, None)
+    pulses, measurements, _, _ = _simulate_range(range(cfg.num_pulses), cfg)
     discarded = [
         (p.alice_bit, m.decoded_bit)
         for p, m in zip(pulses, measurements)
