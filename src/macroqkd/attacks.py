@@ -27,7 +27,6 @@ from .gaussian import (
 from .photostats import (
     Basis,
     DetectorModel,
-    DiffMoments,
     NOISELESS,
     decode_bit,
     detected_state,
@@ -96,6 +95,33 @@ def _cached_relabel(joint: GaussianState, labels: tuple[str, ...]) -> GaussianSt
     return GaussianState(("V", "H"), marg.mean, marg.cov)
 
 
+def tap_arms(state: GaussianState, eta_e: float) -> tuple[GaussianState, GaussianState]:
+    """Bob's transmitted and Eve's tapped (V, H) marginals when a fraction
+    eta_e of the pulse is diverted on a non-polarizing beamsplitter."""
+    joint = tap_split(state, eta_e)
+    return _cached_relabel(joint, ("V_B", "H_B")), _cached_relabel(joint, ("V_E", "H_E"))
+
+
+def dual_basis_cholesky(
+    state: GaussianState, detector: DetectorModel = NOISELESS
+) -> tuple[float, float, float, float, float]:
+    """Joint law of Eve's two dual-basis arm outcomes on a pulse.
+
+    Returns (mean_vh, l11, mean_dg, l21, l22): the arms' means and the
+    lower-triangular Cholesky factor of their 2x2 covariance, read noise
+    included, so (raw_vh, raw_dg) = (mean_vh + l11 z0,
+    mean_dg + l21 z0 + l22 z1) for independent standard normals z0, z1.
+    """
+    joint = detected_state(tap_split(state, 0.5), detector)
+    mean_vh, var_vh, mean_dg, var_dg, cov = joint_diff_moments(joint, Basis.VH, Basis.DIAG)
+    var_vh += detector.difference_noise_variance
+    var_dg += detector.difference_noise_variance
+    l11 = math.sqrt(var_vh)
+    l21 = cov / l11 if l11 > 0 else 0.0
+    l22 = math.sqrt(max(var_dg - l21 * l21, 0.0))
+    return mean_vh, l11, mean_dg, l21, l22
+
+
 def _draw_basis(rng: np.random.Generator) -> Basis:
     return Basis.VH if rng.integers(0, 2) == 0 else Basis.DIAG
 
@@ -131,9 +157,7 @@ def beamsplitter_tap(
     whole shows the extra loss. ``known_basis`` is a diagnostic mode where
     Eve is granted the correct basis instead of guessing.
     """
-    joint = tap_split(state, eta_e)
-    bob = _cached_relabel(joint, ("V_B", "H_B"))
-    eve = _cached_relabel(joint, ("V_E", "H_E"))
+    bob, eve = tap_arms(state, eta_e)
     basis = known_basis if known_basis is not None else _draw_basis(rng)
     moments = diff_number_moments(detected_state(eve, detector), basis)
     raw = sample_outcome(moments, detector, rng)
@@ -156,15 +180,8 @@ def dual_basis_measure(
     fluctuations and so typically produces the larger magnitude. Her bit is
     the sign of the chosen arm.
     """
-    joint = detected_state(tap_split(state, 0.5), detector)
-    mean_vh, var_vh, mean_dg, var_dg, cov = joint_diff_moments(joint, Basis.VH, Basis.DIAG)
-    var_vh += detector.difference_noise_variance
-    var_dg += detector.difference_noise_variance
-    # bivariate normal draw via 2x2 Cholesky
+    mean_vh, l11, mean_dg, l21, l22 = dual_basis_cholesky(state, detector)
     z0, z1 = rng.standard_normal(2)
-    l11 = math.sqrt(var_vh)
-    l21 = cov / l11 if l11 > 0 else 0.0
-    l22 = math.sqrt(max(var_dg - l21 * l21, 0.0))
     raw_vh = mean_vh + l11 * z0
     raw_dg = mean_dg + l21 * z0 + l22 * z1
     basis = Basis.VH if abs(raw_vh) <= abs(raw_dg) else Basis.DIAG
@@ -185,9 +202,7 @@ def superior_channel(
     The stored marginal is measured later, after the bases are public,
     via ``eve_deferred_measure``.
     """
-    joint = tap_split(state, 0.5)
-    bob = _cached_relabel(joint, ("V_B", "H_B"))
-    eve = _cached_relabel(joint, ("V_E", "H_E"))
+    bob, eve = tap_arms(state, 0.5)
     store[index] = EveRecord(index, None, (), None, deferred=True, stored_state=eve)
     return bob
 

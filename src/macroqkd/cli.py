@@ -23,9 +23,11 @@ from . import validate as validate_mod
 from .attacks import AttackConfig, AttackKind, attack_config_violations
 from .gaussian import SourceParams, alice_source, apply_loss, source_param_violations
 from .photostats import (
+    NOISELESS,
     Basis,
     DetectorModel,
     bob_error_vs_loss,
+    detector_violations,
     diff_number_moments,
     distribution_curve,
     eve_tap_probability,
@@ -192,7 +194,67 @@ def config_to_dict(config: SessionConfig) -> dict:
     }
 
 
+# Field layout of a config dict, as config_to_dict writes it: top-level
+# scalars map to None, sections to their field names.
+_CONFIG_FIELDS = {
+    "source": ("gain_G", "n_total_amp", "bit_amplitude_N", "squeeze_phase_theta"),
+    "channel_loss": None,
+    "detector": ("noise_equivalent_number", "quantum_efficiency"),
+    "attack": ("kind", "tap_fraction", "eve_detector_nen", "eve_detector_qe"),
+    "num_pulses": None,
+    "sample_fraction": None,
+    "detection_sigma_k": None,
+    "seed": None,
+}
+
+
+def config_violations(data: dict) -> list[str]:
+    """Every problem of a config dict in config_to_dict's layout: all
+    missing fields if any are missing, otherwise all invalid values."""
+    missing = []
+    for key, fields in _CONFIG_FIELDS.items():
+        if fields is None:
+            missing += [] if key in data else [key]
+        else:
+            section = data.get(key)
+            section = section if isinstance(section, dict) else {}
+            missing += [f"{key}.{f}" for f in fields if f not in section]
+    if missing:
+        return [f"missing config fields: {', '.join(missing)}"]
+    src, det, att = data["source"], data["detector"], data["attack"]
+    problems = source_param_violations(src["gain_G"], src["n_total_amp"], src["bit_amplitude_N"])
+    problems += [
+        f"detector {p}"
+        for p in detector_violations(det["noise_equivalent_number"], det["quantum_efficiency"])
+    ]
+    problems += session_violations(
+        data["channel_loss"],
+        data["num_pulses"],
+        data["sample_fraction"],
+        data["detection_sigma_k"],
+        data["seed"],
+    )
+    try:
+        kind = AttackKind(att["kind"])
+    except ValueError:
+        problems.append(
+            f"attack kind must be one of {[k.value for k in AttackKind]} (got {att['kind']!r})"
+        )
+    else:
+        problems += attack_config_violations(kind, att["tap_fraction"])
+    problems += [
+        f"Eve's detector {p}"
+        for p in detector_violations(att["eve_detector_nen"], att["eve_detector_qe"])
+    ]
+    return problems
+
+
 def config_from_dict(data: dict) -> SessionConfig:
+    """The SessionConfig a config dict describes; raises ConfigError listing
+    every problem of the dict (see ``config_violations``)."""
+    problems = config_violations(data)
+    if problems:
+        raise ConfigError("; ".join(problems))
     src = data["source"]
     att = data["attack"]
     return SessionConfig(
@@ -245,30 +307,30 @@ def report_text(config: SessionConfig, report: RunReport, fmt: str) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a full session and write the replayable report."""
-    params = _source_from_args(args)
-    detector = _detector_from_args(args)
-    problems = session_violations(
-        args.loss, args.pulses, args.sample_fraction, args.detect_k, args.seed
-    )
-    try:
-        kind = AttackKind(args.attack)
-    except ValueError:
-        problems.append(
-            f"--attack must be one of {[k.value for k in AttackKind]} (got {args.attack!r})"
-        )
-    else:
-        problems += attack_config_violations(kind, args.tap_fraction)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    config = SessionConfig(
-        source=params,
-        channel_loss=args.loss,
-        detector=detector,
-        attack=AttackConfig(kind=kind, tap_fraction=args.tap_fraction),
-        num_pulses=args.pulses,
-        sample_fraction=args.sample_fraction,
-        detection_sigma_k=args.detect_k,
-        seed=args.seed,
+    config = config_from_dict(
+        {
+            "source": {
+                "gain_G": args.gain,
+                "n_total_amp": args.n_total,
+                "bit_amplitude_N": args.bit_amplitude,
+                "squeeze_phase_theta": SourceParams.squeeze_phase_theta,
+            },
+            "channel_loss": args.loss,
+            "detector": {
+                "noise_equivalent_number": args.detector_nen,
+                "quantum_efficiency": DetectorModel.quantum_efficiency,
+            },
+            "attack": {
+                "kind": args.attack,
+                "tap_fraction": args.tap_fraction,
+                "eve_detector_nen": NOISELESS.noise_equivalent_number,
+                "eve_detector_qe": NOISELESS.quantum_efficiency,
+            },
+            "num_pulses": args.pulses,
+            "sample_fraction": args.sample_fraction,
+            "detection_sigma_k": args.detect_k,
+            "seed": args.seed,
+        }
     )
     report = run_session(config)
     _write_text(args.out, report_text(config, report, args.format))

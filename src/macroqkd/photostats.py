@@ -68,14 +68,23 @@ class DetectorModel:
     quantum_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.noise_equivalent_number < 0:
-            raise ValueError("noise_equivalent_number must be >= 0")
-        if not 0.0 < self.quantum_efficiency <= 1.0:
-            raise ValueError("quantum_efficiency must be in (0, 1]")
+        problems = detector_violations(self.noise_equivalent_number, self.quantum_efficiency)
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def difference_noise_variance(self) -> float:
         return 2.0 * self.noise_equivalent_number**2
+
+
+def detector_violations(noise_equivalent_number: float, quantum_efficiency: float) -> list[str]:
+    """All constraint violations of a prospective DetectorModel, as messages."""
+    out = []
+    if not noise_equivalent_number >= 0:
+        out.append(f"noise_equivalent_number must be >= 0 (got {noise_equivalent_number})")
+    if not 0.0 < quantum_efficiency <= 1.0:
+        out.append(f"quantum_efficiency must be in (0, 1] (got {quantum_efficiency})")
+    return out
 
 
 NOISELESS = DetectorModel(noise_equivalent_number=0.0)
@@ -158,10 +167,8 @@ def decode_bit(raw_n: float) -> int:
     return 1 if raw_n >= 0.0 else 0
 
 
-def sample_outcome(
-    moments: DiffMoments, detector: DetectorModel, rng: np.random.Generator
-) -> float:
-    """Draw one detected difference-number value.
+def outcome_normal(moments: DiffMoments, detector: DetectorModel) -> tuple[float, float]:
+    """Mean and standard deviation of the detected difference number.
 
     The outcome is Normal(mean, variance + detector read-noise variance);
     at the macroscopic photon numbers simulated here the discreteness of n
@@ -169,8 +176,15 @@ def sample_outcome(
     """
     if moments.variance < 0:
         raise ValueError("variance must be >= 0")
-    sigma = math.sqrt(moments.variance + detector.difference_noise_variance)
-    return moments.mean + sigma * rng.standard_normal()
+    return moments.mean, math.sqrt(moments.variance + detector.difference_noise_variance)
+
+
+def sample_outcome(
+    moments: DiffMoments, detector: DetectorModel, rng: np.random.Generator
+) -> float:
+    """Draw one detected difference-number value (see ``outcome_normal``)."""
+    mean, sigma = outcome_normal(moments, detector)
+    return mean + sigma * rng.standard_normal()
 
 
 def error_probability(moments: DiffMoments, detector: DetectorModel) -> float:

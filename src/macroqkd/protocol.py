@@ -1,19 +1,31 @@
-"""Pulse-by-pulse QKD session: preparation, channel, measurement, sifting,
+"""Columnar QKD session: preparation, channel, measurement, sifting,
 error estimation and eavesdropper detection.
 
-Determinism contract: every pulse draws from its own counter-based stream
-(see macroqkd.streams) with a fixed draw order
+Alice sends one of two bits in one of two bases, so under any attack Bob
+and Eve only ever measure a handful of distinct Gaussian states. A session
+builds their outcome laws once into a moment table, from the same physics
+functions the single-pulse reference uses, then draws whole chunks of
+pulses as arrays.
 
-    1. Alice's bit          integers(0, 2)
-    2. Alice's basis        integers(0, 2)  (0 = V/H, 1 = +45/-45)
-    3. attack draws         (kind-specific, fixed per kind)
-    4. Bob's basis          integers(0, 2)
-    5. Bob's outcome        one standard normal
+Determinism contract: pulse i's draws are a pure function of (seed, lane,
+i) (see macroqkd.streams), so a session is reproducible bit-for-bit from
+(config, seed) and its per-pulse columns do not depend on how the pulses
+are chunked or in what order the chunks run. Pulse i's block of raw words
+on LANE_PULSE is laid out as
 
-so a session is reproducible bit-for-bit from (config, seed), and each
-pulse's records do not depend on how the index range is split or in what
-order the pieces run. Error-estimation sampling uses the
-dedicated session lane; Eve's deferred measurements use the deferred lane.
+    word 0      bit 63 Alice's bit, bit 62 Alice's basis (0 = V/H,
+                1 = +45/-45), bit 61 Eve's basis, bit 60 Bob's basis
+    words 1, 2  one Box-Muller pair: Bob's normal, then Eve's first normal
+    words 3, 4  one Box-Muller pair: Eve's second normal (dual basis)
+    words 5-7   unused
+
+and its block on LANE_DEFERRED gives Eve's deferred measurement normal
+from words 0, 1. The error-estimation sample draws from
+``derive_stream(seed, LANE_SESSION, 0)``.
+
+``alice_prepare``, ``bob_measure`` and the attack functions in
+macroqkd.attacks are the single-pulse reference for the same physics:
+each samples from exactly the (mean, sigma) the table holds for its state.
 """
 
 from __future__ import annotations
@@ -23,27 +35,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import (
-    AttackConfig,
-    AttackKind,
-    EveRecord,
-    beamsplitter_tap,
-    dual_basis_measure,
-    eve_deferred_measure,
-    intercept_resend,
-    superior_channel,
-)
+from .attacks import AttackConfig, AttackKind, dual_basis_cholesky, tap_arms
 from .gaussian import GaussianState, SourceParams, alice_source, apply_loss
 from .photostats import (
     Basis,
     DetectorModel,
+    bob_error_vs_loss,
     decode_bit,
     detected_state,
     diff_number_moments,
-    bob_error_vs_loss,
+    outcome_normal,
     sample_outcome,
 )
-from .streams import LANE_PULSE, LANE_SESSION, derive_stream
+from .streams import (
+    LANE_DEFERRED,
+    LANE_PULSE,
+    LANE_SESSION,
+    box_muller,
+    derive_stream,
+    pulse_block,
+)
 
 VERDICT_CLEAN = "clean"
 VERDICT_DETECTED = "eavesdropper_detected"
@@ -144,27 +155,22 @@ def bob_measure(
     return MeasurementRecord(index, basis, raw, decode_bit(raw))
 
 
-def sift(
-    alice: list[PulseRecord], bob: list[MeasurementRecord]
-) -> list[int]:
-    """Indices where Alice's and Bob's bases agree."""
-    if len(alice) != len(bob):
-        raise ValueError(f"record lists differ in length ({len(alice)} vs {len(bob)})")
-    kept = []
-    for a, b in zip(alice, bob):
-        if a.index != b.index:
-            raise ValueError(f"misaligned records at index {a.index} vs {b.index}")
-        if a.alice_basis is b.bob_basis:
-            kept.append(a.index)
-    return kept
+def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
+    """Indices where Alice's and Bob's basis codes agree."""
+    alice_bases, bob_bases = np.asarray(alice_bases), np.asarray(bob_bases)
+    if alice_bases.shape != bob_bases.shape:
+        raise ValueError(
+            f"basis arrays differ in length ({len(alice_bases)} vs {len(bob_bases)})"
+        )
+    return np.flatnonzero(alice_bases == bob_bases)
 
 
 def estimate_error(
-    alice_bits: list[int],
-    bob_bits: list[int],
+    alice_bits: np.ndarray,
+    bob_bits: np.ndarray,
     sample_fraction: float,
     rng: np.random.Generator,
-) -> tuple[float, list[int]]:
+) -> tuple[float, np.ndarray]:
     """Publicly compare a sampled subset of the sifted key.
 
     Samples round(sample_fraction * len) positions without replacement,
@@ -172,6 +178,7 @@ def estimate_error(
     disclosed positions removed. A sample of zero positions returns rate
     0.0 and the full key.
     """
+    alice_bits, bob_bits = np.asarray(alice_bits), np.asarray(bob_bits)
     if len(alice_bits) != len(bob_bits):
         raise ValueError("sifted bit strings differ in length")
     n = len(alice_bits)
@@ -179,12 +186,10 @@ def estimate_error(
         raise ValueError("sifted key is empty")
     k = round(sample_fraction * n)
     if k == 0:
-        return 0.0, list(bob_bits)
+        return 0.0, bob_bits
     chosen = rng.choice(n, size=k, replace=False)
-    chosen_set = set(int(j) for j in chosen)
-    errors = sum(1 for j in chosen_set if alice_bits[j] != bob_bits[j])
-    remaining = [bob_bits[j] for j in range(n) if j not in chosen_set]
-    return errors / k, remaining
+    errors = int(np.count_nonzero(alice_bits[chosen] != bob_bits[chosen]))
+    return errors / k, np.delete(bob_bits, chosen)
 
 
 def detect_eavesdropping(
@@ -201,109 +206,156 @@ def detect_eavesdropping(
     return VERDICT_DETECTED if estimated_error_rate > threshold else VERDICT_CLEAN
 
 
-def _simulate_pulse(
-    index: int, config: SessionConfig, store: dict[int, EveRecord]
-) -> tuple[PulseRecord, MeasurementRecord, EveRecord | None]:
-    rng = derive_stream(config.seed, LANE_PULSE, index)
-    pulse_rec, state = alice_prepare(index, config, rng)
+@dataclass(frozen=True)
+class MomentTable:
+    """Outcome laws of every state one session can measure; sigmas include
+    the detectors' read noise, basis codes are 0 = V/H and 1 = +45/-45.
+
+    ``bob[bit, basis, bob_basis]`` is (mean, sigma) of Bob's outcome on the
+    pulse launched toward him as (bit, basis): Alice's pulse, or Eve's
+    re-prepared one under intercept-resend and dual-basis. ``eve`` holds,
+    per attack: (mean, sigma) per [bit, basis, eve_basis] for
+    intercept-resend and the tap; the Cholesky row (mean_vh, l11, mean_dg,
+    l21, l22) per [bit, basis] for dual-basis; (mean, sigma) per
+    [bit, basis] of the stored half measured in Alice's basis for the
+    superior channel; None without an attack.
+    """
+
+    bob: np.ndarray
+    eve: np.ndarray | None
+
+
+_BASES = (Basis.VH, Basis.DIAG)
+_CHUNK = 1 << 16  # pulses drawn per array pass; results do not depend on it
+
+
+def _law(state: GaussianState, basis: Basis, detector: DetectorModel) -> tuple[float, float]:
+    return outcome_normal(diff_number_moments(detected_state(state, detector), basis), detector)
+
+
+def _moment_table(config: SessionConfig) -> MomentTable:
     attack = config.attack
-    eve_rec: EveRecord | None = None
-    bypass_channel = False
+    kind, eve_det = attack.kind, attack.eve_detector
+    bob = np.empty((2, 2, 2, 2))
+    eve = {
+        AttackKind.NONE: None,
+        AttackKind.INTERCEPT_RESEND: np.empty((2, 2, 2, 2)),
+        AttackKind.BEAMSPLITTER_TAP: np.empty((2, 2, 2, 2)),
+        AttackKind.DUAL_BASIS: np.empty((2, 2, 5)),
+        AttackKind.SUPERIOR_CHANNEL: np.empty((2, 2, 2)),
+    }[kind]
+    for bit in (0, 1):
+        for b, basis in enumerate(_BASES):
+            state = alice_source(config.source, bit, basis)
+            sent = kept = state
+            if kind is AttackKind.BEAMSPLITTER_TAP:
+                sent, kept = tap_arms(state, attack.tap_fraction)
+            elif kind is AttackKind.SUPERIOR_CHANNEL:
+                sent, kept = tap_arms(state, 0.5)
+            # the superior channel's lossless substitute bypasses the loss
+            if kind is not AttackKind.SUPERIOR_CHANNEL and config.channel_loss > 0.0:
+                sent = apply_loss(sent, config.channel_loss)
+            for m, other in enumerate(_BASES):
+                bob[bit, b, m] = _law(sent, other, config.detector)
+                if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
+                    eve[bit, b, m] = _law(kept, other, eve_det)
+            if kind is AttackKind.DUAL_BASIS:
+                eve[bit, b] = dual_basis_cholesky(state, eve_det)
+            elif kind is AttackKind.SUPERIOR_CHANNEL:
+                eve[bit, b] = _law(kept, basis, eve_det)
+    return MomentTable(bob, eve)
 
-    if attack.kind is AttackKind.INTERCEPT_RESEND:
-        state, eve_rec = intercept_resend(
-            state, index, rng, config.source, attack.eve_detector
-        )
-    elif attack.kind is AttackKind.BEAMSPLITTER_TAP:
-        state, eve_rec = beamsplitter_tap(
-            state, index, attack.tap_fraction, rng, attack.eve_detector
-        )
-    elif attack.kind is AttackKind.DUAL_BASIS:
-        state, eve_rec = dual_basis_measure(
-            state, index, rng, config.source, attack.eve_detector
-        )
-    elif attack.kind is AttackKind.SUPERIOR_CHANNEL:
-        state = superior_channel(state, index, store)
-        bypass_channel = True  # Eve substitutes her lossless channel
 
-    if not bypass_channel and config.channel_loss > 0.0:
-        state = apply_loss(state, config.channel_loss)
-    meas_rec = bob_measure(state, index, config, rng)
-    return pulse_rec, meas_rec, eve_rec
-
-
-def _simulate_range(
-    indices: range, config: SessionConfig
-) -> tuple[list[PulseRecord], list[MeasurementRecord], list[EveRecord], dict[int, EveRecord]]:
-    store: dict[int, EveRecord] = {}
-    pulses, measurements, eve_records = [], [], []
-    for i in indices:
-        try:
-            p, m, e = _simulate_pulse(i, config, store)
-        except Exception as exc:
-            raise RuntimeError(f"pulse {i} failed: {exc}") from exc
-        pulses.append(p)
-        measurements.append(m)
-        if e is not None:
-            eve_records.append(e)
-    return pulses, measurements, eve_records, store
+def _pulse_columns(
+    config: SessionConfig, table: MomentTable, lo: int, hi: int
+) -> dict[str, np.ndarray]:
+    """Per-pulse columns of pulses [lo, hi): bits and basis codes as uint8,
+    Bob's raw outcome, and Eve's raw outcomes with one column per arm."""
+    words = pulse_block(config.seed, LANE_PULSE, lo, hi)
+    head = words[:, 0]
+    alice_bit = (head >> 63).astype(np.uint8)
+    alice_basis = (head >> 62 & 1).astype(np.uint8)
+    bob_basis = (head >> 60 & 1).astype(np.uint8)
+    z_bob, z_eve = box_muller(words[:, 1], words[:, 2])
+    cols = {"alice_bit": alice_bit, "alice_basis": alice_basis, "bob_basis": bob_basis}
+    kind = config.attack.kind
+    if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
+        eve_basis = (head >> 61 & 1).astype(np.uint8)
+        mean, sigma = table.eve[alice_bit, alice_basis, eve_basis].T
+        eve_raw = mean + sigma * z_eve
+        cols.update(eve_basis=eve_basis, eve_raw=eve_raw[:, None])
+    elif kind is AttackKind.DUAL_BASIS:
+        z_second, _ = box_muller(words[:, 3], words[:, 4])
+        mean_vh, l11, mean_dg, l21, l22 = table.eve[alice_bit, alice_basis].T
+        raw_vh = mean_vh + l11 * z_eve
+        raw_dg = mean_dg + l21 * z_eve + l22 * z_second
+        # the arm with the smaller magnitude is taken as the right basis
+        eve_basis = (np.abs(raw_vh) > np.abs(raw_dg)).astype(np.uint8)
+        eve_raw = np.where(eve_basis == 0, raw_vh, raw_dg)
+        cols.update(eve_basis=eve_basis, eve_raw=np.stack([raw_vh, raw_dg], axis=1))
+    elif kind is AttackKind.SUPERIOR_CHANNEL:
+        deferred = pulse_block(config.seed, LANE_DEFERRED, lo, hi)
+        z_deferred, _ = box_muller(deferred[:, 0], deferred[:, 1])
+        mean, sigma = table.eve[alice_bit, alice_basis].T
+        eve_raw = mean + sigma * z_deferred
+        cols.update(eve_raw=eve_raw[:, None])
+    sent_bit, sent_basis = alice_bit, alice_basis
+    if kind is not AttackKind.NONE:
+        cols["eve_bit"] = (eve_raw >= 0.0).astype(np.uint8)
+        if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS):
+            sent_bit, sent_basis = cols["eve_bit"], eve_basis  # Eve re-prepares
+    mean, sigma = table.bob[sent_bit, sent_basis, bob_basis].T
+    bob_raw = mean + sigma * z_bob
+    cols.update(bob_raw=bob_raw, bob_bit=(bob_raw >= 0.0).astype(np.uint8))
+    return cols
 
 
 def run_session(config: SessionConfig) -> RunReport:
     """Execute a full QKD session and summarize it."""
-    attack = config.attack
+    kind = config.attack.kind
     n = config.num_pulses
-    pulses, measurements, eve_records, store = _simulate_range(range(n), config)
+    table = _moment_table(config)
+    alice_key, bob_key = [], []
+    eve_hits = eve_seen = 0
+    for lo in range(0, n, _CHUNK):
+        cols = _pulse_columns(config, table, lo, min(lo + _CHUNK, n))
+        kept = sift(cols["alice_basis"], cols["bob_basis"])
+        alice_key.append(cols["alice_bit"][kept])
+        bob_key.append(cols["bob_bit"][kept])
+        if kind is not AttackKind.NONE:
+            # Eve measures her stored halves only once the bases are revealed
+            seen = kept if kind is AttackKind.SUPERIOR_CHANNEL else slice(None)
+            eve_bits = cols["eve_bit"][seen]
+            eve_hits += int(np.count_nonzero(eve_bits == cols["alice_bit"][seen]))
+            eve_seen += len(eve_bits)
+    alice_bits, bob_bits = np.concatenate(alice_key), np.concatenate(bob_key)
+    n_sifted = len(alice_bits)
 
-    sifted = sift(pulses, measurements)
-    alice_bits = [pulses[i].alice_bit for i in sifted]
-    bob_bits = [measurements[i].decoded_bit for i in sifted]
-    bob_accuracy = (
-        sum(1 for a, b in zip(alice_bits, bob_bits) if a == b) / len(sifted)
-        if sifted
-        else None
-    )
-
-    if sifted:
+    if n_sifted:
+        bob_accuracy = int(np.count_nonzero(alice_bits == bob_bits)) / n_sifted
         est_rng = derive_stream(config.seed, LANE_SESSION, 0)
         estimated, remaining = estimate_error(
             alice_bits, bob_bits, config.sample_fraction, est_rng
         )
-        sampled_count = len(sifted) - len(remaining)
+        sampled_count = n_sifted - len(remaining)
     else:
-        estimated, remaining, sampled_count = 0.0, [], 0
+        bob_accuracy, estimated, remaining, sampled_count = None, 0.0, bob_bits, 0
 
     if sampled_count > 0:
         verdict = detect_eavesdropping(estimated, sampled_count, config)
     else:
         verdict = VERDICT_CLEAN
 
-    eve_accuracy: float | None = None
-    if attack.kind is AttackKind.SUPERIOR_CHANNEL:
-        revealed = [(i, pulses[i].alice_basis) for i in sifted]
-        completed = eve_deferred_measure(store, revealed, config.seed, attack.eve_detector)
-        if completed:
-            hits = sum(
-                1 for rec in completed if rec.inferred_bit == pulses[rec.index].alice_bit
-            )
-            eve_accuracy = hits / len(completed)
-    elif attack.kind is not AttackKind.NONE:
-        if eve_records:
-            hits = sum(
-                1 for rec in eve_records if rec.inferred_bit == pulses[rec.index].alice_bit
-            )
-            eve_accuracy = hits / len(eve_records)
-
     return RunReport(
         pulses_sent=n,
-        sifted_count=len(sifted),
+        sifted_count=n_sifted,
         sampled_count=sampled_count,
         estimated_error_rate=estimated,
         expected_systematic_error=bob_error_vs_loss(
             config.source, config.channel_loss, config.detector
         ),
         detection_verdict=verdict,
-        eve_bit_accuracy=eve_accuracy,
+        eve_bit_accuracy=eve_hits / eve_seen if eve_seen else None,
         bob_bit_accuracy=bob_accuracy,
         final_key_bits=len(remaining),
     )

@@ -1,5 +1,12 @@
-"""Shared test plumbing: the acceptance suite records one line per
-criterion and this hook prints them after the run, capture or not."""
+"""Shared test plumbing: a deterministic Hypothesis profile, and the
+acceptance suite's per-criterion lines, which this hook prints after the
+run, capture or not."""
+
+from hypothesis import settings
+
+# Same examples on every run, with no reliance on a local example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 ACCEPTANCE_LINES: list[str] = []
 

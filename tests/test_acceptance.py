@@ -30,7 +30,8 @@ from macroqkd.protocol import (
     SessionConfig,
     VERDICT_CLEAN,
     VERDICT_DETECTED,
-    _simulate_range,
+    _moment_table,
+    _pulse_columns,
     run_session,
 )
 from macroqkd.streams import LANE_PULSE, derive_stream
@@ -314,20 +315,23 @@ def test_criterion_10_determinism(tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     byte_identical = out_a.read_bytes() == out_b.read_bytes()
 
-    # per-pulse records do not depend on how range(n) is split or in what
+    # per-pulse columns do not depend on how range(n) is split or in what
     # order the pieces run
     config = SessionConfig(
         source=DESIGN_POINT, channel_loss=0.2, detector=NOISELESS, num_pulses=20_000, seed=42
     )
-    whole = _simulate_range(range(20_000), config)
-    tail = _simulate_range(range(7_000, 20_000), config)
-    head = _simulate_range(range(0, 7_000), config)
-    split_equal = all(whole[part] == head[part] + tail[part] for part in range(3))
+    table = _moment_table(config)
+    whole = _pulse_columns(config, table, 0, 20_000)
+    tail = _pulse_columns(config, table, 7_000, 20_000)
+    head = _pulse_columns(config, table, 0, 7_000)
+    split_equal = whole.keys() == head.keys() == tail.keys() and all(
+        np.array_equal(whole[name], np.concatenate([head[name], tail[name]])) for name in whole
+    )
     elapsed = time.time() - t0
     ok = byte_identical and split_equal and elapsed < 30.0
     record_criterion(
         10,
-        "cmd_run reports byte-identical; pulse records independent of range splitting",
+        "cmd_run reports byte-identical; pulse columns independent of range splitting",
         ok,
         f"bytes={'equal' if byte_identical else 'DIFFER'}, "
         f"split={'equal' if split_equal else 'DIFFER'}, {elapsed:.1f}s",

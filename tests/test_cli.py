@@ -192,6 +192,47 @@ def test_exit_code_config_errors(capsys):
     assert main(["nonexistent-command"]) == 1
 
 
+def test_run_lists_source_detector_session_and_attack_problems(capsys):
+    argv = [
+        "run", "--gain", "-1", "--detector-nen", "-5", "--pulses", "0",
+        "--attack", "intercept_resend", "--tap-fraction", "0.3",
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    for field in ("gain_G", "noise_equivalent_number", "num_pulses", "tap_fraction"):
+        assert field in err, field
+
+
+def test_config_from_dict_names_every_missing_field():
+    with pytest.raises(ValueError) as info:
+        config_from_dict({"source": {"gain_G": 10.0}, "seed": 1})
+    message = str(info.value)
+    for field in (
+        "source.n_total_amp", "source.bit_amplitude_N", "source.squeeze_phase_theta",
+        "channel_loss", "detector.noise_equivalent_number", "detector.quantum_efficiency",
+        "attack.kind", "attack.tap_fraction", "attack.eve_detector_nen",
+        "attack.eve_detector_qe", "num_pulses", "sample_fraction", "detection_sigma_k",
+    ):
+        assert field in message, field
+    assert "gain_G" not in message and "seed" not in message
+
+
+def test_config_from_dict_lists_every_invalid_value():
+    data = config_to_dict(
+        SessionConfig(source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0))
+    )
+    data["source"]["gain_G"] = 0.5
+    data["detector"]["quantum_efficiency"] = 0.0
+    data["attack"]["kind"] = "nonsense"
+    data["attack"]["eve_detector_nen"] = -1.0
+    data["num_pulses"] = 0
+    with pytest.raises(ValueError) as info:
+        config_from_dict(data)
+    message = str(info.value)
+    for field in ("gain_G", "quantum_efficiency", "attack kind", "Eve's detector", "num_pulses"):
+        assert field in message, field
+
+
 def test_exit_code_io_error(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["fig2", "--out", str(missing_dir)]) == 3

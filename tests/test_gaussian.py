@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macroqkd.gaussian import (
@@ -307,12 +307,17 @@ def test_difference_number_conserved_by_squeezing(n_seed, frac, r):
     eta2=st.floats(0.0, 1.0),
     r=st.floats(0.0, 1.5),
 )
+@example(eta1=0.5, eta2=1.0 - 2.0**-53, r=1.5)
 def test_loss_semigroup(eta1, eta2, r):
+    # The combined loss is stated in transmission space: 1 - (1-eta1)(1-eta2)
+    # rounds away the product t1*t2 when one transmission is near 2^-53.
     state = apply_two_mode_squeeze(make_coherent_seed(1.3, 0.7j), r, math.pi / 2)
     two_step = apply_loss(apply_loss(state, eta1), eta2)
-    combined = apply_loss(state, 1.0 - (1.0 - eta1) * (1.0 - eta2))
-    np.testing.assert_allclose(two_step.mean, combined.mean, atol=1e-12)
-    np.testing.assert_allclose(two_step.cov, combined.cov, atol=1e-12)
+    t = (1.0 - eta1) * (1.0 - eta2)
+    np.testing.assert_allclose(two_step.mean, math.sqrt(t) * state.mean, atol=1e-12)
+    np.testing.assert_allclose(
+        two_step.cov, t * state.cov + (1.0 - t) * 0.5 * np.eye(4), atol=1e-12
+    )
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,11 +10,11 @@ from macroqkd.attacks import AttackConfig, AttackKind
 from macroqkd.gaussian import SourceParams
 from macroqkd.photostats import NOISELESS, Basis, DetectorModel, bob_error_vs_loss
 from macroqkd.protocol import (
-    MeasurementRecord,
-    PulseRecord,
     SessionConfig,
     VERDICT_CLEAN,
     VERDICT_DETECTED,
+    _moment_table,
+    _pulse_columns,
     alice_prepare,
     bob_measure,
     detect_eavesdropping,
@@ -108,31 +108,22 @@ def test_bob_wrong_basis_bits_are_uniform():
 # -------------------------------------------------------------------- sifting
 
 
-def _records(bases_a, bases_b):
-    alice = [PulseRecord(i, 0, b) for i, b in enumerate(bases_a)]
-    bob = [MeasurementRecord(i, b, 1.0, 1) for i, b in enumerate(bases_b)]
-    return alice, bob
+VH, DIAG = 0, 1  # basis codes of the session columns
 
 
 def test_sift_keeps_matching_bases_only():
-    alice, bob = _records(
-        [Basis.VH, Basis.VH, Basis.DIAG, Basis.DIAG],
-        [Basis.VH, Basis.DIAG, Basis.DIAG, Basis.VH],
-    )
-    assert sift(alice, bob) == [0, 2]
+    kept = sift(np.array([VH, VH, DIAG, DIAG]), np.array([VH, DIAG, DIAG, VH]))
+    assert kept.tolist() == [0, 2]
 
 
 def test_sift_all_and_none():
-    alice, bob = _records([Basis.VH] * 4, [Basis.VH] * 4)
-    assert sift(alice, bob) == [0, 1, 2, 3]
-    alice, bob = _records([Basis.VH] * 4, [Basis.DIAG] * 4)
-    assert sift(alice, bob) == []
+    assert sift(np.full(4, VH), np.full(4, VH)).tolist() == [0, 1, 2, 3]
+    assert sift(np.full(4, VH), np.full(4, DIAG)).tolist() == []
 
 
 def test_sift_validates_alignment():
-    alice, bob = _records([Basis.VH], [Basis.VH, Basis.VH])
     with pytest.raises(ValueError, match="length"):
-        sift(alice, bob)
+        sift(np.array([VH]), np.array([VH, VH]))
 
 
 def test_sift_fraction_near_half():
@@ -237,39 +228,36 @@ def test_session_quantum_efficiency_acts_as_loss():
     assert rep == ref
 
 
+def _columns(config, lo, hi):
+    return _pulse_columns(config, _moment_table(config), lo, hi)
+
+
 def test_session_determinism_and_split_independence():
     cfg = make_config(num_pulses=20_000, channel_loss=0.2, seed=999)
     assert run_session(cfg) == run_session(cfg)
-    # per-pulse records do not depend on how range(n) is split or in what
+    # per-pulse columns do not depend on how range(n) is split or in what
     # order the pieces run
-    from macroqkd.protocol import _simulate_range
-
     cfg = make_config(
         num_pulses=3000, channel_loss=0.2, seed=999,
         attack=AttackConfig(kind=AttackKind.INTERCEPT_RESEND),
     )
-    whole = _simulate_range(range(3000), cfg)
-    tail = _simulate_range(range(1234, 3000), cfg)
-    head = _simulate_range(range(0, 1234), cfg)
-    for part in range(3):
-        assert whole[part] == head[part] + tail[part]
+    whole = _columns(cfg, 0, 3000)
+    tail = _columns(cfg, 1234, 3000)
+    head = _columns(cfg, 0, 1234)
+    assert whole.keys() == head.keys() == tail.keys()
+    for name, column in whole.items():
+        np.testing.assert_array_equal(column, np.concatenate([head[name], tail[name]]))
 
 
 def test_wrong_basis_pulses_carry_no_information():
     cfg = make_config(num_pulses=100_000, seed=55)
     # correlate alice bits with bob decoded bits on discarded pulses
-    from macroqkd.protocol import _simulate_range
-
-    pulses, measurements, _, _ = _simulate_range(range(cfg.num_pulses), cfg)
-    discarded = [
-        (p.alice_bit, m.decoded_bit)
-        for p, m in zip(pulses, measurements)
-        if p.alice_basis is not m.bob_basis
-    ]
-    a = np.array([x for x, _ in discarded]) * 2 - 1
-    b = np.array([y for _, y in discarded]) * 2 - 1
+    cols = _columns(cfg, 0, cfg.num_pulses)
+    discarded = cols["alice_basis"] != cols["bob_basis"]
+    a = cols["alice_bit"][discarded].astype(int) * 2 - 1
+    b = cols["bob_bit"][discarded].astype(int) * 2 - 1
     corr = float(np.mean(a * b))
-    assert abs(corr) < 5 / math.sqrt(len(discarded))
+    assert abs(corr) < 5 / math.sqrt(np.count_nonzero(discarded))
 
 
 def test_session_config_validation_lists_problems():
