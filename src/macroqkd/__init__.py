@@ -4,7 +4,7 @@ statistics, the full Alice/Bob protocol and four eavesdropping attacks,
 validated against an exact small-scale Fock-space oracle.
 """
 
-from .attacks import AttackConfig, AttackKind, EveRecord
+from .attacks import AttackConfig, AttackKind
 from .fock import FockState, build_state_exact, exact_diff_distribution, exact_loss_distribution
 from .gaussian import (
     GaussianState,
@@ -29,13 +29,7 @@ from .photostats import (
     joint_diff_moments,
     sample_outcome,
 )
-from .protocol import (
-    MeasurementRecord,
-    PulseRecord,
-    RunReport,
-    SessionConfig,
-    run_session,
-)
+from .protocol import RunReport, SessionConfig, run_session
 
 __version__ = "0.1.0"
 
@@ -45,12 +39,9 @@ __all__ = [
     "Basis",
     "DetectorModel",
     "DiffMoments",
-    "EveRecord",
     "FockState",
     "GaussianState",
-    "MeasurementRecord",
     "NOISELESS",
-    "PulseRecord",
     "RunReport",
     "SessionConfig",
     "SourceParams",

@@ -1,29 +1,24 @@
 """Eavesdropping strategies acting on pulses in transit.
 
 Each interceptor consumes the pulse Alice launched into the channel and
-returns what travels on toward Bob plus a record of Eve's measurements and
-inferences. Re-preparing attacks give Eve an ideal source: she forwards a
-perfect fresh pulse encoding her inference, so all induced errors stem
-from wrong inferences rather than sloppy state preparation.
+returns what travels on toward Bob together with Eve's basis and raw
+outcomes; her bit is ``decode_bit`` of the outcome she trusts. These
+single-pulse functions are the reference that the session engine's moment
+table and array draws are tested against. Re-preparing attacks give Eve an
+ideal source: she forwards a perfect fresh pulse encoding her inference, so
+all induced errors stem from wrong inferences rather than sloppy state
+preparation.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import MutableMapping, Sequence
 
 import numpy as np
 
-from .gaussian import (
-    GaussianState,
-    SourceParams,
-    alice_source,
-    take_marginal,
-    tap_split,
-)
+from .gaussian import GaussianState, SourceParams, alice_source, tap_split
 from .photostats import (
     Basis,
     DetectorModel,
@@ -69,37 +64,14 @@ def attack_config_violations(kind: AttackKind, tap_fraction: float | None) -> li
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class EveRecord:
-    """Eve's bookkeeping for one pulse.
-
-    ``eve_basis`` is None when no single basis applies (dual-basis records
-    both arms; deferred records have no basis until revelation).
-    ``raw_values`` holds the measured difference numbers, one per arm.
-    Deferred records keep the stored Gaussian marginal until Eve measures
-    it after the public basis discussion.
-    """
-
-    index: int
-    eve_basis: Basis | None
-    raw_values: tuple[float, ...]
-    inferred_bit: int | None
-    deferred: bool = False
-    stored_state: GaussianState | None = None
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_relabel(joint: GaussianState, labels: tuple[str, ...]) -> GaussianState:
-    """Two-mode (V, H) marginal of a tap output, memoized per joint state."""
-    marg = take_marginal(joint, labels)
-    return GaussianState(("V", "H"), marg.mean, marg.cov)
-
-
 def tap_arms(state: GaussianState, eta_e: float) -> tuple[GaussianState, GaussianState]:
     """Bob's transmitted and Eve's tapped (V, H) marginals when a fraction
     eta_e of the pulse is diverted on a non-polarizing beamsplitter."""
-    joint = tap_split(state, eta_e)
-    return _cached_relabel(joint, ("V_B", "H_B")), _cached_relabel(joint, ("V_E", "H_E"))
+    joint = tap_split(state, eta_e)  # modes (V_B, H_B, V_E, H_E)
+    return (
+        GaussianState(("V", "H"), joint.mean[:4], joint.cov[:4, :4]),
+        GaussianState(("V", "H"), joint.mean[4:], joint.cov[4:, 4:]),
+    )
 
 
 def dual_basis_cholesky(
@@ -128,52 +100,50 @@ def _draw_basis(rng: np.random.Generator) -> Basis:
 
 def intercept_resend(
     state: GaussianState,
-    index: int,
     rng: np.random.Generator,
     source_params: SourceParams,
     detector: DetectorModel = NOISELESS,
-) -> tuple[GaussianState, EveRecord]:
+) -> tuple[GaussianState, Basis, float]:
     """Attack one: capture the whole pulse, measure in a random basis,
-    forward a fresh pulse encoding the inferred bit in that basis."""
+    forward a fresh pulse encoding the inferred bit in that basis.
+
+    Returns (resent pulse, Eve's basis, Eve's raw outcome).
+    """
     basis = _draw_basis(rng)
     moments = diff_number_moments(detected_state(state, detector), basis)
     raw = sample_outcome(moments, detector, rng)
-    bit = decode_bit(raw)
-    resent = alice_source(source_params, bit, basis)
-    return resent, EveRecord(index, basis, (raw,), bit)
+    return alice_source(source_params, decode_bit(raw), basis), basis, raw
 
 
 def beamsplitter_tap(
     state: GaussianState,
-    index: int,
     eta_e: float,
     rng: np.random.Generator,
     detector: DetectorModel = NOISELESS,
-    known_basis: Basis | None = None,
-) -> tuple[GaussianState, EveRecord]:
-    """Attack two: divert a fraction eta_e of the pulse and measure it.
+) -> tuple[GaussianState, Basis, float]:
+    """Attack two: divert a fraction eta_e of the pulse and measure it in a
+    random basis.
 
-    Bob receives the transmitted beamsplitter output, so the channel as a
-    whole shows the extra loss. ``known_basis`` is a diagnostic mode where
-    Eve is granted the correct basis instead of guessing.
+    Returns (Bob's transmitted pulse, Eve's basis, Eve's raw outcome). Bob
+    receives the transmitted beamsplitter output, so the channel as a whole
+    shows the extra loss.
     """
     bob, eve = tap_arms(state, eta_e)
-    basis = known_basis if known_basis is not None else _draw_basis(rng)
+    basis = _draw_basis(rng)
     moments = diff_number_moments(detected_state(eve, detector), basis)
-    raw = sample_outcome(moments, detector, rng)
-    return bob, EveRecord(index, basis, (raw,), decode_bit(raw))
+    return bob, basis, sample_outcome(moments, detector, rng)
 
 
 def dual_basis_measure(
     state: GaussianState,
-    index: int,
     rng: np.random.Generator,
     source_params: SourceParams,
     detector: DetectorModel = NOISELESS,
-) -> tuple[GaussianState, EveRecord]:
+) -> tuple[GaussianState, float, float]:
     """Attack three: split 50/50, measure one arm in each basis, forward a
     fresh pulse encoding the inferred (basis, bit).
 
+    Returns (resent pulse, raw V/H-arm outcome, raw diagonal-arm outcome).
     The two arm outcomes are drawn jointly from the four-mode tap state.
     Eve takes the arm with the *smaller* magnitude |raw| as the correct
     basis (ties to V/H): the incorrect basis sees the anti-squeezed
@@ -186,47 +156,33 @@ def dual_basis_measure(
     raw_dg = mean_dg + l21 * z0 + l22 * z1
     basis = Basis.VH if abs(raw_vh) <= abs(raw_dg) else Basis.DIAG
     raw = raw_vh if basis is Basis.VH else raw_dg
-    bit = decode_bit(raw)
-    resent = alice_source(source_params, bit, basis)
-    return resent, EveRecord(index, None, (raw_vh, raw_dg), bit)
+    return alice_source(source_params, decode_bit(raw), basis), raw_vh, raw_dg
 
 
-def superior_channel(
-    state: GaussianState,
-    index: int,
-    store: MutableMapping[int, EveRecord],
-) -> GaussianState:
+def superior_channel(state: GaussianState) -> tuple[GaussianState, GaussianState]:
     """Attack four: split 50/50, forward Bob's half over a lossless
     substitute channel, keep the other half in perfect quantum memory.
 
-    The stored marginal is measured later, after the bases are public,
-    via ``eve_deferred_measure``.
+    Returns (Bob's pulse, Eve's stored half). Eve measures the stored half
+    after the bases are public, with ``eve_deferred_measure``.
     """
-    bob, eve = tap_arms(state, 0.5)
-    store[index] = EveRecord(index, None, (), None, deferred=True, stored_state=eve)
-    return bob
+    return tap_arms(state, 0.5)
 
 
 def eve_deferred_measure(
-    store: MutableMapping[int, EveRecord],
-    revealed_bases: Sequence[tuple[int, Basis]],
+    stored_state: GaussianState,
+    basis: Basis,
     seed: int,
+    index: int,
     detector: DetectorModel = NOISELESS,
-) -> list[EveRecord]:
-    """Measure Eve's stored pulses in the publicly revealed correct bases.
+) -> float:
+    """Eve's raw outcome on stored pulse ``index``, measured in the publicly
+    revealed basis.
 
-    Each stored pulse uses its own derived random stream, so the outcome
-    does not depend on the order of revelation.
+    Each pulse draws from its own stream ``derive_stream(seed,
+    LANE_DEFERRED, index)``, so outcomes do not depend on the order in which
+    Eve measures her stored pulses.
     """
-    out = []
-    for index, basis in revealed_bases:
-        if index not in store:
-            raise ValueError(f"no stored pulse for revealed index {index}")
-        record = store[index]
-        if record.stored_state is None:
-            raise ValueError(f"stored pulse {index} was already consumed")
-        rng = derive_stream(seed, LANE_DEFERRED, index)
-        stored = detected_state(record.stored_state, detector)
-        raw = sample_outcome(diff_number_moments(stored, basis), detector, rng)
-        out.append(EveRecord(index, basis, (raw,), decode_bit(raw), deferred=True))
-    return out
+    rng = derive_stream(seed, LANE_DEFERRED, index)
+    moments = diff_number_moments(detected_state(stored_state, detector), basis)
+    return sample_outcome(moments, detector, rng)

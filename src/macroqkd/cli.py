@@ -2,7 +2,8 @@
 the Fock-oracle validation gate.
 
 Subcommands: fig1, fig2, fig3, run, validate. Exit codes: 0 success,
-1 configuration error, 2 validation failure, 3 I/O error. CSV output uses
+1 configuration error, 2 validation failure, 3 I/O error; any other
+exception is a program fault and propagates. CSV output uses
 full double precision (17 significant digits), comma separators and LF
 line endings so repeated runs with the same configuration are
 byte-identical.
@@ -59,6 +60,8 @@ def _parse_grid(text: str, lo: float, hi: float, name: str) -> np.ndarray:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError as exc:
         raise ConfigError(f"--grid must be start:stop:steps (got {text!r})") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"--grid endpoints must be finite (got {text!r})")
     if steps < 1:
         raise ConfigError(f"--grid needs at least 1 step (got {steps})")
     if steps > 1 and not stop > start:
@@ -79,8 +82,9 @@ def _source_from_args(args: argparse.Namespace) -> SourceParams:
 
 
 def _detector_from_args(args: argparse.Namespace) -> DetectorModel:
-    if args.detector_nen < 0:
-        raise ConfigError(f"--detector-nen must be >= 0 (got {args.detector_nen})")
+    problems = detector_violations(args.detector_nen, DetectorModel.quantum_efficiency)
+    if problems:
+        raise ConfigError("; ".join(f"--detector-nen: {p}" for p in problems))
     return DetectorModel(noise_equivalent_number=args.detector_nen)
 
 
@@ -98,16 +102,19 @@ class _IOFailure(RuntimeError):
     pass
 
 
-def _add_source_flags(p: argparse.ArgumentParser, nen_default: float) -> None:
+def _add_source_flags(p: argparse.ArgumentParser, nen_default: float | None) -> None:
+    """Source design and output flags; ``--detector-nen`` too unless
+    ``nen_default`` is None (fig3's noiseless curve has no detector)."""
     p.add_argument("--gain", type=float, default=10.0, help="amplifier photon-number gain G")
     p.add_argument("--n-total", type=float, default=2e6, help="mean total photons after amplification")
     p.add_argument("--bit-amplitude", type=float, default=2460.0, help="mean difference number N per bit")
-    p.add_argument(
-        "--detector-nen",
-        type=float,
-        default=nen_default,
-        help="detector noise-equivalent photon number (per detector)",
-    )
+    if nen_default is not None:
+        p.add_argument(
+            "--detector-nen",
+            type=float,
+            default=nen_default,
+            help="detector noise-equivalent photon number (per detector)",
+        )
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -123,7 +130,6 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     mom1 = diff_number_moments(pulse1, Basis.VH)
     mom_wrong = diff_number_moments(pulse1, Basis.DIAG)
     if args.grid is not None:
-        span = None
         grid = _parse_grid(args.grid, -math.inf, math.inf, "n")
     else:
         sigma_max = math.sqrt(
@@ -222,7 +228,9 @@ def config_violations(data: dict) -> list[str]:
     if missing:
         return [f"missing config fields: {', '.join(missing)}"]
     src, det, att = data["source"], data["detector"], data["attack"]
-    problems = source_param_violations(src["gain_G"], src["n_total_amp"], src["bit_amplitude_N"])
+    problems = source_param_violations(
+        src["gain_G"], src["n_total_amp"], src["bit_amplitude_N"], src["squeeze_phase_theta"]
+    )
     problems += [
         f"detector {p}"
         for p in detector_violations(det["noise_equivalent_number"], det["quantum_efficiency"])
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2.set_defaults(func=cmd_fig2)
 
     p3 = sub.add_parser("fig3", help="Eve's tap probability versus sampled fraction")
-    _add_source_flags(p3, nen_default=0.0)
+    _add_source_flags(p3, nen_default=None)
     p3.add_argument("--grid", default="0:1:101", help="eta grid as start:stop:steps")
     p3.set_defaults(func=cmd_fig3)
 
@@ -393,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _IOFailure as exc:

@@ -116,7 +116,7 @@ class SourceParams:
 
     def __post_init__(self) -> None:
         problems = source_param_violations(
-            self.gain_G, self.n_total_amp, self.bit_amplitude_N
+            self.gain_G, self.n_total_amp, self.bit_amplitude_N, self.squeeze_phase_theta
         )
         if problems:
             raise ValueError("; ".join(problems))
@@ -127,19 +127,26 @@ class SourceParams:
 
 
 def source_param_violations(
-    gain_g: float, n_total_amp: float, bit_amplitude_n: float
+    gain_g: float,
+    n_total_amp: float,
+    bit_amplitude_n: float,
+    squeeze_phase_theta: float = math.pi / 2,
 ) -> list[str]:
     """All constraint violations of a prospective SourceParams, as messages."""
     out = []
-    if not gain_g > 1:
-        out.append(f"gain_G must be > 1 (got {gain_g})")
-    if not n_total_amp > 0:
-        out.append(f"n_total_amp must be > 0 (got {n_total_amp})")
-    if gain_g > 1 and n_total_amp > 0 and not 0 < bit_amplitude_n < n_total_amp / gain_g:
+    gain_ok = 1 < gain_g < math.inf
+    total_ok = 0 < n_total_amp < math.inf
+    if not gain_ok:
+        out.append(f"gain_G must be finite and > 1 (got {gain_g})")
+    if not total_ok:
+        out.append(f"n_total_amp must be finite and > 0 (got {n_total_amp})")
+    if gain_ok and total_ok and not 0 < bit_amplitude_n < n_total_amp / gain_g:
         out.append(
             f"bit_amplitude_N must lie in (0, n_total_amp/gain_G) "
             f"(got {bit_amplitude_n}, bound {n_total_amp / gain_g})"
         )
+    if not math.isfinite(squeeze_phase_theta):
+        out.append(f"squeeze_phase_theta must be finite (got {squeeze_phase_theta})")
     return out
 
 
@@ -219,12 +226,6 @@ def apply_loss(state: GaussianState, eta: float) -> GaussianState:
         math.sqrt(t) * state.mean,
         t * state.cov + eta * 0.5 * np.eye(dim),
     )
-
-
-@functools.lru_cache(maxsize=256)
-def take_marginal(state: GaussianState, labels: tuple[str, ...]) -> GaussianState:
-    """Memoized ``state.marginal(labels)`` for the per-pulse hot path."""
-    return state.marginal(labels)
 
 
 @functools.lru_cache(maxsize=256)

@@ -41,9 +41,6 @@ class Basis(enum.Enum):
     VH = "VH"
     DIAG = "DIAG"
 
-    def other(self) -> "Basis":
-        return Basis.DIAG if self is Basis.VH else Basis.VH
-
 
 @dataclass(frozen=True)
 class DiffMoments:
@@ -80,8 +77,10 @@ class DetectorModel:
 def detector_violations(noise_equivalent_number: float, quantum_efficiency: float) -> list[str]:
     """All constraint violations of a prospective DetectorModel, as messages."""
     out = []
-    if not noise_equivalent_number >= 0:
-        out.append(f"noise_equivalent_number must be >= 0 (got {noise_equivalent_number})")
+    if not 0 <= noise_equivalent_number < math.inf:
+        out.append(
+            f"noise_equivalent_number must be finite and >= 0 (got {noise_equivalent_number})"
+        )
     if not 0.0 < quantum_efficiency <= 1.0:
         out.append(f"quantum_efficiency must be in (0, 1] (got {quantum_efficiency})")
     return out

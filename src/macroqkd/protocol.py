@@ -25,7 +25,8 @@ from words 0, 1. The error-estimation sample draws from
 
 ``alice_prepare``, ``bob_measure`` and the attack functions in
 macroqkd.attacks are the single-pulse reference for the same physics:
-each samples from exactly the (mean, sigma) the table holds for its state.
+plain functions that return tuples of states, bases and raw outcomes, each
+sampling from exactly the (mean, sigma) the table holds for its state.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .photostats import (
     Basis,
     DetectorModel,
     bob_error_vs_loss,
-    decode_bit,
     detected_state,
     diff_number_moments,
     outcome_normal,
@@ -60,21 +60,6 @@ VERDICT_CLEAN = "clean"
 VERDICT_DETECTED = "eavesdropper_detected"
 
 _MAX_PULSES = 1 << 48
-
-
-@dataclass(frozen=True, slots=True)
-class PulseRecord:
-    index: int
-    alice_bit: int
-    alice_basis: Basis
-
-
-@dataclass(frozen=True, slots=True)
-class MeasurementRecord:
-    index: int
-    bob_basis: Basis
-    raw_n: float
-    decoded_bit: int
 
 
 @dataclass(frozen=True)
@@ -114,8 +99,8 @@ def session_violations(
         out.append(f"num_pulses must be in 1..2^48 (got {num_pulses})")
     if not 0.0 < sample_fraction < 1.0:
         out.append(f"sample_fraction must be in (0, 1) (got {sample_fraction})")
-    if not detection_sigma_k > 0:
-        out.append(f"detection_sigma_k must be > 0 (got {detection_sigma_k})")
+    if not 0 < detection_sigma_k < math.inf:
+        out.append(f"detection_sigma_k must be finite and > 0 (got {detection_sigma_k})")
     if not 0 <= seed < 2**64:
         out.append(f"seed must be a 64-bit unsigned integer (got {seed})")
     return out
@@ -137,22 +122,22 @@ class RunReport:
 
 
 def alice_prepare(
-    index: int, config: SessionConfig, rng: np.random.Generator
-) -> tuple[PulseRecord, GaussianState]:
+    config: SessionConfig, rng: np.random.Generator
+) -> tuple[int, Basis, GaussianState]:
     """Draw Alice's (bit, basis) for one pulse and build the encoded state."""
     bit = int(rng.integers(0, 2))
     basis = Basis.VH if rng.integers(0, 2) == 0 else Basis.DIAG
-    return PulseRecord(index, bit, basis), alice_source(config.source, bit, basis)
+    return bit, basis, alice_source(config.source, bit, basis)
 
 
 def bob_measure(
-    state: GaussianState, index: int, config: SessionConfig, rng: np.random.Generator
-) -> MeasurementRecord:
-    """Bob's randomized-basis difference-number measurement of one pulse."""
+    state: GaussianState, config: SessionConfig, rng: np.random.Generator
+) -> tuple[Basis, float]:
+    """Bob's randomized-basis difference-number measurement of one pulse:
+    his basis and raw outcome (his bit is ``decode_bit`` of it)."""
     basis = Basis.VH if rng.integers(0, 2) == 0 else Basis.DIAG
     moments = diff_number_moments(detected_state(state, config.detector), basis)
-    raw = sample_outcome(moments, config.detector, rng)
-    return MeasurementRecord(index, basis, raw, decode_bit(raw))
+    return basis, sample_outcome(moments, config.detector, rng)
 
 
 def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:

@@ -194,11 +194,11 @@ def test_criterion_7_dual_basis():
         bit = (i // 2) % 2
         basis = Basis.VH if i % 2 == 0 else Basis.DIAG
         state = alice_source(DESIGN_POINT, bit, basis)
-        _, rec = dual_basis_measure(state, i, rng, DESIGN_POINT)
-        raw_correct = rec.raw_values[0] if basis is Basis.VH else rec.raw_values[1]
+        _, raw_vh, raw_dg = dual_basis_measure(state, rng, DESIGN_POINT)
+        raw_correct = raw_vh if basis is Basis.VH else raw_dg
         bit_total += 1
         bit_hits += (1 if raw_correct >= 0 else 0) == bit
-        chosen = Basis.VH if abs(rec.raw_values[0]) <= abs(rec.raw_values[1]) else Basis.DIAG
+        chosen = Basis.VH if abs(raw_vh) <= abs(raw_dg) else Basis.DIAG
         basis_hits += chosen is basis
 
     bit_acc = bit_hits / bit_total

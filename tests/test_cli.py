@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from macroqkd import cli
 from macroqkd.attacks import AttackConfig, AttackKind
-from macroqkd.cli import config_from_dict, config_to_dict, main, report_text
+from macroqkd.cli import ConfigError, config_from_dict, config_to_dict, main, report_text
 from macroqkd.gaussian import SourceParams
 from macroqkd.photostats import DetectorModel
 from macroqkd.protocol import SessionConfig, run_session
@@ -190,6 +191,22 @@ def test_exit_code_config_errors(capsys):
     err = capsys.readouterr().err
     assert "tap_fraction" in err and "num_pulses" in err
     assert main(["nonexistent-command"]) == 1
+    # fig3 is the noiseless known-basis curve: a detector flag would be ignored
+    assert main(["fig3", "--detector-nen", "1000"]) == 1
+    assert main(["fig2", "--detector-nen", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert "--detector-nen" in err and "noise_equivalent_number" in err
+    # infinities pass the bare inequalities but are just as invalid
+    for argv in (
+        ["run", "--n-total", "inf"],
+        ["run", "--detector-nen", "inf"],
+        ["run", "--detect-k", "inf", "--attack", "intercept_resend"],
+        ["fig2", "--n-total", "inf"],
+        ["fig3", "--n-total", "inf"],
+        ["fig1", "--grid", "0:inf:3"],
+    ):
+        assert main(argv) == 1, argv
+        assert "must be finite" in capsys.readouterr().err, argv
 
 
 def test_run_lists_source_detector_session_and_attack_problems(capsys):
@@ -231,6 +248,34 @@ def test_config_from_dict_lists_every_invalid_value():
     message = str(info.value)
     for field in ("gain_G", "quantum_efficiency", "attack kind", "Eve's detector", "num_pulses"):
         assert field in message, field
+    # infinities pass the bare inequalities but are just as invalid
+    data = config_to_dict(
+        SessionConfig(source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0))
+    )
+    data["source"]["gain_G"] = math.inf
+    data["source"]["n_total_amp"] = math.inf
+    data["detector"]["noise_equivalent_number"] = math.inf
+    data["source"]["squeeze_phase_theta"] = math.nan
+    data["detection_sigma_k"] = math.inf
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    problems = str(info.value).split("; ")
+    fields = (
+        "gain_G", "n_total_amp", "squeeze_phase_theta", "noise_equivalent_number",
+        "detection_sigma_k",
+    )
+    assert len(problems) == len(fields), problems
+    for field, problem in zip(fields, problems):
+        assert field in problem and ("inf" in problem or "nan" in problem), problem
+
+
+def test_program_faults_are_not_configuration_errors(monkeypatch):
+    def broken_session(config):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(cli, "run_session", broken_session)
+    with pytest.raises(ValueError, match="engine fault"):
+        main(run_args())
 
 
 def test_exit_code_io_error(tmp_path):

@@ -18,7 +18,7 @@ from macroqkd.attacks import (
     superior_channel,
 )
 from macroqkd.gaussian import SourceParams, alice_source, apply_loss
-from macroqkd.photostats import Basis, DetectorModel
+from macroqkd.photostats import Basis, DetectorModel, decode_bit
 from macroqkd.protocol import (
     SessionConfig,
     _moment_table,
@@ -151,9 +151,9 @@ def _sent_state(config: SessionConfig, bit: int, basis: Basis):
     state = alice_source(config.source, bit, basis)
     if kind is AttackKind.BEAMSPLITTER_TAP:
         rng = ScriptedRng([0], [0.0])
-        state, _ = beamsplitter_tap(state, 0, config.attack.tap_fraction, rng)
+        state, _, _ = beamsplitter_tap(state, config.attack.tap_fraction, rng)
     elif kind is AttackKind.SUPERIOR_CHANNEL:
-        return superior_channel(state, 0, {})  # lossless substitute channel
+        return superior_channel(state)[0]  # lossless substitute channel
     return apply_loss(state, config.channel_loss)
 
 
@@ -168,38 +168,39 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
             for m in (0, 1):
                 mean, sigma = table.bob[bit, b, m]
                 for z in (0.0, 1.0, -2.5):
-                    rec = bob_measure(_sent_state(config, bit, basis), 0, config, ScriptedRng([m], [z]))
-                    assert rec.raw_n == mean + sigma * z
+                    _, raw = bob_measure(_sent_state(config, bit, basis), config, ScriptedRng([m], [z]))
+                    assert raw == mean + sigma * z
             if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
                 for e in (0, 1):
                     mean, sigma = table.eve[bit, b, e]
                     for z in (0.0, 1.0, -2.5):
                         rng = ScriptedRng([e], [z])
                         if kind is AttackKind.INTERCEPT_RESEND:
-                            _, rec = intercept_resend(alice, 0, rng, config.source, eve_det)
+                            _, _, raw = intercept_resend(alice, rng, config.source, eve_det)
                         else:
-                            _, rec = beamsplitter_tap(alice, 0, config.attack.tap_fraction, rng, eve_det)
-                        assert rec.raw_values == (mean + sigma * z,)
+                            _, _, raw = beamsplitter_tap(alice, config.attack.tap_fraction, rng, eve_det)
+                        assert raw == mean + sigma * z
             elif kind is AttackKind.DUAL_BASIS:
                 mean_vh, l11, mean_dg, l21, l22 = table.eve[bit, b]
                 for z0, z1 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.5, 2.0)):
-                    _, rec = dual_basis_measure(
-                        alice, 0, ScriptedRng([], [z0, z1]), config.source, eve_det
+                    _, raw_vh, raw_dg = dual_basis_measure(
+                        alice, ScriptedRng([], [z0, z1]), config.source, eve_det
                     )
-                    assert rec.raw_values == (mean_vh + l11 * z0, mean_dg + l21 * z0 + l22 * z1)
+                    assert (raw_vh, raw_dg) == (mean_vh + l11 * z0, mean_dg + l21 * z0 + l22 * z1)
             elif kind is AttackKind.SUPERIOR_CHANNEL:
                 mean, sigma = table.eve[bit, b]
                 for z in (0.0, 1.0, -2.5):
-                    store = {}
-                    superior_channel(alice, 0, store)
+                    _, stored = superior_channel(alice)
                     monkeypatch.setattr(attacks, "derive_stream", lambda *_, z=z: ScriptedRng([], [z]))
-                    (rec,) = eve_deferred_measure(store, [(0, basis)], config.seed, eve_det)
-                    assert rec.raw_values == (mean + sigma * z,)
+                    raw = eve_deferred_measure(stored, basis, config.seed, 0, eve_det)
+                    assert raw == mean + sigma * z
 
 
 def _reference_pulse(config, i, words, normals, monkeypatch):
     """Pulse i through the single-pulse reference functions, fed the draws
-    the documented word layout assigns to it."""
+    the documented word layout assigns to it: Alice's (bit, basis), Bob's
+    (basis, raw) and Eve's (basis or None, raw outcomes per arm), or None
+    for Eve without an attack."""
     kind = config.attack.kind
     head = int(words[i, 0])
     bit, basis, eve_basis, bob_basis = (head >> s & 1 for s in (63, 62, 61, 60))
@@ -211,19 +212,22 @@ def _reference_pulse(config, i, words, normals, monkeypatch):
     else:
         rng = ScriptedRng([bit, basis, bob_basis], [z_bob])
     eve_det = config.attack.eve_detector
-    pulse, state = alice_prepare(i, config, rng)
-    eve, store = None, {}
+    bit, basis, state = alice_prepare(config, rng)
+    eve = None
     if kind is AttackKind.INTERCEPT_RESEND:
-        state, eve = intercept_resend(state, i, rng, config.source, eve_det)
+        state, eve_basis, raw = intercept_resend(state, rng, config.source, eve_det)
+        eve = (eve_basis, (raw,))
     elif kind is AttackKind.BEAMSPLITTER_TAP:
-        state, eve = beamsplitter_tap(state, i, config.attack.tap_fraction, rng, eve_det)
+        state, eve_basis, raw = beamsplitter_tap(state, config.attack.tap_fraction, rng, eve_det)
+        eve = (eve_basis, (raw,))
     elif kind is AttackKind.DUAL_BASIS:
-        state, eve = dual_basis_measure(state, i, rng, config.source, eve_det)
+        state, raw_vh, raw_dg = dual_basis_measure(state, rng, config.source, eve_det)
+        eve = (None, (raw_vh, raw_dg))
     elif kind is AttackKind.SUPERIOR_CHANNEL:
-        state = superior_channel(state, i, store)
+        state, stored = superior_channel(state)
     if kind is not AttackKind.SUPERIOR_CHANNEL:
         state = apply_loss(state, config.channel_loss)
-    meas = bob_measure(state, i, config, rng)
+    bob = bob_measure(state, config, rng)
     assert rng.exhausted()
     if kind is AttackKind.SUPERIOR_CHANNEL:
 
@@ -232,8 +236,8 @@ def _reference_pulse(config, i, words, normals, monkeypatch):
             return ScriptedRng([], [z_deferred])
 
         monkeypatch.setattr(attacks, "derive_stream", deferred_stream)
-        (eve,) = eve_deferred_measure(store, [(i, pulse.alice_basis)], config.seed, eve_det)
-    return pulse, meas, eve
+        eve = (None, (eve_deferred_measure(stored, basis, config.seed, i, eve_det),))
+    return (bit, basis), bob, eve
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
@@ -248,16 +252,23 @@ def test_columns_equal_single_pulse_reference(kind, monkeypatch):
     z_deferred, _ = box_muller(deferred[:, 0], deferred[:, 1])
     normals = (z_bob, z_eve, z_second, z_deferred)
     for i in range(n):
-        pulse, meas, eve = _reference_pulse(config, i, words, normals, monkeypatch)
-        assert cols["alice_bit"][i] == pulse.alice_bit
-        assert BASES[cols["alice_basis"][i]] is pulse.alice_basis
-        assert BASES[cols["bob_basis"][i]] is meas.bob_basis
-        assert cols["bob_raw"][i] == meas.raw_n
-        assert cols["bob_bit"][i] == meas.decoded_bit
+        (bit, basis), (bob_basis, bob_raw), eve = _reference_pulse(
+            config, i, words, normals, monkeypatch
+        )
+        assert cols["alice_bit"][i] == bit
+        assert BASES[cols["alice_basis"][i]] is basis
+        assert BASES[cols["bob_basis"][i]] is bob_basis
+        assert cols["bob_raw"][i] == bob_raw
+        assert cols["bob_bit"][i] == decode_bit(bob_raw)
         if eve is None:
             assert "eve_bit" not in cols
             continue
-        assert tuple(cols["eve_raw"][i]) == eve.raw_values
-        assert cols["eve_bit"][i] == eve.inferred_bit
-        if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
-            assert BASES[cols["eve_basis"][i]] is eve.eve_basis
+        eve_basis, eve_raw = eve
+        assert tuple(cols["eve_raw"][i]) == eve_raw
+        if kind is AttackKind.DUAL_BASIS:  # Eve trusts the smaller-magnitude arm
+            trusted = eve_raw[0] if abs(eve_raw[0]) <= abs(eve_raw[1]) else eve_raw[1]
+        else:
+            trusted = eve_raw[0]
+        assert cols["eve_bit"][i] == decode_bit(trusted)
+        if eve_basis is not None:
+            assert BASES[cols["eve_basis"][i]] is eve_basis
