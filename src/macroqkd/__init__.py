@@ -21,10 +21,12 @@ from .photostats import (
     DetectorModel,
     DiffMoments,
     NOISELESS,
+    bob_error_curve,
     bob_error_vs_loss,
     diff_number_moments,
     distribution_curve,
     error_probability,
+    eve_tap_curve,
     eve_tap_probability,
     joint_diff_moments,
     sample_outcome,
@@ -49,11 +51,13 @@ __all__ = [
     "apply_loss",
     "apply_rotation",
     "apply_two_mode_squeeze",
+    "bob_error_curve",
     "bob_error_vs_loss",
     "build_state_exact",
     "diff_number_moments",
     "distribution_curve",
     "error_probability",
+    "eve_tap_curve",
     "eve_tap_probability",
     "exact_diff_distribution",
     "exact_loss_distribution",

@@ -13,6 +13,7 @@ preparation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,9 +65,14 @@ def attack_config_violations(kind: AttackKind, tap_fraction: float | None) -> li
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def tap_arms(state: GaussianState, eta_e: float) -> tuple[GaussianState, GaussianState]:
     """Bob's transmitted and Eve's tapped (V, H) marginals when a fraction
-    eta_e of the pulse is diverted on a non-polarizing beamsplitter."""
+    eta_e of the pulse is diverted on a non-polarizing beamsplitter.
+
+    Memoized on (state identity, eta_e), so repeated taps of the same pulse
+    return the same arm states and their moments stay cached.
+    """
     joint = tap_split(state, eta_e)  # modes (V_B, H_B, V_E, H_E)
     return (
         GaussianState(("V", "H"), joint.mean[:4], joint.cov[:4, :4]),

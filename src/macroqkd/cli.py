@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -27,11 +28,11 @@ from .photostats import (
     NOISELESS,
     Basis,
     DetectorModel,
-    bob_error_vs_loss,
+    bob_error_curve,
     detector_violations,
     diff_number_moments,
     distribution_curve,
-    eve_tap_probability,
+    eve_tap_curve,
 )
 from .protocol import RunReport, SessionConfig, run_session, session_violations
 
@@ -48,10 +49,6 @@ class ConfigError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse defaults to exit code 2
         raise ConfigError(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_grid(text: str, lo: float, hi: float, name: str) -> np.ndarray:
@@ -137,16 +134,15 @@ def cmd_fig1(args: argparse.Namespace) -> int:
         )
         span = abs(mom1.mean) + 8.0 * sigma_max
         grid = np.linspace(-span, span, 2001)
-    curves = [
+    columns = (
+        grid,
         distribution_curve(pulse1, Basis.VH, detector, grid),
         distribution_curve(pulse0, Basis.VH, detector, grid),
         distribution_curve(pulse1, Basis.DIAG, detector, grid),
-    ]
+    )
+    rows = zip(*(c.tolist() for c in columns))
     lines = ["n,pdf_correct_bit1,pdf_correct_bit0,pdf_incorrect"]
-    for i, n in enumerate(grid):
-        lines.append(
-            f"{_fmt(n)},{_fmt(curves[0][i][1])},{_fmt(curves[1][i][1])},{_fmt(curves[2][i][1])}"
-        )
+    lines += [f"{n:.17g},{p1:.17g},{p0:.17g},{pw:.17g}" for n, p1, p0, pw in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -156,9 +152,9 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     params = _source_from_args(args)
     detector = _detector_from_args(args)
     grid = _parse_grid(args.grid, 0.0, 1.0 - 1e-12, "eta")
+    curve = bob_error_curve(params, grid, detector)
     lines = ["eta,p_err"]
-    for eta in grid:
-        lines.append(f"{_fmt(eta)},{_fmt(bob_error_vs_loss(params, float(eta), detector))}")
+    lines += [f"{eta:.17g},{p:.17g}" for eta, p in zip(grid.tolist(), curve.tolist())]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -167,9 +163,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     """Eve's correct-bit probability versus sampled fraction."""
     params = _source_from_args(args)
     grid = _parse_grid(args.grid, 0.0, 1.0, "eta")
+    curve = eve_tap_curve(params, grid)
     lines = ["eta,p_eta"]
-    for eta in grid:
-        lines.append(f"{_fmt(eta)},{_fmt(eve_tap_probability(params, float(eta)))}")
+    lines += [f"{eta:.17g},{p:.17g}" for eta, p in zip(grid.tolist(), curve.tolist())]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -306,7 +302,7 @@ def report_text(config: SessionConfig, report: RunReport, fmt: str) -> str:
             for k in sorted(obj):
                 flatten(f"{prefix}.{k}" if prefix else str(k), obj[k])
         else:
-            val = _fmt(obj) if isinstance(obj, float) else str(obj)
+            val = f"{obj:.17g}" if isinstance(obj, float) else str(obj)
             lines.append(f"{prefix},{val}")
 
     flatten("", payload)
@@ -356,7 +352,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = _Parser(prog="macroqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

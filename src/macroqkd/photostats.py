@@ -100,6 +100,7 @@ def detected_state(state: GaussianState, detector: DetectorModel) -> GaussianSta
 _F_VH = 0.5 * np.diag([1.0, 1.0, -1.0, -1.0])
 _S_DIAG = rotation_symplectic(math.pi / 4)
 _F_DIAG = _S_DIAG.T @ _F_VH @ _S_DIAG
+_F_TOTAL = 0.5 * np.eye(4)  # form of n_V + n_H + 1 (1/2 vacuum offset per mode)
 _OMEGA4 = symplectic_form(2)
 _OMEGA8 = symplectic_form(4)
 
@@ -131,6 +132,22 @@ def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
         raise ValueError(f"expected a two-mode state, got {state.num_modes} modes")
     mu, var = _quadratic_moments(state.mean, state.cov, basis_form(basis), _OMEGA4)
     return DiffMoments(mu, var)
+
+
+def _thinned_moments(
+    state: GaussianState, basis: Basis, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the difference number after transmissions t in
+    [0, 1].
+
+    Loss thins both photon counts binomially, so a difference observable
+    with moments (mu, V) on a pulse of mean total photon number <N> has mean
+    t mu and variance t^2 V + t (1 - t) <N> after it; each is exact, with no
+    state built per transmission.
+    """
+    mom = diff_number_moments(state, basis)
+    n_total = _quadratic_moments(state.mean, state.cov, _F_TOTAL, _OMEGA4)[0] - 1.0
+    return t * mom.mean, t * t * mom.variance + t * (1.0 - t) * n_total
 
 
 @functools.lru_cache(maxsize=256)
@@ -186,34 +203,69 @@ def sample_outcome(
     return mean + sigma * rng.standard_normal()
 
 
+def _flip_probabilities(mean: np.ndarray, total_var: np.ndarray) -> np.ndarray:
+    """0.5 erfc(|mean| / sqrt(2 total_var)) elementwise: exactly 0.5 at zero
+    mean and 0 at zero variance otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.abs(mean) / np.sqrt(2.0 * total_var)
+    p = 0.5 * np.array([math.erfc(x) for x in z.ravel().tolist()]).reshape(z.shape)
+    p[total_var <= 0.0] = 0.0
+    p[mean == 0.0] = 0.5
+    return p
+
+
 def error_probability(moments: DiffMoments, detector: DetectorModel) -> float:
     """Probability that the sign of the outcome flips the encoded bit."""
-    if moments.mean == 0.0:
-        return 0.5
     total_var = moments.variance + detector.difference_noise_variance
-    if total_var <= 0.0:
-        return 0.0
-    return 0.5 * math.erfc(abs(moments.mean) / math.sqrt(2.0 * total_var))
+    return float(_flip_probabilities(np.array([moments.mean]), np.array([total_var]))[0])
+
+
+def _loss_fractions(etas: np.ndarray, closed: bool) -> np.ndarray:
+    """``etas`` as a float array; raises unless every one lies in [0, 1]
+    (``closed``) or [0, 1)."""
+    etas = np.array(etas, dtype=float, ndmin=1)
+    ok = (etas >= 0.0) & ((etas <= 1.0) if closed else (etas < 1.0))
+    if not np.all(ok):
+        interval = "[0, 1]" if closed else "[0, 1)"
+        raise ValueError(f"eta must be in {interval} (got {etas[~ok][0]})")
+    return etas
+
+
+def bob_error_curve(
+    params: SourceParams, etas: np.ndarray, detector: DetectorModel
+) -> np.ndarray:
+    """Bob's bit-flip probability after channels losing the fractions etas.
+
+    The detector's quantum efficiency qe composes with the channel in
+    transmission space: Bob's pulse is the lossless one thinned to
+    t = (1 - eta) qe (see ``_thinned_moments``).
+    """
+    etas = _loss_fractions(etas, closed=False)
+    t = (1.0 - etas) * detector.quantum_efficiency
+    mean, var = _thinned_moments(alice_source(params, 1, Basis.VH), Basis.VH, t)
+    return _flip_probabilities(mean, var + detector.difference_noise_variance)
+
+
+def eve_tap_curve(params: SourceParams, etas: np.ndarray) -> np.ndarray:
+    """Probability that Eve, sampling the fractions etas of the pulse and
+    knowing the basis, infers the correct bit (noiseless detector)."""
+    etas = _loss_fractions(etas, closed=True)
+    mean, var = _thinned_moments(alice_source(params, 1, Basis.VH), Basis.VH, etas)
+    return 1.0 - _flip_probabilities(mean, var)
 
 
 def bob_error_vs_loss(
     params: SourceParams, eta: float, detector: DetectorModel
 ) -> float:
-    """Bob's bit-flip probability after a channel losing a fraction eta."""
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must be in [0, 1) (got {eta})")
-    pulse = detected_state(apply_loss(alice_source(params, 1, Basis.VH), eta), detector)
-    return error_probability(diff_number_moments(pulse, Basis.VH), detector)
+    """Bob's bit-flip probability after a channel losing a fraction eta: the
+    one-point case of ``bob_error_curve``."""
+    return float(bob_error_curve(params, [eta], detector)[0])
 
 
 def eve_tap_probability(params: SourceParams, eta: float) -> float:
-    """Probability that Eve, sampling a fraction eta of the pulse and
-    knowing the basis, infers the correct bit (noiseless detector)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1] (got {eta})")
-    pulse = apply_loss(alice_source(params, 1, Basis.VH), 1.0 - eta)
-    p_err = error_probability(diff_number_moments(pulse, Basis.VH), NOISELESS)
-    return 1.0 - p_err
+    """Eve's correct-bit probability at one sampled fraction eta: the
+    one-point case of ``eve_tap_curve``."""
+    return float(eve_tap_curve(params, [eta])[0])
 
 
 def distribution_curve(
@@ -221,14 +273,13 @@ def distribution_curve(
     basis: Basis,
     detector: DetectorModel,
     n_grid: np.ndarray,
-) -> list[tuple[float, float]]:
+) -> np.ndarray:
     """Gaussian probability density of the detected difference number,
-    evaluated on a grid of n values."""
+    evaluated on a grid of n values (one density per grid value)."""
     grid = np.asarray(n_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("n_grid must be non-empty")
     mom = diff_number_moments(detected_state(state, detector), basis)
     var = mom.variance + detector.difference_noise_variance
     sigma = math.sqrt(var)
-    pdf = np.exp(-0.5 * ((grid - mom.mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-    return list(zip(grid.tolist(), pdf.tolist()))
+    return np.exp(-0.5 * ((grid - mom.mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))

@@ -13,6 +13,7 @@ from macroqkd.attacks import (
     eve_deferred_measure,
     intercept_resend,
     superior_channel,
+    tap_arms,
 )
 from macroqkd.gaussian import SourceParams, alice_source, apply_loss
 from macroqkd.photostats import (
@@ -154,6 +155,19 @@ def test_tap_half_matching_basis_accuracy():
     acc = hits / n
     se = math.sqrt(EVE_KNOWN_BASIS_HALF * (1 - EVE_KNOWN_BASIS_HALF) / n)
     assert abs(acc - EVE_KNOWN_BASIS_HALF) < 5 * se
+
+
+def test_tap_arms_reused_for_a_repeated_pulse():
+    # repeated taps of one pulse hand back the same arm states, so the
+    # moments of Eve's arm are computed once
+    state = alice_source(DESIGN_POINT, 1, Basis.VH)
+    first = tap_arms(state, 0.35)
+    assert tap_arms(state, 0.35) is first
+    hits = diff_number_moments.cache_info().hits
+    for i in range(10):
+        beamsplitter_tap(state, 0.35, derive_stream(35, LANE_PULSE, i))
+    # at most the first measurement in each basis misses
+    assert diff_number_moments.cache_info().hits >= hits + 10 - len(Basis)
 
 
 def test_tap_half_random_basis_mixture():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macroqkd import cli
+from macroqkd import cli, gaussian
 from macroqkd.attacks import AttackConfig, AttackKind
 from macroqkd.cli import ConfigError, config_from_dict, config_to_dict, main, report_text
 from macroqkd.gaussian import SourceParams
@@ -94,6 +94,27 @@ def test_fig_csv_byte_identical(tmp_path):
     main(["fig2", "--grid", "0:0.8:17", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()  # LF endings
+
+
+def test_fig2_fig3_build_few_states_whatever_the_grid(tmp_path, monkeypatch):
+    # the curves are thinned from one lossless pulse, not built per point
+    built = []
+    post_init = gaussian.GaussianState.__post_init__
+
+    def counting_post_init(state):
+        built.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting_post_init)
+    out = str(tmp_path / "curve.csv")
+    for argv, grid in ((["fig2", "--detector-nen", "250"], "0:0.9:{}"), (["fig3"], "0:1:{}")):
+        counts = []
+        for steps in (3, 2501):
+            gaussian._alice_source_cached.cache_clear()  # start from a cold source
+            built.clear()
+            assert main([*argv, "--grid", grid.format(steps), "--out", out]) == 0
+            counts.append(len(built))
+        assert 1 <= counts[0] == counts[1] <= 8, (argv[0], counts)
 
 
 def test_reproduce_figures_matches_tracked_csvs(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macroqkd.gaussian import (
@@ -20,13 +20,17 @@ from macroqkd.photostats import (
     Basis,
     DetectorModel,
     DiffMoments,
+    bob_error_curve,
     bob_error_vs_loss,
     decode_bit,
+    detected_state,
     diff_number_moments,
     distribution_curve,
     error_probability,
+    eve_tap_curve,
     eve_tap_probability,
     joint_diff_moments,
+    _thinned_moments,
     sample_outcome,
 )
 from macroqkd.streams import derive_stream
@@ -231,6 +235,32 @@ def test_eve_tap_probability_anchors():
     )
 
 
+def test_curves_equal_their_one_point_cases():
+    etas = np.linspace(0.0, 1.0, 41)
+    qe = DetectorModel(noise_equivalent_number=250.0, quantum_efficiency=0.8)
+    bob = bob_error_curve(DESIGN_POINT, etas[:-1], qe)
+    assert bob.tolist() == [bob_error_vs_loss(DESIGN_POINT, e, qe) for e in etas[:-1].tolist()]
+    eve = eve_tap_curve(DESIGN_POINT, etas)
+    assert eve.tolist() == [eve_tap_probability(DESIGN_POINT, e) for e in etas.tolist()]
+    assert eve[0] == 0.5  # nothing sampled: zero mean, an exact coin flip
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.0, math.nan])
+def test_bob_error_curve_rejects_any_out_of_range_point(bad):
+    with pytest.raises(ValueError, match=r"eta must be in \[0, 1\)"):
+        bob_error_curve(DESIGN_POINT, [0.0, 0.5, bad, 0.2], NOISELESS)
+    with pytest.raises(ValueError, match=r"eta must be in \[0, 1\)"):
+        bob_error_vs_loss(DESIGN_POINT, bad, NOISELESS)
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan])
+def test_eve_tap_curve_rejects_any_out_of_range_point(bad):
+    with pytest.raises(ValueError, match=r"eta must be in \[0, 1\]"):
+        eve_tap_curve(DESIGN_POINT, [0.0, bad, 1.0])
+    with pytest.raises(ValueError, match=r"eta must be in \[0, 1\]"):
+        eve_tap_probability(DESIGN_POINT, bad)
+
+
 def test_distribution_curve_peaks_and_normalization():
     det = NOISELESS
     pulse1 = alice_source(DESIGN_POINT, 1, Basis.VH)
@@ -240,15 +270,13 @@ def test_distribution_curve_peaks_and_normalization():
         m_wrong = diff_number_moments(state, Basis.DIAG)
         span = abs(m_corr.mean) + 8 * math.sqrt(max(m_corr.variance, m_wrong.variance))
         grid = np.linspace(-span, span, 4001)
-        corr = distribution_curve(state, Basis.VH, det, grid)
-        wrong = distribution_curve(state, Basis.DIAG, det, grid)
-        xs = np.array([x for x, _ in corr])
-        ys = np.array([y for _, y in corr])
-        assert xs[np.argmax(ys)] == pytest.approx(peak, abs=grid[1] - grid[0])
-        assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-6)
-        yw = np.array([y for _, y in wrong])
-        assert xs[np.argmax(yw)] == pytest.approx(0.0, abs=grid[1] - grid[0])
-        assert np.trapezoid(yw, xs) == pytest.approx(1.0, abs=1e-6)
+        ys = distribution_curve(state, Basis.VH, det, grid)
+        yw = distribution_curve(state, Basis.DIAG, det, grid)
+        assert ys.shape == yw.shape == grid.shape
+        assert grid[np.argmax(ys)] == pytest.approx(peak, abs=grid[1] - grid[0])
+        assert np.trapezoid(ys, grid) == pytest.approx(1.0, abs=1e-6)
+        assert grid[np.argmax(yw)] == pytest.approx(0.0, abs=grid[1] - grid[0])
+        assert np.trapezoid(yw, grid) == pytest.approx(1.0, abs=1e-6)
         # incorrect-basis curve is the widest of the three
         assert max(yw) < max(ys)
 
@@ -316,3 +344,73 @@ def test_plus45_modes_decouple_for_aligned_pulse():
     rotated = apply_rotation(alice_source(DESIGN_POINT, 1, Basis.VH), math.pi / 4)
     cross = rotated.cov[:2, 2:]
     assert np.max(np.abs(cross)) <= 1e-9 * np.max(np.abs(rotated.cov))
+
+
+# ------------------------------------------------------- closed-form thinning
+
+
+def _design(gain: float, n_total: float, sigmas: float) -> SourceParams:
+    """A source whose bit amplitude is ``sigmas`` standard deviations of the
+    encoding-basis noise, the regime the paper designs for; the error rate
+    then stays above the double-precision underflow range at every loss."""
+    return SourceParams(gain, n_total, sigmas * math.sqrt(n_total / gain))
+
+
+_CURVE_POINT = dict(gain=10.0, n_total=2e6, sigmas=5.5, eta=0.3, qe=1.0, nen=250.0, eve_eta=0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gain=st.floats(1.5, 30.0),
+    n_total=st.floats(1e4, 1e7),
+    sigmas=st.floats(0.5, 8.0),
+    eta=st.floats(0.0, 1.0, exclude_max=True),
+    qe=st.floats(0.05, 1.0),
+    nen=st.floats(0.0, 1000.0),
+    eve_eta=st.floats(0.0, 1.0),
+)
+@example(**{**_CURVE_POINT, "eta": 0.0})
+@example(**{**_CURVE_POINT, "eta": 1.0 - 1e-12})
+@example(**{**_CURVE_POINT, "qe": 0.8, "nen": 0.0})
+@example(**{**_CURVE_POINT, "eve_eta": 0.0})
+@example(**{**_CURVE_POINT, "eve_eta": 1.0})
+def test_thinned_curves_match_state_path(gain, n_total, sigmas, eta, qe, nen, eve_eta):
+    # the state path builds the lossy pulse and takes its moments; the Fock
+    # ladder certifies each of its steps
+    params = _design(gain, n_total, sigmas)
+    detector = DetectorModel(noise_equivalent_number=nen, quantum_efficiency=qe)
+    pulse = alice_source(params, 1, Basis.VH)
+    bob = detected_state(apply_loss(pulse, eta), detector)
+    bob_ref = error_probability(diff_number_moments(bob, Basis.VH), detector)
+    assert bob_error_curve(params, [eta], detector)[0] == pytest.approx(bob_ref, rel=1e-10)
+    eve = apply_loss(pulse, 1.0 - eve_eta)
+    eve_ref = 1.0 - error_probability(diff_number_moments(eve, Basis.VH), NOISELESS)
+    assert eve_tap_curve(params, [eve_eta])[0] == pytest.approx(eve_ref, rel=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gain=st.floats(1.5, 30.0),
+    n_total=st.floats(1e4, 1e7),
+    sigmas=st.floats(0.5, 8.0),
+    bit=st.sampled_from((0, 1)),
+    prepared=st.sampled_from(list(Basis)),
+    eta=st.floats(0.0, 1.0),
+)
+@example(gain=10.0, n_total=2e6, sigmas=5.5, bit=1, prepared=Basis.VH, eta=0.0)
+@example(gain=10.0, n_total=2e6, sigmas=5.5, bit=0, prepared=Basis.DIAG, eta=1.0 - 1e-12)
+@example(gain=10.0, n_total=2e6, sigmas=5.5, bit=1, prepared=Basis.VH, eta=1.0)
+def test_thinned_moments_match_apply_loss(gain, n_total, sigmas, bit, prepared, eta):
+    # Relative agreement, with a floor of 1e-12 of the lossy pulse's photon
+    # number t <N> + 1: a mean that is zero in exact arithmetic is a rounding
+    # residue on both paths, and as t -> 0 the state path's variance is the
+    # difference of vacuum-sized terms.
+    params = _design(gain, n_total, sigmas)
+    pulse = alice_source(params, bit, prepared)
+    t = 1.0 - eta
+    floor = 1e-12 * (t * params.n_total_amp + 1.0)
+    for basis in Basis:
+        want = diff_number_moments(apply_loss(pulse, eta), basis)
+        mean, var = _thinned_moments(pulse, basis, np.array([t]))
+        assert mean[0] == pytest.approx(want.mean, rel=1e-12, abs=floor)
+        assert var[0] == pytest.approx(want.variance, rel=1e-12, abs=floor)
