@@ -10,23 +10,24 @@ pulses as arrays.
 Determinism contract: pulse i's draws are a pure function of (seed, lane,
 i) (see macroqkd.streams), so a session is reproducible bit-for-bit from
 (config, seed) and its per-pulse columns do not depend on how the pulses
-are chunked or in what order the chunks run. Pulse i's block of raw words
-on LANE_PULSE is laid out as
+are chunked or in what order the chunks run. Pulse i's block of four raw
+words on LANE_PULSE is laid out as
 
     word 0      bit 63 Alice's bit, bit 62 Alice's basis (0 = V/H,
                 1 = +45/-45), bit 61 Eve's basis, bit 60 Bob's basis
-    words 1, 2  one Box-Muller pair: Bob's normal, then Eve's first normal
-    words 3, 4  one Box-Muller pair: Eve's second normal (dual basis)
-    words 5-7   unused
+    word 1      Bob's uniform
+    word 2      Eve's uniform (intercept-resend, tap, superior channel)
+    words 2, 3  one Box-Muller pair: Eve's two arm normals (dual basis)
 
-and its block on LANE_DEFERRED gives Eve's deferred measurement normal
-from words 0, 1. The error-estimation sample draws from
-``derive_stream(seed, LANE_SESSION, 0)``.
+where word w is the uniform u = ((w >> 11) + 0.5) 2^-53. Each bit is the
+sign of one normal outcome Phi^-1(u), so it is one compare of w >> 11 with
+its state's threshold. A session keeps only counts; the errors in the
+disclosed sample are one hypergeometric draw on LANE_SESSION.
 
 ``alice_prepare``, ``bob_measure`` and the attack functions in
 macroqkd.attacks are the single-pulse reference for the same physics:
 plain functions that return tuples of states, bases and raw outcomes, each
-sampling from exactly the (mean, sigma) the table holds for its state.
+sampling from exactly the law the table holds for its state.
 """
 
 from __future__ import annotations
@@ -41,25 +42,21 @@ from .gaussian import GaussianState, SourceParams, alice_source, apply_loss
 from .photostats import (
     Basis,
     DetectorModel,
+    _flip_probabilities,
     bob_error_vs_loss,
     detected_state,
     diff_number_moments,
     outcome_normal,
     sample_outcome,
 )
-from .streams import (
-    LANE_DEFERRED,
-    LANE_PULSE,
-    LANE_SESSION,
-    box_muller,
-    derive_stream,
-    pulse_block,
-)
+from .streams import LANE_PULSE, LANE_SESSION, box_muller, derive_stream, pulse_block
 
 VERDICT_CLEAN = "clean"
 VERDICT_DETECTED = "eavesdropper_detected"
 
-_MAX_PULSES = 1 << 48
+# Generator.hypergeometric, which draws the disclosed errors, takes counts
+# below 1e9 only; about half the pulses sift, so 1e9 pulses stay far below.
+_MAX_PULSES = 10**9
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,8 @@ def session_violations(
     out = []
     if not 0.0 <= channel_loss < 1.0:
         out.append(f"channel_loss must be in [0, 1) (got {channel_loss})")
-    if not 0 < num_pulses < _MAX_PULSES:
-        out.append(f"num_pulses must be in 1..2^48 (got {num_pulses})")
+    if not 0 < num_pulses <= _MAX_PULSES:
+        out.append(f"num_pulses must be in 1..10^9 (got {num_pulses})")
     if not 0.0 < sample_fraction < 1.0:
         out.append(f"sample_fraction must be in (0, 1) (got {sample_fraction})")
     if not 0 < detection_sigma_k < math.inf:
@@ -156,7 +153,8 @@ def estimate_error(
     sample_fraction: float,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
-    """Publicly compare a sampled subset of the sifted key.
+    """Publicly compare a sampled subset of the sifted key (the reference
+    for ``run_session``, which draws only the count of disagreements).
 
     Samples round(sample_fraction * len) positions without replacement,
     returns the observed disagreement rate and Bob's remaining key with the
@@ -193,17 +191,17 @@ def detect_eavesdropping(
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Outcome laws of every state one session can measure; sigmas include
-    the detectors' read noise, basis codes are 0 = V/H and 1 = +45/-45.
+    """Outcome laws of every state one session can measure, read noise
+    included, sign-decoded ones as ``_sign_thresholds``; basis codes are
+    0 = V/H and 1 = +45/-45.
 
-    ``bob[bit, basis, bob_basis]`` is (mean, sigma) of Bob's outcome on the
-    pulse launched toward him as (bit, basis): Alice's pulse, or Eve's
-    re-prepared one under intercept-resend and dual-basis. ``eve`` holds,
-    per attack: (mean, sigma) per [bit, basis, eve_basis] for
-    intercept-resend and the tap; the Cholesky row (mean_vh, l11, mean_dg,
-    l21, l22) per [bit, basis] for dual-basis; (mean, sigma) per
-    [bit, basis] of the stored half measured in Alice's basis for the
-    superior channel; None without an attack.
+    ``bob[bit, basis, bob_basis]`` is Bob's threshold on the pulse launched
+    toward him as (bit, basis): Alice's pulse, or Eve's re-prepared one
+    under intercept-resend and dual-basis. ``eve`` holds, per attack:
+    thresholds per [bit, basis, eve_basis] for intercept-resend and the
+    tap; the Cholesky row (mean_vh, l11, mean_dg, l21, l22) per [bit, basis]
+    for dual-basis; thresholds per [bit, basis] of the stored half measured
+    in Alice's basis for the superior channel; None without an attack.
     """
 
     bob: np.ndarray
@@ -216,6 +214,17 @@ _CHUNK = 1 << 16  # pulses drawn per array pass; results do not depend on it
 
 def _law(state: GaussianState, basis: Basis, detector: DetectorModel) -> tuple[float, float]:
     return outcome_normal(diff_number_moments(detected_state(state, detector), basis), detector)
+
+
+def _sign_thresholds(laws: np.ndarray) -> np.ndarray:
+    """53-bit thresholds of normal laws (mean, sigma) on the last axis: the
+    outcome mean + sigma Phi^-1(((w >> 11) + 0.5) 2^-53) of a raw word w is
+    >= 0 exactly when w >> 11 >= threshold."""
+    mean, sigma = laws[..., 0], laws[..., 1]
+    # the lowest `opposed` uniforms read 0 when mean >= 0, else the top ones read 1
+    opposed = _flip_probabilities(mean, sigma * sigma) * 2.0**53
+    thresholds = np.where(mean >= 0.0, np.ceil(opposed - 0.5), 2.0**53 - np.floor(opposed + 0.5))
+    return thresholds.astype(np.uint64)
 
 
 def _moment_table(config: SessionConfig) -> MomentTable:
@@ -248,88 +257,78 @@ def _moment_table(config: SessionConfig) -> MomentTable:
                 eve[bit, b] = dual_basis_cholesky(state, eve_det)
             elif kind is AttackKind.SUPERIOR_CHANNEL:
                 eve[bit, b] = _law(kept, basis, eve_det)
-    return MomentTable(bob, eve)
+    if kind not in (AttackKind.NONE, AttackKind.DUAL_BASIS):
+        eve = _sign_thresholds(eve)
+    return MomentTable(_sign_thresholds(bob), eve)
 
 
 def _pulse_columns(
     config: SessionConfig, table: MomentTable, lo: int, hi: int
 ) -> dict[str, np.ndarray]:
-    """Per-pulse columns of pulses [lo, hi): bits and basis codes as uint8,
-    Bob's raw outcome, and Eve's raw outcomes with one column per arm."""
+    """Per-pulse uint8 columns of pulses [lo, hi): Alice's bit and basis,
+    Bob's basis and bit and, under an attack, Eve's bit and (but for the
+    superior channel, where she measures in Alice's basis) her basis."""
     words = pulse_block(config.seed, LANE_PULSE, lo, hi)
     head = words[:, 0]
     alice_bit = (head >> 63).astype(np.uint8)
     alice_basis = (head >> 62 & 1).astype(np.uint8)
     bob_basis = (head >> 60 & 1).astype(np.uint8)
-    z_bob, z_eve = box_muller(words[:, 1], words[:, 2])
     cols = {"alice_bit": alice_bit, "alice_basis": alice_basis, "bob_basis": bob_basis}
     kind = config.attack.kind
     if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
         eve_basis = (head >> 61 & 1).astype(np.uint8)
-        mean, sigma = table.eve[alice_bit, alice_basis, eve_basis].T
-        eve_raw = mean + sigma * z_eve
-        cols.update(eve_basis=eve_basis, eve_raw=eve_raw[:, None])
+        eve_bit = (words[:, 2] >> 11) >= table.eve[alice_bit, alice_basis, eve_basis]
+        cols["eve_basis"] = eve_basis
     elif kind is AttackKind.DUAL_BASIS:
-        z_second, _ = box_muller(words[:, 3], words[:, 4])
+        z0, z1 = box_muller(words[:, 2], words[:, 3])
         mean_vh, l11, mean_dg, l21, l22 = table.eve[alice_bit, alice_basis].T
-        raw_vh = mean_vh + l11 * z_eve
-        raw_dg = mean_dg + l21 * z_eve + l22 * z_second
+        raw_vh = mean_vh + l11 * z0
+        raw_dg = mean_dg + l21 * z0 + l22 * z1
         # the arm with the smaller magnitude is taken as the right basis
         eve_basis = (np.abs(raw_vh) > np.abs(raw_dg)).astype(np.uint8)
-        eve_raw = np.where(eve_basis == 0, raw_vh, raw_dg)
-        cols.update(eve_basis=eve_basis, eve_raw=np.stack([raw_vh, raw_dg], axis=1))
+        eve_bit = np.where(eve_basis == 0, raw_vh, raw_dg) >= 0.0
+        cols["eve_basis"] = eve_basis
     elif kind is AttackKind.SUPERIOR_CHANNEL:
-        deferred = pulse_block(config.seed, LANE_DEFERRED, lo, hi)
-        z_deferred, _ = box_muller(deferred[:, 0], deferred[:, 1])
-        mean, sigma = table.eve[alice_bit, alice_basis].T
-        eve_raw = mean + sigma * z_deferred
-        cols.update(eve_raw=eve_raw[:, None])
+        eve_bit = (words[:, 2] >> 11) >= table.eve[alice_bit, alice_basis]
     sent_bit, sent_basis = alice_bit, alice_basis
     if kind is not AttackKind.NONE:
-        cols["eve_bit"] = (eve_raw >= 0.0).astype(np.uint8)
+        cols["eve_bit"] = eve_bit.astype(np.uint8)
         if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS):
             sent_bit, sent_basis = cols["eve_bit"], eve_basis  # Eve re-prepares
-    mean, sigma = table.bob[sent_bit, sent_basis, bob_basis].T
-    bob_raw = mean + sigma * z_bob
-    cols.update(bob_raw=bob_raw, bob_bit=(bob_raw >= 0.0).astype(np.uint8))
+    bob_bit = (words[:, 1] >> 11) >= table.bob[sent_bit, sent_basis, bob_basis]
+    cols["bob_bit"] = bob_bit.astype(np.uint8)
     return cols
 
 
 def run_session(config: SessionConfig) -> RunReport:
-    """Execute a full QKD session and summarize it."""
+    """Execute a full QKD session and summarize it from per-chunk counts."""
     kind = config.attack.kind
     n = config.num_pulses
     table = _moment_table(config)
-    alice_key, bob_key = [], []
-    eve_hits = eve_seen = 0
+    n_sifted = agree = eve_hits = eve_seen = 0
     for lo in range(0, n, _CHUNK):
         cols = _pulse_columns(config, table, lo, min(lo + _CHUNK, n))
         kept = sift(cols["alice_basis"], cols["bob_basis"])
-        alice_key.append(cols["alice_bit"][kept])
-        bob_key.append(cols["bob_bit"][kept])
+        n_sifted += len(kept)
+        agree += int(np.count_nonzero(cols["alice_bit"][kept] == cols["bob_bit"][kept]))
         if kind is not AttackKind.NONE:
             # Eve measures her stored halves only once the bases are revealed
             seen = kept if kind is AttackKind.SUPERIOR_CHANNEL else slice(None)
             eve_bits = cols["eve_bit"][seen]
             eve_hits += int(np.count_nonzero(eve_bits == cols["alice_bit"][seen]))
             eve_seen += len(eve_bits)
-    alice_bits, bob_bits = np.concatenate(alice_key), np.concatenate(bob_key)
-    n_sifted = len(alice_bits)
 
-    if n_sifted:
-        bob_accuracy = int(np.count_nonzero(alice_bits == bob_bits)) / n_sifted
-        est_rng = derive_stream(config.seed, LANE_SESSION, 0)
-        estimated, remaining = estimate_error(
-            alice_bits, bob_bits, config.sample_fraction, est_rng
-        )
-        sampled_count = n_sifted - len(remaining)
-    else:
-        bob_accuracy, estimated, remaining, sampled_count = None, 0.0, bob_bits, 0
-
+    sampled_count = round(config.sample_fraction * n_sifted)
     if sampled_count > 0:
+        # the disagreements in a uniform k-subset of the sifted key are
+        # Hypergeometric(disagreements, agreements, k)
+        errors = derive_stream(config.seed, LANE_SESSION, 0).hypergeometric(
+            n_sifted - agree, agree, sampled_count
+        )
+        estimated = int(errors) / sampled_count
         verdict = detect_eavesdropping(estimated, sampled_count, config)
     else:
-        verdict = VERDICT_CLEAN
+        estimated, verdict = 0.0, VERDICT_CLEAN
 
     return RunReport(
         pulses_sent=n,
@@ -341,6 +340,6 @@ def run_session(config: SessionConfig) -> RunReport:
         ),
         detection_verdict=verdict,
         eve_bit_accuracy=eve_hits / eve_seen if eve_seen else None,
-        bob_bit_accuracy=bob_accuracy,
-        final_key_bits=len(remaining),
+        bob_bit_accuracy=agree / n_sifted if n_sifted else None,
+        final_key_bits=n_sifted - sampled_count,
     )

@@ -8,12 +8,12 @@ separate the independent uses of randomness inside one session.
 Two forms share that contract:
 
 * ``pulse_block`` gives pulse i a fixed block of ``BLOCK_WORDS`` raw
-  Philox4x64 words (two counters) under the key (seed, lane), so the block
+  Philox4x64 words (counter i) under the key (seed, lane), so the block
   of a whole range of pulses is one array draw (the Random123 idea, Salmon
   et al., SC'11). The session engine draws from these blocks.
 * ``derive_stream`` gives a full ``Generator`` keyed by (seed, lane,
   index), for the per-pulse reference functions and for session-level
-  draws such as the error-estimation sample.
+  draws such as the disclosed-error count.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import math
 import numpy as np
 
 LANE_PULSE = 0  # per-pulse transmission and measurement draws
-LANE_DEFERRED = 1  # Eve's stored-pulse measurements after basis revelation
-LANE_SESSION = 2  # session-level draws (error-estimation sampling)
+LANE_DEFERRED = 1  # reference only: Eve's stored-pulse measurements (eve_deferred_measure)
+LANE_SESSION = 2  # session-level draws: the disclosed-error count
 
-BLOCK_WORDS = 8  # raw 64-bit words per pulse: two Philox4x64 counters
+BLOCK_WORDS = 4  # raw 64-bit words per pulse: one Philox4x64 counter
 
 _MAX_INDEX = 1 << 48
 _BLOCK_KEY = 1 << 63  # low-word flag: block keys never equal a derive_stream key
@@ -52,13 +52,13 @@ def derive_stream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
 def pulse_block(seed: int, lane: int, lo: int, hi: int) -> np.ndarray:
     """Raw words of pulses [lo, hi) on a lane, shape (hi - lo, BLOCK_WORDS).
 
-    Row i - lo is pulse i's block: counters 2i and 2i + 1 of the Philox
-    stream keyed by (seed, lane), whatever range it is drawn in.
+    Row i - lo is pulse i's block: counter i of the Philox stream keyed by
+    (seed, lane), whatever range it is drawn in.
     """
     if not 0 <= lo <= hi <= _MAX_INDEX:
         raise ValueError(f"pulse range must satisfy 0 <= lo <= hi <= 2^48 (got {lo}, {hi})")
     bits = np.random.Philox(key=_key(seed, lane, 0) | _BLOCK_KEY)
-    bits.advance(2 * lo)
+    bits.advance(lo)
     return bits.random_raw((hi - lo) * BLOCK_WORDS).reshape(hi - lo, BLOCK_WORDS)
 
 

@@ -1,8 +1,16 @@
-"""Shared test plumbing: a deterministic Hypothesis profile, and the
-acceptance suite's per-criterion lines, which this hook prints after the
-run, capture or not."""
+"""Shared test plumbing: single-threaded BLAS, a deterministic Hypothesis
+profile, and the acceptance suite's per-criterion lines, which this hook
+prints after the run, capture or not."""
 
-from hypothesis import settings
+import os
+
+# The oracle's many small eigh and mat-vec calls slow down several-fold when
+# BLAS threads compete with another busy process; the pools read these only
+# when NumPy is first imported, which neither pytest nor Hypothesis does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from hypothesis import settings  # noqa: E402
 
 # Same examples on every run, with no reliance on a local example database.
 settings.register_profile("deterministic", derandomize=True, database=None)

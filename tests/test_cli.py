@@ -212,6 +212,9 @@ def test_exit_code_config_errors(capsys):
     err = capsys.readouterr().err
     assert "tap_fraction" in err and "num_pulses" in err
     assert main(["nonexistent-command"]) == 1
+    # the disclosure draw bounds a session to 10^9 pulses
+    assert main(["run", "--pulses", "1000000001"]) == 1
+    assert "num_pulses" in capsys.readouterr().err
     # fig3 is the noiseless known-basis curve: a detector flag would be ignored
     assert main(["fig3", "--detector-nen", "1000"]) == 1
     assert main(["fig2", "--detector-nen", "nan"]) == 1

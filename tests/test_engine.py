@@ -1,8 +1,11 @@
-"""The columnar session engine: counter-indexed word blocks, their bits and
-normals, chunk independence, and exact agreement of the moment table and
-the per-pulse columns with the single-pulse reference functions."""
+"""The columnar session engine: counter-indexed word blocks, their bits,
+uniforms and normals, chunk independence, exact agreement of the moment
+table and the per-pulse columns with the single-pulse reference functions,
+the disclosure draw, and memory bounded by one chunk."""
 
 import math
+import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -31,7 +34,9 @@ from macroqkd.streams import (
     BLOCK_WORDS,
     LANE_DEFERRED,
     LANE_PULSE,
+    LANE_SESSION,
     box_muller,
+    derive_stream,
     pulse_block,
 )
 
@@ -75,6 +80,12 @@ class ScriptedRng:
         return not self.ints and not self.normals
 
 
+def normal_of(top53: int) -> float:
+    """The standard normal a raw word w with w >> 11 == top53 stands for:
+    Phi^-1 of its uniform (top53 + 0.5) 2^-53."""
+    return NormalDist().inv_cdf((top53 + 0.5) * 2**-53)
+
+
 # ----------------------------------------------------------------- blocks
 
 
@@ -96,14 +107,16 @@ def test_block_rejects_bad_range():
 
 
 def test_block_bits_balanced_and_normals_standard():
-    pulses = 250_000
+    pulses = 500_000
     words = pulse_block(2718, LANE_PULSE, 0, pulses)
     for shift in (63, 62, 61, 60):  # the four basis and bit draws of word 0
         share = float(np.mean(words[:, 0] >> shift & 1))
         assert abs(share - 0.5) < 5 * math.sqrt(0.25 / pulses), shift
-    z = np.concatenate(
-        box_muller(words[:, 1], words[:, 2]) + box_muller(words[:, 3], words[:, 4])
-    )
+    for w in (1, 2):  # Bob's and Eve's uniforms
+        u = ((words[:, w] >> 11) + 0.5) * 2.0**-53
+        assert abs(float(np.mean(u)) - 0.5) < 5 * math.sqrt(1 / 12 / pulses), w
+        assert abs(float(np.mean(u < 0.1)) - 0.1) < 5 * math.sqrt(0.09 / pulses), w
+    z = np.concatenate(box_muller(words[:, 2], words[:, 3]))  # dual-basis Eve's pair
     n = z.size
     assert n == 1_000_000
     assert abs(float(np.mean(z))) < 5 / math.sqrt(n)
@@ -157,29 +170,51 @@ def _sent_state(config: SessionConfig, bit: int, basis: Basis):
     return apply_loss(state, config.channel_loss)
 
 
+def _probes(threshold: int) -> list[int]:
+    """53-bit uniforms near both ends of the range, in its middle and 2^20
+    (a 1.2e-10 share) either side of a threshold. The top one is 2^53 - 2:
+    (2^53 - 1) + 0.5 rounds to 2^53 in floating point, where Phi^-1 is
+    infinite."""
+    points = (0, 1 << 51, 1 << 52, 3 << 51, (1 << 53) - 2)
+    near = (threshold - (1 << 20), threshold + (1 << 20))
+    return list(points) + [p for p in near if 0 <= p < (1 << 53) - 1]
+
+
 @pytest.mark.parametrize("kind", list(AttackKind))
 def test_table_entries_equal_reference_sampling(kind, monkeypatch):
+    """Each threshold splits the uniforms where the reference's outcome, fed
+    the normal of the uniform, changes sign; each dual-basis Cholesky row
+    gives the reference's raw pair."""
     config = make_config(kind)
     table = _moment_table(config)
     eve_det = config.attack.eve_detector
+
+    def assert_splits(threshold, measure):
+        for top53 in _probes(int(threshold)):
+            assert decode_bit(measure(normal_of(top53))) == (top53 >= threshold), top53
+
     for bit in (0, 1):
         for b, basis in enumerate(BASES):
             alice = alice_source(config.source, bit, basis)
+            sent = _sent_state(config, bit, basis)
             for m in (0, 1):
-                mean, sigma = table.bob[bit, b, m]
-                for z in (0.0, 1.0, -2.5):
-                    _, raw = bob_measure(_sent_state(config, bit, basis), config, ScriptedRng([m], [z]))
-                    assert raw == mean + sigma * z
-            if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
+                assert_splits(
+                    table.bob[bit, b, m],
+                    lambda z: bob_measure(sent, config, ScriptedRng([m], [z]))[1],
+                )
+            if kind is AttackKind.INTERCEPT_RESEND:
                 for e in (0, 1):
-                    mean, sigma = table.eve[bit, b, e]
-                    for z in (0.0, 1.0, -2.5):
-                        rng = ScriptedRng([e], [z])
-                        if kind is AttackKind.INTERCEPT_RESEND:
-                            _, _, raw = intercept_resend(alice, rng, config.source, eve_det)
-                        else:
-                            _, _, raw = beamsplitter_tap(alice, config.attack.tap_fraction, rng, eve_det)
-                        assert raw == mean + sigma * z
+                    assert_splits(
+                        table.eve[bit, b, e],
+                        lambda z: intercept_resend(alice, ScriptedRng([e], [z]), config.source, eve_det)[2],
+                    )
+            elif kind is AttackKind.BEAMSPLITTER_TAP:
+                eta_e = config.attack.tap_fraction
+                for e in (0, 1):
+                    assert_splits(
+                        table.eve[bit, b, e],
+                        lambda z: beamsplitter_tap(alice, eta_e, ScriptedRng([e], [z]), eve_det)[2],
+                    )
             elif kind is AttackKind.DUAL_BASIS:
                 mean_vh, l11, mean_dg, l21, l22 = table.eve[bit, b]
                 for z0, z1 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.5, 2.0)):
@@ -188,27 +223,29 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
                     )
                     assert (raw_vh, raw_dg) == (mean_vh + l11 * z0, mean_dg + l21 * z0 + l22 * z1)
             elif kind is AttackKind.SUPERIOR_CHANNEL:
-                mean, sigma = table.eve[bit, b]
-                for z in (0.0, 1.0, -2.5):
-                    _, stored = superior_channel(alice)
-                    monkeypatch.setattr(attacks, "derive_stream", lambda *_, z=z: ScriptedRng([], [z]))
-                    raw = eve_deferred_measure(stored, basis, config.seed, 0, eve_det)
-                    assert raw == mean + sigma * z
+                _, stored = superior_channel(alice)
+
+                def deferred(z):
+                    monkeypatch.setattr(attacks, "derive_stream", lambda *_: ScriptedRng([], [z]))
+                    return eve_deferred_measure(stored, basis, config.seed, 0, eve_det)
+
+                assert_splits(table.eve[bit, b], deferred)
 
 
-def _reference_pulse(config, i, words, normals, monkeypatch):
+def _reference_pulse(config, i, words, monkeypatch):
     """Pulse i through the single-pulse reference functions, fed the draws
     the documented word layout assigns to it: Alice's (bit, basis), Bob's
-    (basis, raw) and Eve's (basis or None, raw outcomes per arm), or None
-    for Eve without an attack."""
+    (basis, raw) and Eve's (basis, raw outcomes per arm), or None for Eve
+    without an attack."""
     kind = config.attack.kind
     head = int(words[i, 0])
     bit, basis, eve_basis, bob_basis = (head >> s & 1 for s in (63, 62, 61, 60))
-    z_bob, z_eve, z_second, z_deferred = (float(z[i]) for z in normals)
+    z_bob, z_eve = (normal_of(int(w) >> 11) for w in words[i, 1:3])
     if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
         rng = ScriptedRng([bit, basis, eve_basis, bob_basis], [z_eve, z_bob])
     elif kind is AttackKind.DUAL_BASIS:
-        rng = ScriptedRng([bit, basis, bob_basis], [z_eve, z_second, z_bob])
+        z0, z1 = (float(z[0]) for z in box_muller(words[i : i + 1, 2], words[i : i + 1, 3]))
+        rng = ScriptedRng([bit, basis, bob_basis], [z0, z1, z_bob])
     else:
         rng = ScriptedRng([bit, basis, bob_basis], [z_bob])
     eve_det = config.attack.eve_detector
@@ -222,7 +259,8 @@ def _reference_pulse(config, i, words, normals, monkeypatch):
         eve = (eve_basis, (raw,))
     elif kind is AttackKind.DUAL_BASIS:
         state, raw_vh, raw_dg = dual_basis_measure(state, rng, config.source, eve_det)
-        eve = (None, (raw_vh, raw_dg))
+        # Eve trusts the smaller-magnitude arm
+        eve = (Basis.VH if abs(raw_vh) <= abs(raw_dg) else Basis.DIAG, (raw_vh, raw_dg))
     elif kind is AttackKind.SUPERIOR_CHANNEL:
         state, stored = superior_channel(state)
     if kind is not AttackKind.SUPERIOR_CHANNEL:
@@ -233,10 +271,10 @@ def _reference_pulse(config, i, words, normals, monkeypatch):
 
         def deferred_stream(seed, lane, index):
             assert (seed, lane, index) == (config.seed, LANE_DEFERRED, i)
-            return ScriptedRng([], [z_deferred])
+            return ScriptedRng([], [z_eve])
 
         monkeypatch.setattr(attacks, "derive_stream", deferred_stream)
-        eve = (None, (eve_deferred_measure(stored, basis, config.seed, i, eve_det),))
+        eve = (basis, (eve_deferred_measure(stored, basis, config.seed, i, eve_det),))
     return (bit, basis), bob, eve
 
 
@@ -244,31 +282,65 @@ def _reference_pulse(config, i, words, normals, monkeypatch):
 def test_columns_equal_single_pulse_reference(kind, monkeypatch):
     config = make_config(kind, num_pulses=300)
     n = config.num_pulses
-    cols = _pulse_columns(config, _moment_table(config), 0, n)
+    table = _moment_table(config)
+    cols = _pulse_columns(config, table, 0, n)
     words = pulse_block(config.seed, LANE_PULSE, 0, n)
-    deferred = pulse_block(config.seed, LANE_DEFERRED, 0, n)
-    z_bob, z_eve = box_muller(words[:, 1], words[:, 2])
-    z_second, _ = box_muller(words[:, 3], words[:, 4])
-    z_deferred, _ = box_muller(deferred[:, 0], deferred[:, 1])
-    normals = (z_bob, z_eve, z_second, z_deferred)
+    z0, z1 = box_muller(words[:, 2], words[:, 3])
     for i in range(n):
-        (bit, basis), (bob_basis, bob_raw), eve = _reference_pulse(
-            config, i, words, normals, monkeypatch
-        )
+        (bit, basis), (bob_basis, bob_raw), eve = _reference_pulse(config, i, words, monkeypatch)
         assert cols["alice_bit"][i] == bit
         assert BASES[cols["alice_basis"][i]] is basis
         assert BASES[cols["bob_basis"][i]] is bob_basis
-        assert cols["bob_raw"][i] == bob_raw
         assert cols["bob_bit"][i] == decode_bit(bob_raw)
         if eve is None:
             assert "eve_bit" not in cols
             continue
         eve_basis, eve_raw = eve
-        assert tuple(cols["eve_raw"][i]) == eve_raw
-        if kind is AttackKind.DUAL_BASIS:  # Eve trusts the smaller-magnitude arm
-            trusted = eve_raw[0] if abs(eve_raw[0]) <= abs(eve_raw[1]) else eve_raw[1]
+        if kind is AttackKind.DUAL_BASIS:
+            mean_vh, l11, mean_dg, l21, l22 = table.eve[bit, BASES.index(basis)]
+            assert eve_raw == (mean_vh + l11 * z0[i], mean_dg + l21 * z0[i] + l22 * z1[i])
+            trusted = eve_raw[0] if eve_basis is Basis.VH else eve_raw[1]
         else:
             trusted = eve_raw[0]
         assert cols["eve_bit"][i] == decode_bit(trusted)
-        if eve_basis is not None:
+        if kind is not AttackKind.SUPERIOR_CHANNEL:  # there Eve measures in Alice's basis
             assert BASES[cols["eve_basis"][i]] is eve_basis
+
+
+# ------------------------------------------------------------- disclosure
+
+
+@pytest.mark.parametrize("kind", list(AttackKind))
+def test_session_discloses_hypergeometric_errors_of_its_counts(kind):
+    config = make_config(kind, num_pulses=5000)
+    cols = _pulse_columns(config, _moment_table(config), 0, config.num_pulses)
+    kept = cols["alice_basis"] == cols["bob_basis"]
+    n_sifted = int(np.count_nonzero(kept))
+    agree = int(np.count_nonzero(kept & (cols["alice_bit"] == cols["bob_bit"])))
+    k = round(config.sample_fraction * n_sifted)
+    errors = derive_stream(config.seed, LANE_SESSION, 0).hypergeometric(n_sifted - agree, agree, k)
+    report = run_session(config)
+    assert (report.sifted_count, report.sampled_count) == (n_sifted, k)
+    assert report.bob_bit_accuracy == agree / n_sifted
+    assert round(report.estimated_error_rate * report.sampled_count) == errors
+
+
+# ----------------------------------------------------------------- memory
+
+
+def test_session_memory_bounded_by_one_chunk():
+    """A session holds no per-pulse array beyond one chunk: 32 times the
+    pulses add at most 1 MiB to the traced peak."""
+
+    def peak(num_pulses):
+        config = make_config(AttackKind.NONE, num_pulses=num_pulses)
+        tracemalloc.start()
+        try:
+            run_session(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_session(make_config(AttackKind.NONE, num_pulses=1 << 17))  # fill the state caches
+    small, large = peak(1 << 17), peak(1 << 22)
+    assert large - small <= 1 << 20, (small, large)

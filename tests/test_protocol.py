@@ -23,7 +23,7 @@ from macroqkd.protocol import (
     sift,
     session_violations,
 )
-from macroqkd.streams import LANE_PULSE, derive_stream
+from macroqkd.streams import LANE_PULSE, LANE_SESSION, derive_stream
 
 DESIGN_POINT = SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0)
 
@@ -163,6 +163,23 @@ def test_estimate_error_sample_rounding():
     assert len(remaining) == 6
 
 
+def test_estimate_error_count_is_hypergeometric():
+    """The errors in a uniform k-subset of a key with E errors among n are
+    Hypergeometric(E, n - E, k): the law a session draws its count from."""
+    n, e, fraction, trials = 40, 9, 0.25, 20_000
+    alice = np.zeros(n, dtype=np.uint8)
+    bob = alice.copy()
+    bob[np.arange(0, 4 * e, 4)] = 1
+    k = round(fraction * n)
+    counts = np.zeros(k + 1, dtype=int)
+    for i in range(trials):
+        rate, _ = estimate_error(alice, bob, fraction, derive_stream(31, LANE_SESSION, i))
+        counts[round(rate * k)] += 1
+    for errors, seen in enumerate(counts):
+        p = math.comb(e, errors) * math.comb(n - e, k - errors) / math.comb(n, k)
+        assert abs(seen - trials * p) <= 5 * math.sqrt(trials * p * (1 - p)), (errors, seen)
+
+
 # ------------------------------------------------------------------ detection
 
 
@@ -265,3 +282,10 @@ def test_session_config_validation_lists_problems():
     assert len(problems) == 5
     with pytest.raises(ValueError):
         SessionConfig(source=DESIGN_POINT, channel_loss=1.5)
+
+
+def test_pulse_bound_is_one_billion():
+    # Generator.hypergeometric takes counts below 1e9 only
+    assert session_violations(0.0, 10**9, 0.1, 5.0, 0) == []
+    (problem,) = session_violations(0.0, 10**9 + 1, 0.1, 5.0, 0)
+    assert "num_pulses" in problem
