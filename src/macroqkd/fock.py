@@ -93,17 +93,21 @@ def build_state_exact(
         raise ValueError(f"squeeze parameter r must be >= 0 (got {r})")
     gam = np.exp(1j * theta) * math.tanh(r)
     g = math.log(math.cosh(r))
-    c = np.outer(coherent_amplitudes(alpha_v, cutoff), coherent_amplitudes(alpha_h, cutoff))
-    c = c * np.exp(-np.conj(gam) * complex(alpha_v) * complex(alpha_h))
     n = np.arange(cutoff + 1)
-    c = c * np.exp(-g * (n[:, None] + n[None, :] + 1.0))
+    # exp(-g (n_V + n_H + 1)) split between the modes, and each mode's
+    # amplitudes divided by sqrt(n!) so the exp(Gam a+ b+) sum below needs
+    # no per-k ladder weights; sqrt(n! m!) is put back at the end.
+    sqrt_fact = np.exp(0.5 * _log_factorials(cutoff))
+    mode = np.exp(-g * (n + 0.5)) / sqrt_fact
+    c = np.outer(
+        coherent_amplitudes(alpha_v, cutoff) * mode, coherent_amplitudes(alpha_h, cutoff) * mode
+    )
+    c *= np.exp(-np.conj(gam) * complex(alpha_v) * complex(alpha_h))
+    # exp(Gam a+ b+): out[n,m] = sqrt(n! m!) sum_k Gam^k/k! c[n-k,m-k]
     out = np.zeros_like(c)
-    log_fact = _log_factorials(cutoff)
-    # exp(Gam a+ b+): out[n,m] = sum_k Gam^k/k! sqrt(n!/(n-k)!) sqrt(m!/(m-k)!) c[n-k,m-k]
     for k in range(cutoff + 1):
-        w = np.exp(0.5 * (log_fact[k:] - log_fact[: cutoff + 1 - k]))
-        coef = gam**k / math.factorial(k)
-        out[k:, k:] += coef * w[:, None] * w[None, :] * c[: cutoff + 1 - k, : cutoff + 1 - k]
+        out[k:, k:] += gam**k / math.factorial(k) * c[: cutoff + 1 - k, : cutoff + 1 - k]
+    out *= np.outer(sqrt_fact, sqrt_fact)
     state = FockState(cutoff, out)
     if truncation_bound is not None:
         state.check_truncation(truncation_bound)
@@ -115,17 +119,34 @@ def _rotation_block(total: int, phi: float) -> np.ndarray:
     """exp(phi G) on the block of total photon number N = ``total``, with
     rows and columns ordered by n_V = 0..N and G = a_V^dag a_H - a_H^dag a_V.
 
-    G is real, antisymmetric and tridiagonal on the block. With
-    D = diag(i^k) it equals D (-i S) D^-1 for the real symmetric tridiagonal
-    S sharing its off-diagonal, so one eigendecomposition S = V diag(lam) V^T
-    gives the real (Wigner-d) matrix exp(phi G) = D V exp(-i phi lam) V^T D^-1.
+    The block is the real Wigner-d matrix M_N[k, j] = <k, N-k| U |j, N-j>,
+    built from M_{N-1} by the four-term recurrence (Risbo, J. Geodesy 70,
+    383 (1996)): with c = cos phi and s = sin phi, U maps a_H^dag to
+    s a_V^dag + c a_H^dag and a_V^dag to c a_V^dag - s a_H^dag, and
+    |j, N-j> is (N-j)/N of a_H^dag plus j/N of a_V^dag acting on N-1
+    photons, so
+
+        N M_N[k, j] = sqrt((N-j) k) s M[k-1, j] + sqrt((N-j)(N-k)) c M[k, j]
+                    + sqrt(j k) c M[k-1, j-1] - sqrt(j (N-k)) s M[k, j-1]
+
+    with M = M_{N-1}, zero outside its range. Every coefficient is at most
+    one, so the recurrence is stable, and each block costs O(N^2).
     """
-    k = np.arange(total)
-    off = np.sqrt((k + 1.0) * (total - k))
-    lam, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
-    d = np.array([1, 1j, -1, -1j])[np.arange(total + 1) % 4]
-    m = (v * np.exp(-1j * phi * lam)) @ v.T
-    return (d[:, None] * m * np.conj(d)[None, :]).real
+    if total == 0:
+        block = np.ones((1, 1))
+    else:
+        c, s = math.cos(phi), math.sin(phi)
+        prev = np.zeros((total + 2, total + 2))
+        prev[1:-1, 1:-1] = _rotation_block(total - 1, phi)
+        root_j = np.sqrt(np.arange(total + 1.0))
+        root_rest = root_j[::-1]
+        from_h = prev[:, 1:] * root_rest  # M[., j] weighted by sqrt(N-j)
+        from_v = prev[:, :-1] * root_j  # M[., j-1] weighted by sqrt(j)
+        block = root_j[:, None] * (s * from_h[:-1] + c * from_v[:-1])
+        block += root_rest[:, None] * (c * from_h[1:] - s * from_v[1:])
+        block /= total
+    block.setflags(write=False)
+    return block
 
 
 def rotate_exact(amplitudes: np.ndarray, phi: float) -> np.ndarray:
@@ -139,13 +160,21 @@ def rotate_exact(amplitudes: np.ndarray, phi: float) -> np.ndarray:
     own deficit.
     """
     cut = amplitudes.shape[0] - 1
-    out = np.zeros((2 * cut + 1, 2 * cut + 1), dtype=complex)
-    for total in range(2 * cut + 1):
+    if cut == 0:  # the vacuum block is unchanged, and a zero stride is no slice
+        return np.array(amplitudes, dtype=complex)
+    size = 2 * cut + 1
+    out = np.zeros((size, size), dtype=complex)
+    # (len, 2) real views: the real blocks act on re and im without an upcast
+    src = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
+    dst = out.reshape(-1).view(float).reshape(-1, 2)
+    # In the raveled arrays, the N-block's (n_V, N - n_V) entries sit a row
+    # stride minus one apart: n_V * cut + N in the input, n_V * (size - 1) + N
+    # in the output.
+    for total in range(size):
         lo, hi = max(0, total - cut), min(total, cut)
-        nv_in = np.arange(lo, hi + 1)
-        nv_out = np.arange(total + 1)
         block = _rotation_block(total, phi)[:, lo : hi + 1]
-        out[nv_out, total - nv_out] = block @ amplitudes[nv_in, total - nv_in]
+        block_in = src[lo * cut + total : hi * cut + total + 1 : cut]
+        dst[total : total * size + 1 : size - 1] = block @ block_in
     return out
 
 

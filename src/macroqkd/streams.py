@@ -18,6 +18,7 @@ Two forms share that contract:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,13 +41,38 @@ def _key(seed: int, lane: int, index: int) -> int:
     return ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | (lane << 48) | index
 
 
+@functools.cache
+def _key_words_type() -> type:
+    """A seed-sequence type that hands Philox a fixed 128-bit key.
+
+    Philox takes its key as the first two words its seed sequence
+    generates. Handing them over directly gives the bit generator
+    ``Philox(key=key)`` builds, without the fresh ``SeedSequence`` that
+    constructor pulls from OS entropy only to discard; that pull was most
+    of its cost. The type is made on first use because ``numpy.random``
+    is not loaded by ``import numpy``, and the oracle never needs it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeyWords(ISeedSequence):
+        def __init__(self, key: int) -> None:
+            self._words = np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is exactly two 64-bit words")
+            return self._words
+
+    return KeyWords
+
+
 def derive_stream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     """Independent Generator for (seed, lane, index).
 
     The 128-bit Philox key is seed in the high word and (lane << 48) | index
     in the low word, so distinct indices and lanes can never collide.
     """
-    return np.random.Generator(np.random.Philox(key=_key(seed, lane, index)))
+    return np.random.Generator(np.random.Philox(_key_words_type()(_key(seed, lane, index))))
 
 
 def pulse_block(seed: int, lane: int, lo: int, hi: int) -> np.ndarray:

@@ -4,9 +4,10 @@ prints after the run, capture or not."""
 
 import os
 
-# The oracle's many small eigh and mat-vec calls slow down several-fold when
-# BLAS threads compete with another busy process; the pools read these only
-# when NumPy is first imported, which neither pytest nor Hypothesis does.
+# The suite's BLAS calls are small (the oracle's block products, the
+# few-mode symplectic algebra) and gain nothing from threads, which only
+# compete with any other busy process; the pools read these only when NumPy
+# is first imported, which neither pytest nor Hypothesis does.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

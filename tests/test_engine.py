@@ -35,6 +35,7 @@ from macroqkd.streams import (
     LANE_DEFERRED,
     LANE_PULSE,
     LANE_SESSION,
+    _key,
     box_muller,
     derive_stream,
     pulse_block,
@@ -97,6 +98,16 @@ def test_advanced_block_equals_slice_of_whole_range():
     # lanes and seeds give unrelated words
     assert not np.array_equal(pulse_block(77, LANE_DEFERRED, 0, 300), whole)
     assert not np.array_equal(pulse_block(78, LANE_PULSE, 0, 300), whole)
+
+
+def test_derived_stream_is_philox_keyed_by_seed_lane_index():
+    # derive_stream skips Philox(key=...)'s entropy pull; the words must not change
+    for seed, lane, index in ((0, 0, 0), (31, LANE_PULSE, 7), (-5, LANE_SESSION, 2**48 - 1),
+                              (2**64 + 9, LANE_DEFERRED, 12345)):
+        np.testing.assert_array_equal(
+            derive_stream(seed, lane, index).bit_generator.random_raw(12),
+            np.random.Philox(key=_key(seed, lane, index)).random_raw(12),
+        )
 
 
 def test_block_rejects_bad_range():

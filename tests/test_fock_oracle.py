@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from macroqkd.fock import (
+    MAX_CUTOFF,
     FockState,
+    _rotation_block,
     build_state_exact,
     coherent_amplitudes,
     distribution_moments,
@@ -83,6 +85,44 @@ def test_rotation_sign_matches_engine_convention():
     state = build_state_exact(1.0, 0.5, 0.0, 0.0, 25)
     mean, _ = distribution_moments(exact_diff_distribution(state, Basis.DIAG))
     assert mean == pytest.approx(1.0, rel=1e-9)
+
+
+def _binomial_rotation_block(total: int, phi: float) -> np.ndarray:
+    # <k, N-k| U |j, N-j> expanded directly: U sends a_V^dag to
+    # c a_V^dag - s a_H^dag and a_H^dag to s a_V^dag + c a_H^dag; p of the
+    # j V photons and k - p of the N - j H photons end up in V.
+    c, s = math.cos(phi), math.sin(phi)
+    out = np.zeros((total + 1, total + 1))
+    for k in range(total + 1):
+        for j in range(total + 1):
+            norm = math.sqrt(
+                math.factorial(k) * math.factorial(total - k)
+                / (math.factorial(j) * math.factorial(total - j))
+            )
+            out[k, j] = norm * sum(
+                math.comb(j, p) * math.comb(total - j, k - p)
+                * c**p * (-s) ** (j - p) * s ** (k - p) * c ** (total - j - k + p)
+                for p in range(max(0, k - (total - j)), min(j, k) + 1)
+            )
+    return out
+
+
+@pytest.mark.parametrize("phi", [math.pi / 4, 0.3, 1.1, -0.7])
+def test_rotation_block_matches_binomial_sum(phi):
+    for total in range(13):
+        np.testing.assert_allclose(
+            _rotation_block(total, phi), _binomial_rotation_block(total, phi), rtol=0, atol=1e-13
+        )
+
+
+def test_rotation_block_orthogonal_and_composes_at_full_size():
+    total = 2 * MAX_CUTOFF
+    a, b = 0.3, math.pi / 4
+    m = _rotation_block(total, a)
+    np.testing.assert_allclose(m @ m.T, np.eye(total + 1), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        m @ _rotation_block(total, b), _rotation_block(total, a + b), rtol=0, atol=1e-13
+    )
 
 
 # ----------------------------------------------------------------------- loss
