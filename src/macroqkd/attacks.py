@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, SourceParams, alice_source, tap_split
+from .gaussian import GaussianState, SourceParams, alice_source, is_number, tap_split
 from .photostats import (
     Basis,
     DetectorModel,
@@ -58,8 +58,8 @@ class AttackConfig:
 def attack_config_violations(kind: AttackKind, tap_fraction: float | None) -> list[str]:
     out = []
     if kind is AttackKind.BEAMSPLITTER_TAP:
-        if tap_fraction is None or not 0.0 < tap_fraction < 1.0:
-            out.append(f"beamsplitter_tap requires tap_fraction in (0, 1) (got {tap_fraction})")
+        if not (is_number(tap_fraction) and 0.0 < tap_fraction < 1.0):
+            out.append(f"beamsplitter_tap requires tap_fraction in (0, 1) (got {tap_fraction!r})")
     elif tap_fraction is not None:
         out.append(f"tap_fraction only applies to beamsplitter_tap (kind is {kind.value})")
     return out

@@ -212,8 +212,10 @@ _CONFIG_FIELDS = {
 
 def config_violations(data: dict) -> list[str]:
     """Every problem of a config dict in config_to_dict's layout: all
-    missing fields if any are missing, otherwise all invalid values."""
+    missing and unknown fields if there are any, otherwise all invalid
+    values, wrong types included."""
     missing = []
+    unknown = [str(key) for key in data if key not in _CONFIG_FIELDS]
     for key, fields in _CONFIG_FIELDS.items():
         if fields is None:
             missing += [] if key in data else [key]
@@ -221,8 +223,11 @@ def config_violations(data: dict) -> list[str]:
             section = data.get(key)
             section = section if isinstance(section, dict) else {}
             missing += [f"{key}.{f}" for f in fields if f not in section]
-    if missing:
-        return [f"missing config fields: {', '.join(missing)}"]
+            unknown += [f"{key}.{f}" for f in section if f not in fields]
+    problems = [f"missing config fields: {', '.join(missing)}"] if missing else []
+    problems += [f"unknown config fields: {', '.join(unknown)}"] if unknown else []
+    if problems:
+        return problems
     src, det, att = data["source"], data["detector"], data["attack"]
     problems = source_param_violations(
         src["gain_G"], src["n_total_amp"], src["bit_amplitude_N"], src["squeeze_phase_theta"]
@@ -343,6 +348,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Run the Fock-oracle comparison ladder; non-zero exit on any failure."""
+    if not 0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and > 0 (got {args.tol})")
     rows = validate_mod.run_ladder(tolerance=args.tol)
     _write_text(args.out, validate_mod.rows_to_csv(rows))
     if not validate_mod.ladder_passed(rows):

@@ -178,27 +178,25 @@ def rotate_exact(amplitudes: np.ndarray, phi: float) -> np.ndarray:
     return out
 
 
-def _thinning_kernel(size: int, transmission: float) -> np.ndarray:
-    """Binomial loss kernel B[k, n] = C(n, k) T^k (1-T)^(n-k), k <= n."""
-    if transmission == 1.0:
-        return np.eye(size + 1)
-    if transmission == 0.0:
-        out = np.zeros((size + 1, size + 1))
-        out[0, :] = 1.0
-        return out
-    n = np.arange(size + 1)
-    k_grid, n_grid = np.meshgrid(n, n, indexing="ij")
-    kept = k_grid <= n_grid
-    lost = np.where(kept, n_grid - k_grid, 0)
-    log_fact = _log_factorials(size)
-    log_b = (
-        log_fact[n_grid]
-        - log_fact[k_grid]
-        - log_fact[lost]
-        + k_grid * math.log(transmission)
-        + lost * math.log1p(-transmission)
-    )
-    return np.where(kept, np.exp(log_b), 0.0)
+@functools.lru_cache(maxsize=4)
+def _thinning_kernel(transmission: float) -> np.ndarray:
+    """Binomial loss kernel B[k, n] = C(n, k) T^k (1-T)^(n-k) for k, n up to
+    2 * MAX_CUTOFF, the size of a rotated state; zero for k > n.
+
+    Column n is built from column n - 1 by B[k, n] = (1-T) B[k, n-1] +
+    T B[k-1, n-1]: every term is nonnegative, so the recurrence is stable
+    (a few ulps per entry, unless its terms passed through the subnormal
+    range, below 1e-250 or so). B[k, n] does not depend on the matrix size,
+    so one kernel per transmission serves every cutoff by slicing.
+    """
+    size = 2 * MAX_CUTOFF
+    out = np.zeros((size + 1, size + 1))
+    out[0, 0] = 1.0
+    for n in range(1, size + 1):
+        out[:, n] = (1.0 - transmission) * out[:, n - 1]
+        out[1:, n] += transmission * out[:-1, n - 1]
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -210,28 +208,14 @@ def _joint_number_distribution(state: FockState, basis: Basis) -> np.ndarray:
     return np.abs(rotate_exact(state.amplitudes, math.pi / 4)) ** 2
 
 
-def _difference_distribution(joint: np.ndarray) -> dict[int, float]:
-    size = joint.shape[0] - 1
-    n = np.arange(size + 1)
-    diff = (n[:, None] - n[None, :]).ravel()
-    probs = np.bincount(diff + size, weights=joint.ravel(), minlength=2 * size + 1)
-    return {int(d) - size: float(p) for d, p in enumerate(probs) if p > 0.0}
-
-
 def exact_diff_distribution(
     state: FockState,
     basis: Basis,
     truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
 ) -> dict[int, float]:
-    """Exact probability distribution of the difference number n.
-
-    For DIAG the pi/4 beamsplitter transform is applied exactly in Fock
-    space first. Probabilities sum to 1 minus the truncation deficit.
-    States beyond ``truncation_bound`` are rejected; pass None to override.
-    """
-    if truncation_bound is not None:
-        state.check_truncation(truncation_bound)
-    return _difference_distribution(_joint_number_distribution(state, basis))
+    """Exact probability distribution of the difference number n: the
+    lossless case of ``exact_loss_distribution``."""
+    return exact_loss_distribution(state, 0.0, basis, truncation_bound)
 
 
 def exact_loss_distribution(
@@ -240,21 +224,31 @@ def exact_loss_distribution(
     basis: Basis,
     truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
 ) -> dict[int, float]:
-    """Difference-number distribution after a non-polarizing loss of eta.
+    """Exact probability distribution of the difference number n after a
+    non-polarizing loss of eta; zero-probability values are omitted.
 
-    Beamsplitting each mode against a vacuum ancilla and tracing the
-    ancillas leaves a photon-counting POVM that is diagonal in photon
-    number: binomial thinning with success probability 1 - eta applied to
-    the joint number distribution. That thinning is evaluated here in
-    closed form, so no explicit ancilla dimension is needed.
+    For DIAG the pi/4 beamsplitter transform is applied exactly in Fock
+    space first. Beamsplitting each mode against a vacuum ancilla and
+    tracing the ancillas leaves a photon-counting POVM that is diagonal in
+    photon number: binomial thinning with success probability 1 - eta
+    applied to the joint number distribution, evaluated here in closed form
+    so no explicit ancilla dimension is needed. Probabilities sum to 1
+    minus the truncation deficit. States beyond ``truncation_bound`` are
+    rejected; pass None to override.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1] (got {eta})")
     if truncation_bound is not None:
         state.check_truncation(truncation_bound)
     joint = _joint_number_distribution(state, basis)
-    kernel = _thinning_kernel(joint.shape[0] - 1, 1.0 - eta)
-    return _difference_distribution(kernel @ joint @ kernel.T)
+    size = joint.shape[0] - 1
+    if eta > 0.0:
+        kernel = _thinning_kernel(1.0 - eta)[: size + 1, : size + 1]
+        joint = kernel @ joint @ kernel.T
+    n = np.arange(size + 1)
+    probs = np.bincount(np.subtract.outer(n, n).ravel() + size, weights=joint.ravel())
+    (kept,) = np.nonzero(probs > 0.0)
+    return dict(zip((kept - size).tolist(), probs[kept].tolist()))
 
 
 def distribution_moments(dist: dict[int, float]) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,13 @@ class SourceParams:
         return self.n_total_amp / self.gain_G
 
 
+def is_number(value: object, integral: bool = False) -> bool:
+    """Whether ``value`` is a real number (an integer with ``integral``) and
+    not a bool: a config's true and false are not numbers."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def source_param_violations(
     gain_g: float,
     n_total_amp: float,
@@ -134,19 +142,20 @@ def source_param_violations(
 ) -> list[str]:
     """All constraint violations of a prospective SourceParams, as messages."""
     out = []
-    gain_ok = 1 < gain_g < math.inf
-    total_ok = 0 < n_total_amp < math.inf
+    gain_ok = is_number(gain_g) and 1 < gain_g < math.inf
+    total_ok = is_number(n_total_amp) and 0 < n_total_amp < math.inf
     if not gain_ok:
-        out.append(f"gain_G must be finite and > 1 (got {gain_g})")
+        out.append(f"gain_G must be finite and > 1 (got {gain_g!r})")
     if not total_ok:
-        out.append(f"n_total_amp must be finite and > 0 (got {n_total_amp})")
-    if gain_ok and total_ok and not 0 < bit_amplitude_n < n_total_amp / gain_g:
+        out.append(f"n_total_amp must be finite and > 0 (got {n_total_amp!r})")
+    bound = n_total_amp / gain_g if gain_ok and total_ok else math.inf
+    if not (is_number(bit_amplitude_n) and 0 < bit_amplitude_n < bound):
         out.append(
             f"bit_amplitude_N must lie in (0, n_total_amp/gain_G) "
-            f"(got {bit_amplitude_n}, bound {n_total_amp / gain_g})"
+            f"(got {bit_amplitude_n!r}, bound {bound})"
         )
-    if not math.isfinite(squeeze_phase_theta):
-        out.append(f"squeeze_phase_theta must be finite (got {squeeze_phase_theta})")
+    if not (is_number(squeeze_phase_theta) and math.isfinite(squeeze_phase_theta)):
+        out.append(f"squeeze_phase_theta must be finite (got {squeeze_phase_theta!r})")
     return out
 
 

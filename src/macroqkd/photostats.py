@@ -30,6 +30,7 @@ from .gaussian import (
     SourceParams,
     alice_source,
     apply_loss,
+    is_number,
     rotation_symplectic,
     symplectic_form,
 )
@@ -77,12 +78,12 @@ class DetectorModel:
 def detector_violations(noise_equivalent_number: float, quantum_efficiency: float) -> list[str]:
     """All constraint violations of a prospective DetectorModel, as messages."""
     out = []
-    if not 0 <= noise_equivalent_number < math.inf:
+    if not (is_number(noise_equivalent_number) and 0 <= noise_equivalent_number < math.inf):
         out.append(
-            f"noise_equivalent_number must be finite and >= 0 (got {noise_equivalent_number})"
+            f"noise_equivalent_number must be finite and >= 0 (got {noise_equivalent_number!r})"
         )
-    if not 0.0 < quantum_efficiency <= 1.0:
-        out.append(f"quantum_efficiency must be in (0, 1] (got {quantum_efficiency})")
+    if not (is_number(quantum_efficiency) and 0.0 < quantum_efficiency <= 1.0):
+        out.append(f"quantum_efficiency must be in (0, 1] (got {quantum_efficiency!r})")
     return out
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackConfig, AttackKind, dual_basis_cholesky, tap_arms
-from .gaussian import GaussianState, SourceParams, alice_source, apply_loss
+from .gaussian import GaussianState, SourceParams, alice_source, apply_loss, is_number
 from .photostats import (
     Basis,
     DetectorModel,
@@ -90,16 +90,16 @@ def session_violations(
     seed: int,
 ) -> list[str]:
     out = []
-    if not 0.0 <= channel_loss < 1.0:
-        out.append(f"channel_loss must be in [0, 1) (got {channel_loss})")
-    if not 0 < num_pulses <= _MAX_PULSES:
-        out.append(f"num_pulses must be in 1..10^9 (got {num_pulses})")
-    if not 0.0 < sample_fraction < 1.0:
-        out.append(f"sample_fraction must be in (0, 1) (got {sample_fraction})")
-    if not 0 < detection_sigma_k < math.inf:
-        out.append(f"detection_sigma_k must be finite and > 0 (got {detection_sigma_k})")
-    if not 0 <= seed < 2**64:
-        out.append(f"seed must be a 64-bit unsigned integer (got {seed})")
+    if not (is_number(channel_loss) and 0.0 <= channel_loss < 1.0):
+        out.append(f"channel_loss must be in [0, 1) (got {channel_loss!r})")
+    if not (is_number(num_pulses, integral=True) and 0 < num_pulses <= _MAX_PULSES):
+        out.append(f"num_pulses must be an integer in 1..10^9 (got {num_pulses!r})")
+    if not (is_number(sample_fraction) and 0.0 < sample_fraction < 1.0):
+        out.append(f"sample_fraction must be in (0, 1) (got {sample_fraction!r})")
+    if not (is_number(detection_sigma_k) and 0 < detection_sigma_k < math.inf):
+        out.append(f"detection_sigma_k must be finite and > 0 (got {detection_sigma_k!r})")
+    if not (is_number(seed, integral=True) and 0 <= seed < 2**64):
+        out.append(f"seed must be a 64-bit unsigned integer (got {seed!r})")
     return out
 
 

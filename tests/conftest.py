@@ -3,6 +3,7 @@ profile, and the acceptance suite's per-criterion lines, which this hook
 prints after the run, capture or not."""
 
 import os
+from pathlib import Path
 
 # The suite's BLAS calls are small (the oracle's block products, the
 # few-mode symplectic algebra) and gain nothing from threads, which only
@@ -10,6 +11,11 @@ import os
 # is first imported, which neither pytest nor Hypothesis does.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# pytest's pythonpath setting puts src/ on this process's path only; the
+# tests that start `python -m macroqkd` need it on the children's path too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 from hypothesis import settings  # noqa: E402
 

@@ -231,6 +231,11 @@ def test_exit_code_config_errors(capsys):
     ):
         assert main(argv) == 1, argv
         assert "must be finite" in capsys.readouterr().err, argv
+    # a bad tolerance is the flag's fault, not the engine's: no ladder runs
+    for tol in ("nan", "-1", "inf"):
+        assert main(["validate", "--tol", tol]) == 1, tol
+        err = capsys.readouterr().err
+        assert "--tol" in err and "validation FAILED" not in err, tol
 
 
 def test_run_lists_source_detector_session_and_attack_problems(capsys):
@@ -246,7 +251,7 @@ def test_run_lists_source_detector_session_and_attack_problems(capsys):
 
 def test_config_from_dict_names_every_missing_field():
     with pytest.raises(ValueError) as info:
-        config_from_dict({"source": {"gain_G": 10.0}, "seed": 1})
+        config_from_dict({"source": {"gain_G": 10.0, "gain": 10.0}, "seed": 1, "chanel_loss": 0.5})
     message = str(info.value)
     for field in (
         "source.n_total_amp", "source.bit_amplitude_N", "source.squeeze_phase_theta",
@@ -256,6 +261,8 @@ def test_config_from_dict_names_every_missing_field():
     ):
         assert field in message, field
     assert "gain_G" not in message and "seed" not in message
+    # misspelled keys are named with the missing ones, never silently ignored
+    assert "unknown config fields: chanel_loss, source.gain" in message
 
 
 def test_config_from_dict_lists_every_invalid_value():
@@ -291,6 +298,29 @@ def test_config_from_dict_lists_every_invalid_value():
     assert len(problems) == len(fields), problems
     for field, problem in zip(fields, problems):
         assert field in problem and ("inf" in problem or "nan" in problem), problem
+    # a wrong type is a configuration error too, never a crash or a silent run
+    for section, key, value in (
+        (None, "num_pulses", 1000.0),
+        (None, "num_pulses", "1000"),
+        (None, "num_pulses", True),
+        (None, "seed", 1.5),
+        (None, "channel_loss", False),
+        (None, "sample_fraction", "0.1"),
+        ("source", "gain_G", "10"),
+        ("detector", "quantum_efficiency", None),
+        ("detector", "noise_equivalent_number", [0.0]),
+    ):
+        data = config_to_dict(
+            SessionConfig(source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0))
+        )
+        (data[section] if section else data)[key] = value
+        data["detection_sigma_k"] = -1.0  # listed with the type problem
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        problems = str(info.value).split("; ")
+        assert len(problems) == 2, problems
+        assert any("detection_sigma_k" in p for p in problems), problems
+        assert any(key in p and repr(value) in p for p in problems), problems
 
 
 def test_program_faults_are_not_configuration_errors(monkeypatch):

@@ -1,6 +1,7 @@
 """Exact Fock oracle: self-consistency on known states, then the
 engine-vs-oracle agreement gate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from macroqkd.fock import (
     MAX_CUTOFF,
     FockState,
     _rotation_block,
+    _thinning_kernel,
     build_state_exact,
     coherent_amplitudes,
     distribution_moments,
@@ -132,10 +134,23 @@ def test_loss_endpoints_match():
     state = build_state_exact(1.5, 1.5j, 0.4, math.pi / 2, 40)
     base = exact_diff_distribution(state, Basis.VH)
     same = exact_loss_distribution(state, 0.0, Basis.VH)
-    for d in base:
-        assert same[d] == pytest.approx(base[d], abs=1e-14)
+    assert same == base  # the lossless distribution is the eta = 0 case
     dark = exact_loss_distribution(state, 1.0, Basis.VH)
     assert dark[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("transmission", [0.0, 0.3, 0.5, 1.0])
+def test_thinning_kernel_matches_binomial_pmf(transmission):
+    kernel = _thinning_kernel(transmission)
+    size = 2 * MAX_CUTOFF
+    assert kernel.shape == (size + 1, size + 1)
+    exact = np.zeros_like(kernel)
+    for n in range(size + 1):
+        for k in range(n + 1):
+            exact[k, n] = math.comb(n, k) * transmission**k * (1 - transmission) ** (n - k)
+    assert np.all(np.tril(kernel, -1) == 0.0)  # no more photons kept than sent
+    seen = exact > 1e-300
+    np.testing.assert_allclose(kernel[seen], exact[seen], rtol=1e-14, atol=0)
 
 
 def test_loss_halves_mean_and_matches_moment_formula():
@@ -190,8 +205,21 @@ def test_full_ladder_passes():
     assert worst.relative_error <= 1e-6, worst
 
 
-def test_injected_variance_fault_is_caught():
-    rows = validate.run_ladder(variance_perturbation=1e-4)
+def test_cold_ladder_builds_one_thinning_kernel():
+    _thinning_kernel.cache_clear()
+    validate.run_ladder()
+    assert _thinning_kernel.cache_info().misses == 1
+
+
+def test_injected_variance_fault_is_caught(monkeypatch):
+    engine_moments = validate.diff_number_moments
+
+    def broken_moments(state, basis):
+        mom = engine_moments(state, basis)
+        return dataclasses.replace(mom, variance=mom.variance * (1 + 1e-4))
+
+    monkeypatch.setattr(validate, "diff_number_moments", broken_moments)
+    rows = validate.run_ladder()
     assert not validate.ladder_passed(rows)
     bad = [r for r in rows if not r.passed]
     assert all(r.quantity == "variance" for r in bad)
