@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .photostats import (
     decode_bit,
     detected_state,
     diff_number_moments,
-    joint_diff_moments,
+    outcome_normal,
     sample_outcome,
 )
 from .streams import LANE_DEFERRED, derive_stream
@@ -80,26 +79,6 @@ def tap_arms(state: GaussianState, eta_e: float) -> tuple[GaussianState, Gaussia
     )
 
 
-def dual_basis_cholesky(
-    state: GaussianState, detector: DetectorModel = NOISELESS
-) -> tuple[float, float, float, float, float]:
-    """Joint law of Eve's two dual-basis arm outcomes on a pulse.
-
-    Returns (mean_vh, l11, mean_dg, l21, l22): the arms' means and the
-    lower-triangular Cholesky factor of their 2x2 covariance, read noise
-    included, so (raw_vh, raw_dg) = (mean_vh + l11 z0,
-    mean_dg + l21 z0 + l22 z1) for independent standard normals z0, z1.
-    """
-    joint = detected_state(tap_split(state, 0.5), detector)
-    mean_vh, var_vh, mean_dg, var_dg, cov = joint_diff_moments(joint, Basis.VH, Basis.DIAG)
-    var_vh += detector.difference_noise_variance
-    var_dg += detector.difference_noise_variance
-    l11 = math.sqrt(var_vh)
-    l21 = cov / l11 if l11 > 0 else 0.0
-    l22 = math.sqrt(max(var_dg - l21 * l21, 0.0))
-    return mean_vh, l11, mean_dg, l21, l22
-
-
 def _draw_basis(rng: np.random.Generator) -> Basis:
     return Basis.VH if rng.integers(0, 2) == 0 else Basis.DIAG
 
@@ -150,16 +129,29 @@ def dual_basis_measure(
     fresh pulse encoding the inferred (basis, bit).
 
     Returns (resent pulse, raw V/H-arm outcome, raw diagonal-arm outcome).
-    The two arm outcomes are drawn jointly from the four-mode tap state.
     Eve takes the arm with the *smaller* magnitude |raw| as the correct
     basis (ties to V/H): the incorrect basis sees the anti-squeezed
     fluctuations and so typically produces the larger magnitude. Her bit is
     the sign of the chosen arm.
+
+    The two arm outcomes are independent, each drawn from its own normal
+    law on Eve's tapped half. Alice's pulses are invariant under the
+    antiunitary K P_H: complex conjugation in the Fock basis composed with
+    a_H -> -a_H. The seed (alpha_V real, alpha_H = i|alpha_H|) and the
+    squeeze at PUMP_PHASE (e^{i theta} = i) map to themselves, and the 50/50
+    split, loss and detector efficiency are real maps on vacuum ancillas,
+    so the tap state keeps the symmetry. Under it n_V - n_H is even and
+    a_V^dag a_H + h.c. odd (for DIAG pulses the -pi/4 rotation swaps the two
+    roles), so the covariance of one arm's V/H difference with the other
+    arm's diagonal difference (``joint_diff_moments``' cov_be) is exactly
+    zero, and the normal pair has independent components.
     """
-    mean_vh, l11, mean_dg, l21, l22 = dual_basis_cholesky(state, detector)
-    z0, z1 = rng.standard_normal(2)
-    raw_vh = mean_vh + l11 * z0
-    raw_dg = mean_dg + l21 * z0 + l22 * z1
+    eve = detected_state(tap_arms(state, 0.5)[1], detector)
+    mean_vh, sigma_vh = outcome_normal(diff_number_moments(eve, Basis.VH), detector)
+    mean_dg, sigma_dg = outcome_normal(diff_number_moments(eve, Basis.DIAG), detector)
+    z_vh, z_dg = rng.standard_normal(2)
+    raw_vh = mean_vh + sigma_vh * z_vh
+    raw_dg = mean_dg + sigma_dg * z_dg
     basis = Basis.VH if abs(raw_vh) <= abs(raw_dg) else Basis.DIAG
     raw = raw_vh if basis is Basis.VH else raw_dg
     return alice_source(source_params, decode_bit(raw), basis), raw_vh, raw_dg

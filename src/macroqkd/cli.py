@@ -176,7 +176,6 @@ def config_to_dict(config: SessionConfig) -> dict:
             "gain_G": config.source.gain_G,
             "n_total_amp": config.source.n_total_amp,
             "bit_amplitude_N": config.source.bit_amplitude_N,
-            "squeeze_phase_theta": config.source.squeeze_phase_theta,
         },
         "channel_loss": config.channel_loss,
         "detector": {
@@ -199,7 +198,7 @@ def config_to_dict(config: SessionConfig) -> dict:
 # Field layout of a config dict, as config_to_dict writes it: top-level
 # scalars map to None, sections to their field names.
 _CONFIG_FIELDS = {
-    "source": ("gain_G", "n_total_amp", "bit_amplitude_N", "squeeze_phase_theta"),
+    "source": ("gain_G", "n_total_amp", "bit_amplitude_N"),
     "channel_loss": None,
     "detector": ("noise_equivalent_number", "quantum_efficiency"),
     "attack": ("kind", "tap_fraction", "eve_detector_nen", "eve_detector_qe"),
@@ -229,9 +228,7 @@ def config_violations(data: dict) -> list[str]:
     if problems:
         return problems
     src, det, att = data["source"], data["detector"], data["attack"]
-    problems = source_param_violations(
-        src["gain_G"], src["n_total_amp"], src["bit_amplitude_N"], src["squeeze_phase_theta"]
-    )
+    problems = source_param_violations(src["gain_G"], src["n_total_amp"], src["bit_amplitude_N"])
     problems += [
         f"detector {p}"
         for p in detector_violations(det["noise_equivalent_number"], det["quantum_efficiency"])
@@ -271,7 +268,6 @@ def config_from_dict(data: dict) -> SessionConfig:
             gain_G=src["gain_G"],
             n_total_amp=src["n_total_amp"],
             bit_amplitude_N=src["bit_amplitude_N"],
-            squeeze_phase_theta=src["squeeze_phase_theta"],
         ),
         channel_loss=data["channel_loss"],
         detector=DetectorModel(
@@ -322,7 +318,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "gain_G": args.gain,
                 "n_total_amp": args.n_total,
                 "bit_amplitude_N": args.bit_amplitude,
-                "squeeze_phase_theta": SourceParams.squeeze_phase_theta,
             },
             "channel_loss": args.loss,
             "detector": {

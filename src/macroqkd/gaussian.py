@@ -25,6 +25,11 @@ import numpy as np
 
 _SYMMETRY_GUARD = 64  # multiples of eps * |cov| tolerated before symmetrizing
 
+# Phase theta of Alice's two-mode squeeze. With the seed's pi/2 phase between
+# alpha_V and alpha_H it aligns pump and seed so the pulse is amplified; the
+# gain solve and every closed form in the package assume it.
+PUMP_PHASE = math.pi / 2
+
 
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form with per-mode blocks [[0,1],[-1,0]]."""
@@ -113,12 +118,9 @@ class SourceParams:
     gain_G: float
     n_total_amp: float
     bit_amplitude_N: float
-    squeeze_phase_theta: float = math.pi / 2
 
     def __post_init__(self) -> None:
-        problems = source_param_violations(
-            self.gain_G, self.n_total_amp, self.bit_amplitude_N, self.squeeze_phase_theta
-        )
+        problems = source_param_violations(self.gain_G, self.n_total_amp, self.bit_amplitude_N)
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -134,12 +136,7 @@ def is_number(value: object, integral: bool = False) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def source_param_violations(
-    gain_g: float,
-    n_total_amp: float,
-    bit_amplitude_n: float,
-    squeeze_phase_theta: float = math.pi / 2,
-) -> list[str]:
+def source_param_violations(gain_g: float, n_total_amp: float, bit_amplitude_n: float) -> list[str]:
     """All constraint violations of a prospective SourceParams, as messages."""
     out = []
     gain_ok = is_number(gain_g) and 1 < gain_g < math.inf
@@ -154,8 +151,6 @@ def source_param_violations(
             f"bit_amplitude_N must lie in (0, n_total_amp/gain_G) "
             f"(got {bit_amplitude_n!r}, bound {bound})"
         )
-    if not (is_number(squeeze_phase_theta) and math.isfinite(squeeze_phase_theta)):
-        out.append(f"squeeze_phase_theta must be finite (got {squeeze_phase_theta!r})")
     return out
 
 
@@ -277,7 +272,8 @@ def tap_split(state: GaussianState, eta: float) -> GaussianState:
 def amplified_total_number(params: SourceParams, r: float) -> float:
     """Mean total photon number after squeezing the aligned-phase seed by r.
 
-    Closed form for the seed (alpha_V real, alpha_H = i|alpha_H|, theta = pi/2):
+    Closed form for the seed (alpha_V real, alpha_H = i|alpha_H|) at the
+    pump phase PUMP_PHASE:
     N_T(r) = N_seed cosh 2r + 2 |alpha_V||alpha_H| sinh 2r + 2 sinh^2 r.
     """
     n_seed = params.n_total_seed
@@ -285,30 +281,25 @@ def amplified_total_number(params: SourceParams, r: float) -> float:
     ah2 = 0.5 * (n_seed - params.bit_amplitude_N)
     return (
         n_seed * math.cosh(2 * r)
-        + 2.0 * math.sqrt(av2 * ah2) * math.sinh(2 * r)
+        + 2.0 * math.sqrt(av2) * math.sqrt(ah2) * math.sinh(2 * r)
         + 2.0 * math.sinh(r) ** 2
     )
 
 
 def solve_gain_squeeze(params: SourceParams) -> float:
-    """Squeeze parameter r with N_T,amp(r) = gain_G * N_T,seed.
+    """Squeeze parameter r with N_T,amp(r) = gain_G * N_T,seed, in closed form.
 
-    Solved by bisection to 1e-12 relative on r; the left-hand side is
-    strictly increasing in r for the aligned-phase seed.
+    With x = 2r, a = n_s + 1 and b = 2|alpha_V||alpha_H| = sqrt(n_s^2 - N^2),
+    the gain equation a cosh x + b sinh x = c for c = n_total_amp + 1 is
+    the quadratic (a + b) y^2 - 2c y + (a - b) = 0 in y = e^x, where
+    a^2 - b^2 = 2 n_s + 1 + N^2. Its larger root is written in ratios to c,
+    so no square overflows.
     """
-    target = params.n_total_amp
-    lo, hi = 0.0, 1.0
-    while amplified_total_number(params, hi) < target:
-        hi *= 2.0
-        if hi > 700:
-            raise ValueError("gain equation has no solution below overflow range")
-    while hi - lo > 1e-12 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if amplified_total_number(params, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    n_s, n = params.n_total_seed, params.bit_amplitude_N
+    c = params.n_total_amp + 1.0
+    root = math.sqrt(1.0 - (2.0 * n_s + 1.0) / c / c - (n / c) ** 2)
+    a_plus_b = n_s + 1.0 + math.sqrt(n_s - n) * math.sqrt(n_s + n)
+    return 0.5 * math.log(c * (1.0 + root) / a_plus_b)
 
 
 @functools.lru_cache(maxsize=128)
@@ -319,7 +310,7 @@ def _alice_source_cached(params: SourceParams, bit: int, diag: bool) -> Gaussian
     alpha_h = 1j * math.sqrt(0.5 * (n_seed - signed_n))
     seed = make_coherent_seed(alpha_v, alpha_h)
     r = solve_gain_squeeze(params)
-    pulse = apply_two_mode_squeeze(seed, r, params.squeeze_phase_theta)
+    pulse = apply_two_mode_squeeze(seed, r, PUMP_PHASE)
     if diag:
         # -pi/4 maps the V/H difference signal onto +n on the +45/-45
         # difference observable (the +pi/4 sense would flip the bit).
@@ -331,12 +322,12 @@ def alice_source(params: SourceParams, bit: int, basis: "Basis | str") -> Gaussi
     """Alice's encoded pulse for one key bit.
 
     The coherent seed carries the difference number +N (bit 1) or -N (bit 0)
-    with a pi/2 phase between the modes; two-mode squeezing amplifies the
-    total photon number to ``n_total_amp`` while preserving the difference
-    number statistics; basis DIAG applies the polarization rotation that
-    moves the signal onto the +45/-45 difference observable. Results are
-    memoized: states are immutable, and a session reuses the same four
-    pulses heavily.
+    with a pi/2 phase between the modes; two-mode squeezing at PUMP_PHASE
+    amplifies the total photon number to ``n_total_amp`` while preserving
+    the difference number statistics; basis DIAG applies the polarization
+    rotation that moves the signal onto the +45/-45 difference observable.
+    Results are memoized: states are immutable, and a session reuses the
+    same four pulses heavily.
     """
     from .photostats import Basis  # local import to avoid a cycle
 

@@ -17,7 +17,8 @@ words on LANE_PULSE is laid out as
                 1 = +45/-45), bit 61 Eve's basis, bit 60 Bob's basis
     word 1      Bob's uniform
     word 2      Eve's uniform (intercept-resend, tap, superior channel)
-    words 2, 3  one Box-Muller pair: Eve's two arm normals (dual basis)
+    words 2, 3  one Box-Muller pair: the normals of Eve's V/H and
+                diagonal arms, one each (dual basis)
 
 where word w is the uniform u = ((w >> 11) + 0.5) 2^-53. Each bit is the
 sign of one normal outcome Phi^-1(u), so it is one compare of w >> 11 with
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackConfig, AttackKind, dual_basis_cholesky, tap_arms
+from .attacks import AttackConfig, AttackKind, tap_arms
 from .gaussian import GaussianState, SourceParams, alice_source, apply_loss, is_number
 from .photostats import (
     Basis,
@@ -199,9 +200,10 @@ class MomentTable:
     toward him as (bit, basis): Alice's pulse, or Eve's re-prepared one
     under intercept-resend and dual-basis. ``eve`` holds, per attack:
     thresholds per [bit, basis, eve_basis] for intercept-resend and the
-    tap; the Cholesky row (mean_vh, l11, mean_dg, l21, l22) per [bit, basis]
-    for dual-basis; thresholds per [bit, basis] of the stored half measured
-    in Alice's basis for the superior channel; None without an attack.
+    tap; the normal law (mean, sigma) per [bit, basis, arm basis] of each of
+    the two independent arms of Eve's 50/50 split for dual-basis;
+    thresholds per [bit, basis] of the stored half measured in Alice's
+    basis for the superior channel; None without an attack.
     """
 
     bob: np.ndarray
@@ -235,7 +237,7 @@ def _moment_table(config: SessionConfig) -> MomentTable:
         AttackKind.NONE: None,
         AttackKind.INTERCEPT_RESEND: np.empty((2, 2, 2, 2)),
         AttackKind.BEAMSPLITTER_TAP: np.empty((2, 2, 2, 2)),
-        AttackKind.DUAL_BASIS: np.empty((2, 2, 5)),
+        AttackKind.DUAL_BASIS: np.empty((2, 2, 2, 2)),
         AttackKind.SUPERIOR_CHANNEL: np.empty((2, 2, 2)),
     }[kind]
     for bit in (0, 1):
@@ -246,16 +248,16 @@ def _moment_table(config: SessionConfig) -> MomentTable:
                 sent, kept = tap_arms(state, attack.tap_fraction)
             elif kind is AttackKind.SUPERIOR_CHANNEL:
                 sent, kept = tap_arms(state, 0.5)
+            elif kind is AttackKind.DUAL_BASIS:
+                kept = tap_arms(state, 0.5)[1]
             # the superior channel's lossless substitute bypasses the loss
             if kind is not AttackKind.SUPERIOR_CHANNEL and config.channel_loss > 0.0:
                 sent = apply_loss(sent, config.channel_loss)
             for m, other in enumerate(_BASES):
                 bob[bit, b, m] = _law(sent, other, config.detector)
-                if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
+                if kind not in (AttackKind.NONE, AttackKind.SUPERIOR_CHANNEL):
                     eve[bit, b, m] = _law(kept, other, eve_det)
-            if kind is AttackKind.DUAL_BASIS:
-                eve[bit, b] = dual_basis_cholesky(state, eve_det)
-            elif kind is AttackKind.SUPERIOR_CHANNEL:
+            if kind is AttackKind.SUPERIOR_CHANNEL:
                 eve[bit, b] = _law(kept, basis, eve_det)
     if kind not in (AttackKind.NONE, AttackKind.DUAL_BASIS):
         eve = _sign_thresholds(eve)
@@ -280,10 +282,10 @@ def _pulse_columns(
         eve_bit = (words[:, 2] >> 11) >= table.eve[alice_bit, alice_basis, eve_basis]
         cols["eve_basis"] = eve_basis
     elif kind is AttackKind.DUAL_BASIS:
-        z0, z1 = box_muller(words[:, 2], words[:, 3])
-        mean_vh, l11, mean_dg, l21, l22 = table.eve[alice_bit, alice_basis].T
-        raw_vh = mean_vh + l11 * z0
-        raw_dg = mean_dg + l21 * z0 + l22 * z1
+        z_vh, z_dg = box_muller(words[:, 2], words[:, 3])
+        laws = table.eve[alice_bit, alice_basis]  # [pulse, arm basis, (mean, sigma)]
+        raw_vh = laws[:, 0, 0] + laws[:, 0, 1] * z_vh
+        raw_dg = laws[:, 1, 0] + laws[:, 1, 1] * z_dg
         # the arm with the smaller magnitude is taken as the right basis
         eve_basis = (np.abs(raw_vh) > np.abs(raw_dg)).astype(np.uint8)
         eve_bit = np.where(eve_basis == 0, raw_vh, raw_dg) >= 0.0

@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 
 from . import fock
-from .gaussian import apply_loss, apply_two_mode_squeeze, make_coherent_seed
+from .gaussian import PUMP_PHASE, apply_loss, apply_two_mode_squeeze, make_coherent_seed
 from .photostats import Basis, diff_number_moments
 
 LADDER_R = (0.2, 0.5, 0.8)
 LADDER_ALPHA_SQ = (1.0, 2.0, 4.0)
 LADDER_ETA = (0.0, 0.5)
-THETA = math.pi / 2
 DEFAULT_TOLERANCE = 1e-6
 LADDER_TRUNCATION_BOUND = 5e-8
 # Relative errors are taken against max(|oracle|, MEAN_FLOOR) so that
@@ -65,7 +64,7 @@ def _pick_cutoff(alpha_v_sq: float, alpha_h_sq: float, r: float) -> int:
 def _ladder_state(r: float, alpha_v_sq: float, alpha_h_sq: float) -> fock.FockState:
     cutoff = _pick_cutoff(alpha_v_sq, alpha_h_sq, r)
     return fock.build_state_exact(
-        math.sqrt(alpha_v_sq), 1j * math.sqrt(alpha_h_sq), r, THETA, cutoff,
+        math.sqrt(alpha_v_sq), 1j * math.sqrt(alpha_h_sq), r, PUMP_PHASE, cutoff,
         truncation_bound=None,
     )
 
@@ -82,7 +81,7 @@ def compare_point(
     alpha_v = math.sqrt(alpha_v_sq)
     alpha_h = 1j * math.sqrt(alpha_h_sq)
 
-    state = apply_two_mode_squeeze(make_coherent_seed(alpha_v, alpha_h), r, THETA)
+    state = apply_two_mode_squeeze(make_coherent_seed(alpha_v, alpha_h), r, PUMP_PHASE)
     mom = diff_number_moments(apply_loss(state, eta), basis)
 
     # The heaviest ladder point needs the full cutoff-80 space and lands a

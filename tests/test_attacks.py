@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macroqkd.attacks import (
     AttackConfig,
@@ -15,13 +17,15 @@ from macroqkd.attacks import (
     superior_channel,
     tap_arms,
 )
-from macroqkd.gaussian import SourceParams, alice_source, apply_loss
+from macroqkd.gaussian import SourceParams, alice_source, apply_loss, tap_split
 from macroqkd.photostats import (
     NOISELESS,
     Basis,
     DetectorModel,
     decode_bit,
+    detected_state,
     diff_number_moments,
+    joint_diff_moments,
 )
 from macroqkd.protocol import (
     SessionConfig,
@@ -217,6 +221,28 @@ def test_dual_basis_inference_accuracy_regression():
     acc = hits / n
     se = math.sqrt(acc * (1 - acc) / n)
     assert abs(acc - DUAL_BASIS_INFERENCE_ACCURACY) < 5 * se
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gain=st.floats(1.05, 100.0),
+    log_total=st.floats(0.0, 12.0),
+    frac=st.floats(1e-3, 0.999),
+    bit=st.sampled_from((0, 1)),
+    basis=st.sampled_from(Basis),
+    nen=st.floats(0.0, 300.0),
+    qe=st.floats(0.05, 1.0, exclude_max=True),
+)
+def test_dual_basis_arms_are_uncorrelated(gain, log_total, frac, bit, basis, nen, qe):
+    # the symmetry argument in dual_basis_measure: on Eve's 50/50 split the
+    # V/H arm and the diagonal arm have zero covariance, so the reference and
+    # the session draw them from independent normals
+    n_total = 10.0**log_total
+    params = SourceParams(gain, n_total, frac * n_total / gain)
+    detector = DetectorModel(noise_equivalent_number=nen, quantum_efficiency=qe)
+    joint = detected_state(tap_split(alice_source(params, bit, basis), 0.5), detector)
+    _, var_b, _, var_e, cov_be = joint_diff_moments(joint, Basis.VH, Basis.DIAG)
+    assert abs(cov_be) <= 1e-12 * math.sqrt(var_b * var_e)
 
 
 def test_dual_basis_session_detected():

@@ -254,7 +254,7 @@ def test_config_from_dict_names_every_missing_field():
         config_from_dict({"source": {"gain_G": 10.0, "gain": 10.0}, "seed": 1, "chanel_loss": 0.5})
     message = str(info.value)
     for field in (
-        "source.n_total_amp", "source.bit_amplitude_N", "source.squeeze_phase_theta",
+        "source.n_total_amp", "source.bit_amplitude_N",
         "channel_loss", "detector.noise_equivalent_number", "detector.quantum_efficiency",
         "attack.kind", "attack.tap_fraction", "attack.eve_detector_nen",
         "attack.eve_detector_qe", "num_pulses", "sample_fraction", "detection_sigma_k",
@@ -263,6 +263,14 @@ def test_config_from_dict_names_every_missing_field():
     assert "gain_G" not in message and "seed" not in message
     # misspelled keys are named with the missing ones, never silently ignored
     assert "unknown config fields: chanel_loss, source.gain" in message
+    # the pump phase is fixed at pi/2, so a config that still sets it is refused
+    data = config_to_dict(
+        SessionConfig(source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0))
+    )
+    data["source"]["squeeze_phase_theta"] = math.pi / 2
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == "unknown config fields: source.squeeze_phase_theta"
 
 
 def test_config_from_dict_lists_every_invalid_value():
@@ -286,18 +294,14 @@ def test_config_from_dict_lists_every_invalid_value():
     data["source"]["gain_G"] = math.inf
     data["source"]["n_total_amp"] = math.inf
     data["detector"]["noise_equivalent_number"] = math.inf
-    data["source"]["squeeze_phase_theta"] = math.nan
     data["detection_sigma_k"] = math.inf
     with pytest.raises(ConfigError) as info:
         config_from_dict(data)
     problems = str(info.value).split("; ")
-    fields = (
-        "gain_G", "n_total_amp", "squeeze_phase_theta", "noise_equivalent_number",
-        "detection_sigma_k",
-    )
+    fields = ("gain_G", "n_total_amp", "noise_equivalent_number", "detection_sigma_k")
     assert len(problems) == len(fields), problems
     for field, problem in zip(fields, problems):
-        assert field in problem and ("inf" in problem or "nan" in problem), problem
+        assert field in problem and "inf" in problem, problem
     # a wrong type is a configuration error too, never a crash or a silent run
     for section, key, value in (
         (None, "num_pulses", 1000.0),

@@ -194,8 +194,8 @@ def _probes(threshold: int) -> list[int]:
 @pytest.mark.parametrize("kind", list(AttackKind))
 def test_table_entries_equal_reference_sampling(kind, monkeypatch):
     """Each threshold splits the uniforms where the reference's outcome, fed
-    the normal of the uniform, changes sign; each dual-basis Cholesky row
-    gives the reference's raw pair."""
+    the normal of the uniform, changes sign; each pair of dual-basis arm
+    laws gives the reference's raw pair."""
     config = make_config(kind)
     table = _moment_table(config)
     eve_det = config.attack.eve_detector
@@ -227,12 +227,12 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
                         lambda z: beamsplitter_tap(alice, eta_e, ScriptedRng([e], [z]), eve_det)[2],
                     )
             elif kind is AttackKind.DUAL_BASIS:
-                mean_vh, l11, mean_dg, l21, l22 = table.eve[bit, b]
+                (mean_vh, sigma_vh), (mean_dg, sigma_dg) = table.eve[bit, b]
                 for z0, z1 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.5, 2.0)):
                     _, raw_vh, raw_dg = dual_basis_measure(
                         alice, ScriptedRng([], [z0, z1]), config.source, eve_det
                     )
-                    assert (raw_vh, raw_dg) == (mean_vh + l11 * z0, mean_dg + l21 * z0 + l22 * z1)
+                    assert (raw_vh, raw_dg) == (mean_vh + sigma_vh * z0, mean_dg + sigma_dg * z1)
             elif kind is AttackKind.SUPERIOR_CHANNEL:
                 _, stored = superior_channel(alice)
 
@@ -308,8 +308,8 @@ def test_columns_equal_single_pulse_reference(kind, monkeypatch):
             continue
         eve_basis, eve_raw = eve
         if kind is AttackKind.DUAL_BASIS:
-            mean_vh, l11, mean_dg, l21, l22 = table.eve[bit, BASES.index(basis)]
-            assert eve_raw == (mean_vh + l11 * z0[i], mean_dg + l21 * z0[i] + l22 * z1[i])
+            (mean_vh, sigma_vh), (mean_dg, sigma_dg) = table.eve[bit, BASES.index(basis)]
+            assert eve_raw == (mean_vh + sigma_vh * z0[i], mean_dg + sigma_dg * z1[i])
             trusted = eve_raw[0] if eve_basis is Basis.VH else eve_raw[1]
         else:
             trusted = eve_raw[0]

@@ -116,6 +116,26 @@ def test_gain_equation_solution_reaches_target():
     assert math.cosh(r) == pytest.approx(1.74, abs=0.01)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    gain=st.floats(1.001, 1e3),
+    log_total=st.floats(0.0, 250.0),
+    frac=st.floats(1e-6, 0.999),
+)
+@example(gain=10.0, log_total=200.0, frac=0.1)  # SourceParams(10, 1e200, 1e198)
+def test_every_pulse_carries_the_target_photon_number(gain, log_total, frac):
+    # the squeeze solves the gain equation even where |alpha_V|^2 |alpha_H|^2
+    # overflows a float
+    n_total = 10.0**log_total
+    params = SourceParams(gain, n_total, frac * n_total / gain)
+    r = solve_gain_squeeze(params)
+    assert amplified_total_number(params, r) == pytest.approx(n_total, rel=1e-12)
+    for bit in (0, 1):
+        for basis in Basis:
+            pulse = alice_source(params, bit, basis)
+            assert total_mean_photons(pulse) == pytest.approx(n_total, rel=1e-12)
+
+
 def test_difference_variance_survives_amplification():
     # amplification leaves var(n) at the seed total: the sub-shot-noise core
     pulse = alice_source(DESIGN_POINT, 1, Basis.VH)
