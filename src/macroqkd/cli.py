@@ -51,6 +51,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _pulse_count(text: str) -> int:
+    """A pulse count written as an integer or as a decimal or scientific
+    literal of an integral value (100000000, 1e8)."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value.is_integer()):
+        raise argparse.ArgumentTypeError(f"must be a whole number such as 100000 or 1e5 (got {text!r})")
+    return int(value)
+
+
 def _parse_grid(text: str, lo: float, hi: float, name: str) -> np.ndarray:
     try:
         start_s, stop_s, steps_s = text.split(":")
@@ -381,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--loss", type=float, default=0.0, help="channel loss fraction eta")
     pr.add_argument("--attack", default="none", help="none, intercept_resend, beamsplitter_tap, dual_basis or superior_channel")
     pr.add_argument("--tap-fraction", type=float, default=None, help="Eve's sampled fraction (beamsplitter_tap)")
-    pr.add_argument("--pulses", type=int, default=10_000, help="number of pulses to send")
+    pr.add_argument("--pulses", type=_pulse_count, default=10_000, help="number of pulses to send (100000 or 1e5)")
     pr.add_argument("--sample-fraction", type=float, default=0.1, help="fraction of sifted bits disclosed")
     pr.add_argument("--detect-k", type=float, default=5.0, help="detection threshold in sigmas")
     pr.add_argument("--seed", type=int, default=0, help="session seed")

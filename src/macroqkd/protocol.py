@@ -13,17 +13,18 @@ i) (see macroqkd.streams), so a session is reproducible bit-for-bit from
 are chunked or in what order the chunks run. Pulse i's block of four raw
 words on LANE_PULSE is laid out as
 
-    word 0      bit 63 Alice's bit, bit 62 Alice's basis (0 = V/H,
-                1 = +45/-45), bit 61 Eve's basis, bit 60 Bob's basis
-    word 1      Bob's uniform
-    word 2      Eve's uniform (intercept-resend, tap, superior channel)
-    words 2, 3  one Box-Muller pair: the normals of Eve's V/H and
-                diagonal arms, one each (dual basis)
+    word 0  bit 63 Alice's bit, bit 62 Alice's basis (0 = V/H,
+            1 = +45/-45), bit 61 Eve's basis, bit 60 Bob's basis
+    word 1  Bob's uniform
+    word 2  Eve's uniform
+    word 3  unused
 
 where word w is the uniform u = ((w >> 11) + 0.5) 2^-53. Each bit is the
 sign of one normal outcome Phi^-1(u), so it is one compare of w >> 11 with
-its state's threshold. A session keeps only counts; the errors in the
-disclosed sample are one hypergeometric draw on LANE_SESSION.
+its state's threshold; dual-basis Eve's (basis, bit) is one categorical
+draw, the number of her cell's cumulative thresholds at or below w >> 11.
+A session keeps only counts; the errors in the disclosed sample are one
+hypergeometric draw on LANE_SESSION.
 
 ``alice_prepare``, ``bob_measure`` and the attack functions in
 macroqkd.attacks are the single-pulse reference for the same physics:
@@ -50,7 +51,7 @@ from .photostats import (
     outcome_normal,
     sample_outcome,
 )
-from .streams import LANE_PULSE, LANE_SESSION, box_muller, derive_stream, pulse_block
+from .streams import LANE_PULSE, LANE_SESSION, derive_stream, pulse_block
 
 VERDICT_CLEAN = "clean"
 VERDICT_DETECTED = "eavesdropper_detected"
@@ -193,17 +194,14 @@ def detect_eavesdropping(
 @dataclass(frozen=True)
 class MomentTable:
     """Outcome laws of every state one session can measure, read noise
-    included, sign-decoded ones as ``_sign_thresholds``; basis codes are
-    0 = V/H and 1 = +45/-45.
-
-    ``bob[bit, basis, bob_basis]`` is Bob's threshold on the pulse launched
-    toward him as (bit, basis): Alice's pulse, or Eve's re-prepared one
-    under intercept-resend and dual-basis. ``eve`` holds, per attack:
-    thresholds per [bit, basis, eve_basis] for intercept-resend and the
-    tap; the normal law (mean, sigma) per [bit, basis, arm basis] of each of
-    the two independent arms of Eve's 50/50 split for dual-basis;
-    thresholds per [bit, basis] of the stored half measured in Alice's
-    basis for the superior channel; None without an attack.
+    included, as uint64 thresholds on w >> 11; basis codes are 0 = V/H and
+    1 = +45/-45. ``bob[bit, basis, bob_basis]`` is Bob's sign threshold on
+    the pulse launched toward him as (bit, basis): Alice's, or Eve's
+    re-prepared one under intercept-resend and dual-basis. ``eve`` holds
+    Eve's sign thresholds per [bit, basis, eve_basis] for intercept-resend,
+    the tap and the superior channel (read at eve_basis = basis), the three
+    cumulative thresholds per [bit, basis] of ``_dual_basis_law`` for
+    dual-basis, and None without an attack.
     """
 
     bob: np.ndarray
@@ -229,23 +227,48 @@ def _sign_thresholds(laws: np.ndarray) -> np.ndarray:
     return thresholds.astype(np.uint64)
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _dual_basis_law(arms: np.ndarray, nodes: int = 80) -> np.ndarray:
+    """Probabilities of dual-basis Eve's outcomes (V/H,0), (V/H,1), (DIAG,0),
+    (DIAG,1) from independent arm laws arms[..., arm basis, (mean, sigma)]:
+    she trusts the arm of smaller magnitude and reads its sign.
+
+    Gauss-Legendre quadrature (Golub & Welsch, Math. Comp. 23, 221 (1969))
+    over the narrower arm B, in two pieces split at its kink B = 0 and out
+    to 12 sigma; at B = b the wider arm A enters by its mass outside +-|b|
+    and, split by sign, inside.
+    """
+    k = np.arange(1.0, nodes)
+    # eigh reads the lower triangle of the symmetric Jacobi matrix
+    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    swap = arms[..., 1, 1] < arms[..., 0, 1]  # the diagonal arm is the narrower one
+    ordered = np.where(swap[..., None, None], arms[..., ::-1, :], arms)
+    (mb, sb), (ma, sa) = np.moveaxis(ordered, (-2, -1), (0, 1))[..., None, None]
+    cut = np.clip(-mb / sb, -12.0, 12.0)  # B = 0 in standard units
+    side = np.array([[-1.0], [1.0]])  # piece 0 runs down from B = 0, piece 1 up
+    half = (12.0 - side * cut) / 2.0
+    z = cut + side * half * (1.0 + x)
+    weight = half * 2.0 * vectors[0] ** 2 * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    c, r = np.abs(mb + sb * z), sa * math.sqrt(2.0)
+    above, below = 0.5 * _erfc((c - ma) / r), 0.5 * _erfc((c + ma) / r)  # P(A >= |b|), P(A <= -|b|)
+    narrow = (weight * (above + below)).sum(-1)  # B trusted, by piece: bit 0, bit 1
+    # A trusted: P(-|b| < A < 0) = P(A < 0) - below, P(0 <= A < |b|) = P(A >= 0) - above
+    inside = (weight * (0.5 * _erfc(np.stack((ma, -ma)) / r) - np.stack((below, above)))).sum((-2, -1))
+    law = np.concatenate((narrow, np.moveaxis(inside, 0, -1)), -1)
+    return np.where(swap[..., None], np.roll(law, 2, -1), law)
+
+
 def _moment_table(config: SessionConfig) -> MomentTable:
-    attack = config.attack
-    kind, eve_det = attack.kind, attack.eve_detector
-    bob = np.empty((2, 2, 2, 2))
-    eve = {
-        AttackKind.NONE: None,
-        AttackKind.INTERCEPT_RESEND: np.empty((2, 2, 2, 2)),
-        AttackKind.BEAMSPLITTER_TAP: np.empty((2, 2, 2, 2)),
-        AttackKind.DUAL_BASIS: np.empty((2, 2, 2, 2)),
-        AttackKind.SUPERIOR_CHANNEL: np.empty((2, 2, 2)),
-    }[kind]
+    kind = config.attack.kind
+    bob, eve = np.empty((2, 2, 2, 2)), np.empty((2, 2, 2, 2))
     for bit in (0, 1):
         for b, basis in enumerate(_BASES):
             state = alice_source(config.source, bit, basis)
             sent = kept = state
             if kind is AttackKind.BEAMSPLITTER_TAP:
-                sent, kept = tap_arms(state, attack.tap_fraction)
+                sent, kept = tap_arms(state, config.attack.tap_fraction)
             elif kind is AttackKind.SUPERIOR_CHANNEL:
                 sent, kept = tap_arms(state, 0.5)
             elif kind is AttackKind.DUAL_BASIS:
@@ -255,21 +278,20 @@ def _moment_table(config: SessionConfig) -> MomentTable:
                 sent = apply_loss(sent, config.channel_loss)
             for m, other in enumerate(_BASES):
                 bob[bit, b, m] = _law(sent, other, config.detector)
-                if kind not in (AttackKind.NONE, AttackKind.SUPERIOR_CHANNEL):
-                    eve[bit, b, m] = _law(kept, other, eve_det)
-            if kind is AttackKind.SUPERIOR_CHANNEL:
-                eve[bit, b] = _law(kept, basis, eve_det)
-    if kind not in (AttackKind.NONE, AttackKind.DUAL_BASIS):
-        eve = _sign_thresholds(eve)
-    return MomentTable(_sign_thresholds(bob), eve)
+                if kind is not AttackKind.NONE:
+                    eve[bit, b, m] = _law(kept, other, config.attack.eve_detector)
+    if kind is AttackKind.DUAL_BASIS:
+        cumulative = np.clip(np.cumsum(_dual_basis_law(eve)[..., :3], -1), 0.0, 1.0)
+        return MomentTable(_sign_thresholds(bob), np.rint(cumulative * 2.0**53).astype(np.uint64))
+    return MomentTable(_sign_thresholds(bob), None if kind is AttackKind.NONE else _sign_thresholds(eve))
 
 
 def _pulse_columns(
     config: SessionConfig, table: MomentTable, lo: int, hi: int
 ) -> dict[str, np.ndarray]:
     """Per-pulse uint8 columns of pulses [lo, hi): Alice's bit and basis,
-    Bob's basis and bit and, under an attack, Eve's bit and (but for the
-    superior channel, where she measures in Alice's basis) her basis."""
+    Bob's basis and bit and, under an attack, Eve's basis and bit; every
+    one is a shift or a threshold compare of the pulse's raw words."""
     words = pulse_block(config.seed, LANE_PULSE, lo, hi)
     head = words[:, 0]
     alice_bit = (head >> 63).astype(np.uint8)
@@ -277,26 +299,18 @@ def _pulse_columns(
     bob_basis = (head >> 60 & 1).astype(np.uint8)
     cols = {"alice_bit": alice_bit, "alice_basis": alice_basis, "bob_basis": bob_basis}
     kind = config.attack.kind
-    if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
-        eve_basis = (head >> 61 & 1).astype(np.uint8)
-        eve_bit = (words[:, 2] >> 11) >= table.eve[alice_bit, alice_basis, eve_basis]
-        cols["eve_basis"] = eve_basis
-    elif kind is AttackKind.DUAL_BASIS:
-        z_vh, z_dg = box_muller(words[:, 2], words[:, 3])
-        laws = table.eve[alice_bit, alice_basis]  # [pulse, arm basis, (mean, sigma)]
-        raw_vh = laws[:, 0, 0] + laws[:, 0, 1] * z_vh
-        raw_dg = laws[:, 1, 0] + laws[:, 1, 1] * z_dg
-        # the arm with the smaller magnitude is taken as the right basis
-        eve_basis = (np.abs(raw_vh) > np.abs(raw_dg)).astype(np.uint8)
-        eve_bit = np.where(eve_basis == 0, raw_vh, raw_dg) >= 0.0
-        cols["eve_basis"] = eve_basis
-    elif kind is AttackKind.SUPERIOR_CHANNEL:
-        eve_bit = (words[:, 2] >> 11) >= table.eve[alice_bit, alice_basis]
     sent_bit, sent_basis = alice_bit, alice_basis
-    if kind is not AttackKind.NONE:
-        cols["eve_bit"] = eve_bit.astype(np.uint8)
-        if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS):
-            sent_bit, sent_basis = cols["eve_bit"], eve_basis  # Eve re-prepares
+    if kind is AttackKind.DUAL_BASIS:
+        u, cell = words[:, 2] >> 11, alice_bit << 1 | alice_basis
+        code = sum((u >= t.take(cell)).view(np.uint8) for t in table.eve.reshape(4, 3).T)
+        cols["eve_basis"], cols["eve_bit"] = code >> 1, code & 1
+    elif kind is not AttackKind.NONE:
+        # superior-channel Eve measures her stored half in Alice's basis
+        eve_basis = alice_basis if kind is AttackKind.SUPERIOR_CHANNEL else (head >> 61 & 1).astype(np.uint8)
+        eve_bit = (words[:, 2] >> 11) >= table.eve[alice_bit, alice_basis, eve_basis]
+        cols["eve_basis"], cols["eve_bit"] = eve_basis, eve_bit.astype(np.uint8)
+    if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS):
+        sent_bit, sent_basis = cols["eve_bit"], cols["eve_basis"]  # Eve re-prepares
     bob_bit = (words[:, 1] >> 11) >= table.bob[sent_bit, sent_basis, bob_basis]
     cols["bob_bit"] = bob_bit.astype(np.uint8)
     return cols

@@ -19,7 +19,6 @@ Two forms share that contract:
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -87,16 +86,3 @@ def pulse_block(seed: int, lane: int, lo: int, hi: int) -> np.ndarray:
     bits.advance(lo)
     return bits.random_raw((hi - lo) * BLOCK_WORDS).reshape(hi - lo, BLOCK_WORDS)
 
-
-def box_muller(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent standard-normal columns from two columns of raw words.
-
-    Each word's top 53 bits give a uniform ((w >> 11) + 0.5) * 2**-53 in
-    (0, 1], so the logarithm is always finite; every pair of words yields
-    exactly two normals, which keeps the words per pulse fixed.
-    """
-    u1 = ((a >> 11) + 0.5) * 2.0**-53
-    u2 = ((b >> 11) + 0.5) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u2
-    return radius * np.cos(angle), radius * np.sin(angle)

@@ -213,6 +213,10 @@ def test_criterion_7_dual_basis():
         seed=707,
     )
     report = run_session(config)
+    # the session's exact basis accuracy: V/H pulses trusted V/H below the
+    # second cumulative threshold, diagonal ones at or above it
+    cumulative = _moment_table(config).eve / 2.0**53
+    exact_basis_acc = float(np.mean(cumulative[:, 0, 1] + 1.0 - cumulative[:, 1, 1]) / 2.0)
     elapsed = time.time() - t0
 
     ok_bit = abs(bit_acc - 0.951) <= 0.01
@@ -224,7 +228,7 @@ def test_criterion_7_dual_basis():
         7,
         "dual-basis: correct-arm bit acc 0.951 +/- 0.01; basis acc in [0.45,0.60]; detected",
         ok,
-        f"bit_acc={bit_acc:.4f}, basis_acc={basis_acc:.4f}, "
+        f"bit_acc={bit_acc:.4f}, basis_acc={basis_acc:.4f} (exact {exact_basis_acc:.7f}), "
         f"error={report.estimated_error_rate:.3f}, verdict={report.detection_verdict}, "
         f"{elapsed:.1f}s",
     )

@@ -215,6 +215,12 @@ def test_exit_code_config_errors(capsys):
     # the disclosure draw bounds a session to 10^9 pulses
     assert main(["run", "--pulses", "1000000001"]) == 1
     assert "num_pulses" in capsys.readouterr().err
+    # a pulse count may be written 1e8, but it must be a whole, finite number
+    for pulses in ("1.5", "1e-3", "nan", "inf", "many"):
+        assert main(["run", "--pulses", pulses]) == 1, pulses
+        assert "--pulses" in capsys.readouterr().err, pulses
+    assert main(["run", "--pulses", "2e3", "--format", "csv"]) == 0
+    assert "report.pulses_sent,2000\n" in capsys.readouterr().out
     # fig3 is the noiseless known-basis curve: a detector flag would be ignored
     assert main(["fig3", "--detector-nen", "1000"]) == 1
     assert main(["fig2", "--detector-nen", "nan"]) == 1

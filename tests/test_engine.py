@@ -1,7 +1,8 @@
-"""The columnar session engine: counter-indexed word blocks, their bits,
-uniforms and normals, chunk independence, exact agreement of the moment
-table and the per-pulse columns with the single-pulse reference functions,
-the disclosure draw, and memory bounded by one chunk."""
+"""The columnar session engine: counter-indexed word blocks, their bits
+and uniforms, chunk independence, exact agreement of the moment table and
+the per-pulse columns with the single-pulse reference functions, dual-basis
+Eve's categorical law, the disclosure draw, and memory bounded by one
+chunk."""
 
 import math
 import tracemalloc
@@ -9,6 +10,9 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_attacks import DUAL_BASIS_INFERENCE_ACCURACY
 
 from macroqkd import attacks, protocol
 from macroqkd.attacks import (
@@ -19,11 +23,21 @@ from macroqkd.attacks import (
     eve_deferred_measure,
     intercept_resend,
     superior_channel,
+    tap_arms,
 )
 from macroqkd.gaussian import SourceParams, alice_source, apply_loss
-from macroqkd.photostats import Basis, DetectorModel, decode_bit
+from macroqkd.photostats import (
+    NOISELESS,
+    Basis,
+    DetectorModel,
+    decode_bit,
+    detected_state,
+    diff_number_moments,
+    outcome_normal,
+)
 from macroqkd.protocol import (
     SessionConfig,
+    _dual_basis_law,
     _moment_table,
     _pulse_columns,
     alice_prepare,
@@ -36,7 +50,6 @@ from macroqkd.streams import (
     LANE_PULSE,
     LANE_SESSION,
     _key,
-    box_muller,
     derive_stream,
     pulse_block,
 )
@@ -123,18 +136,10 @@ def test_block_bits_balanced_and_normals_standard():
     for shift in (63, 62, 61, 60):  # the four basis and bit draws of word 0
         share = float(np.mean(words[:, 0] >> shift & 1))
         assert abs(share - 0.5) < 5 * math.sqrt(0.25 / pulses), shift
-    for w in (1, 2):  # Bob's and Eve's uniforms
+    for w in (1, 2):  # Bob's and Eve's uniforms, the sources of every normal outcome
         u = ((words[:, w] >> 11) + 0.5) * 2.0**-53
         assert abs(float(np.mean(u)) - 0.5) < 5 * math.sqrt(1 / 12 / pulses), w
         assert abs(float(np.mean(u < 0.1)) - 0.1) < 5 * math.sqrt(0.09 / pulses), w
-    z = np.concatenate(box_muller(words[:, 2], words[:, 3]))  # dual-basis Eve's pair
-    n = z.size
-    assert n == 1_000_000
-    assert abs(float(np.mean(z))) < 5 / math.sqrt(n)
-    assert abs(float(np.var(z)) - 1.0) < 5 * math.sqrt(2.0 / n)
-    tail = 2.0 * 0.5 * math.erfc(2.0 / math.sqrt(2.0))  # P(|z| > 2)
-    share = float(np.mean(np.abs(z) > 2.0))
-    assert abs(share - tail) < 5 * math.sqrt(tail * (1 - tail) / n)
 
 
 # ---------------------------------------------------------------- chunking
@@ -191,11 +196,34 @@ def _probes(threshold: int) -> list[int]:
     return list(points) + [p for p in near if 0 <= p < (1 << 53) - 1]
 
 
+def _engine_codes(config, table, monkeypatch, bit, basis, tops):
+    """Dual-basis Eve's outcome codes 2 * basis + bit as the engine decodes
+    them from pulses launched as (bit, basis) whose word 2 carries the
+    given 53-bit uniforms."""
+    words = np.zeros((len(tops), BLOCK_WORDS), dtype=np.uint64)
+    words[:, 0] = bit << 63 | basis << 62
+    words[:, 2] = np.array(tops, dtype=np.uint64) << np.uint64(11)
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "pulse_block", lambda *_: words)
+        cols = _pulse_columns(config, table, 0, len(tops))
+    return (2 * cols["eve_basis"] + cols["eve_bit"]).tolist()
+
+
+def _reference_arms(alice, detector):
+    """(mean, sigma) of the V/H and diagonal arms dual_basis_measure samples
+    from, read off its outcomes at the normals 0 and 1."""
+    at_zero = dual_basis_measure(alice, ScriptedRng([], [0.0, 0.0]), DESIGN_POINT, detector)
+    at_one = dual_basis_measure(alice, ScriptedRng([], [1.0, 1.0]), DESIGN_POINT, detector)
+    return [(at_zero[a], at_one[a] - at_zero[a]) for a in (1, 2)]
+
+
 @pytest.mark.parametrize("kind", list(AttackKind))
 def test_table_entries_equal_reference_sampling(kind, monkeypatch):
-    """Each threshold splits the uniforms where the reference's outcome, fed
-    the normal of the uniform, changes sign; each pair of dual-basis arm
-    laws gives the reference's raw pair."""
+    """Each sign threshold splits the uniforms where the reference's
+    outcome, fed the normal of the uniform, changes sign. Each dual-basis
+    cell's cumulative thresholds are the law of the reference's arms, and
+    the engine decodes every uniform to the category whose interval holds
+    it."""
     config = make_config(kind)
     table = _moment_table(config)
     eve_det = config.attack.eve_detector
@@ -227,12 +255,16 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
                         lambda z: beamsplitter_tap(alice, eta_e, ScriptedRng([e], [z]), eve_det)[2],
                     )
             elif kind is AttackKind.DUAL_BASIS:
-                (mean_vh, sigma_vh), (mean_dg, sigma_dg) = table.eve[bit, b]
-                for z0, z1 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.5, 2.0)):
-                    _, raw_vh, raw_dg = dual_basis_measure(
-                        alice, ScriptedRng([], [z0, z1]), config.source, eve_det
-                    )
-                    assert (raw_vh, raw_dg) == (mean_vh + sigma_vh * z0, mean_dg + sigma_dg * z1)
+                cumulative = table.eve[bit, b].astype(int)
+                assert 0 < cumulative[0] < cumulative[1] < cumulative[2] < 1 << 53
+                law = _dual_basis_law(np.array(_reference_arms(alice, eve_det)))
+                expected = np.cumsum(law[:3]) * 2.0**53
+                assert np.all(np.abs(cumulative - expected) <= 2), (cumulative, expected)
+                for k, c in enumerate(cumulative, start=1):
+                    assert _engine_codes(config, table, monkeypatch, bit, b, [c - 1, c]) == [k - 1, k]
+                    tops = _probes(c)
+                    held = np.searchsorted(cumulative, tops, side="right").tolist()
+                    assert _engine_codes(config, table, monkeypatch, bit, b, tops) == held, c
             elif kind is AttackKind.SUPERIOR_CHANNEL:
                 _, stored = superior_channel(alice)
 
@@ -240,23 +272,23 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
                     monkeypatch.setattr(attacks, "derive_stream", lambda *_: ScriptedRng([], [z]))
                     return eve_deferred_measure(stored, basis, config.seed, 0, eve_det)
 
-                assert_splits(table.eve[bit, b], deferred)
+                # she measures in Alice's basis; the other eve_basis cell is never read
+                assert_splits(table.eve[bit, b, b], deferred)
 
 
-def _reference_pulse(config, i, words, monkeypatch):
+def _reference_pulse(config, i, words, cols, monkeypatch):
     """Pulse i through the single-pulse reference functions, fed the draws
     the documented word layout assigns to it: Alice's (bit, basis), Bob's
-    (basis, raw) and Eve's (basis, raw outcomes per arm), or None for Eve
-    without an attack."""
+    (basis, raw) and Eve's (basis, bit), or None for Eve without an attack.
+    Dual-basis Eve's (basis, bit) is one categorical draw, not the
+    reference's two arm normals, so the pulse she re-prepares is built from
+    the engine's columns."""
     kind = config.attack.kind
     head = int(words[i, 0])
     bit, basis, eve_basis, bob_basis = (head >> s & 1 for s in (63, 62, 61, 60))
     z_bob, z_eve = (normal_of(int(w) >> 11) for w in words[i, 1:3])
     if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.BEAMSPLITTER_TAP):
         rng = ScriptedRng([bit, basis, eve_basis, bob_basis], [z_eve, z_bob])
-    elif kind is AttackKind.DUAL_BASIS:
-        z0, z1 = (float(z[0]) for z in box_muller(words[i : i + 1, 2], words[i : i + 1, 3]))
-        rng = ScriptedRng([bit, basis, bob_basis], [z0, z1, z_bob])
     else:
         rng = ScriptedRng([bit, basis, bob_basis], [z_bob])
     eve_det = config.attack.eve_detector
@@ -264,14 +296,13 @@ def _reference_pulse(config, i, words, monkeypatch):
     eve = None
     if kind is AttackKind.INTERCEPT_RESEND:
         state, eve_basis, raw = intercept_resend(state, rng, config.source, eve_det)
-        eve = (eve_basis, (raw,))
+        eve = (eve_basis, decode_bit(raw))
     elif kind is AttackKind.BEAMSPLITTER_TAP:
         state, eve_basis, raw = beamsplitter_tap(state, config.attack.tap_fraction, rng, eve_det)
-        eve = (eve_basis, (raw,))
+        eve = (eve_basis, decode_bit(raw))
     elif kind is AttackKind.DUAL_BASIS:
-        state, raw_vh, raw_dg = dual_basis_measure(state, rng, config.source, eve_det)
-        # Eve trusts the smaller-magnitude arm
-        eve = (Basis.VH if abs(raw_vh) <= abs(raw_dg) else Basis.DIAG, (raw_vh, raw_dg))
+        eve = (BASES[cols["eve_basis"][i]], int(cols["eve_bit"][i]))
+        state = alice_source(config.source, eve[1], eve[0])  # Eve re-prepares
     elif kind is AttackKind.SUPERIOR_CHANNEL:
         state, stored = superior_channel(state)
     if kind is not AttackKind.SUPERIOR_CHANNEL:
@@ -285,7 +316,7 @@ def _reference_pulse(config, i, words, monkeypatch):
             return ScriptedRng([], [z_eve])
 
         monkeypatch.setattr(attacks, "derive_stream", deferred_stream)
-        eve = (basis, (eve_deferred_measure(stored, basis, config.seed, i, eve_det),))
+        eve = (basis, decode_bit(eve_deferred_measure(stored, basis, config.seed, i, eve_det)))
     return (bit, basis), bob, eve
 
 
@@ -296,26 +327,132 @@ def test_columns_equal_single_pulse_reference(kind, monkeypatch):
     table = _moment_table(config)
     cols = _pulse_columns(config, table, 0, n)
     words = pulse_block(config.seed, LANE_PULSE, 0, n)
-    z0, z1 = box_muller(words[:, 2], words[:, 3])
     for i in range(n):
-        (bit, basis), (bob_basis, bob_raw), eve = _reference_pulse(config, i, words, monkeypatch)
+        (bit, basis), (bob_basis, bob_raw), eve = _reference_pulse(config, i, words, cols, monkeypatch)
         assert cols["alice_bit"][i] == bit
         assert BASES[cols["alice_basis"][i]] is basis
         assert BASES[cols["bob_basis"][i]] is bob_basis
         assert cols["bob_bit"][i] == decode_bit(bob_raw)
         if eve is None:
-            assert "eve_bit" not in cols
+            assert "eve_bit" not in cols and "eve_basis" not in cols
             continue
-        eve_basis, eve_raw = eve
+        eve_basis, eve_bit = eve
+        assert BASES[cols["eve_basis"][i]] is eve_basis
+        assert cols["eve_bit"][i] == eve_bit
         if kind is AttackKind.DUAL_BASIS:
-            (mean_vh, sigma_vh), (mean_dg, sigma_dg) = table.eve[bit, BASES.index(basis)]
-            assert eve_raw == (mean_vh + sigma_vh * z0[i], mean_dg + sigma_dg * z1[i])
-            trusted = eve_raw[0] if eve_basis is Basis.VH else eve_raw[1]
-        else:
-            trusted = eve_raw[0]
-        assert cols["eve_bit"][i] == decode_bit(trusted)
-        if kind is not AttackKind.SUPERIOR_CHANNEL:  # there Eve measures in Alice's basis
-            assert BASES[cols["eve_basis"][i]] is eve_basis
+            # the category of word 2 among the cell's cumulative thresholds
+            code = np.searchsorted(table.eve[bit, BASES.index(basis)], words[i, 2] >> 11, side="right")
+            assert 2 * BASES.index(eve_basis) + eve_bit == code
+
+
+# ------------------------------------------------------ dual-basis Eve's law
+
+
+def _eve_arms(source, detector):
+    """The reference's (mean, sigma) of Eve's V/H and diagonal arms per
+    launched [bit, basis]: outcome_normal on the 50/50 tap of each pulse."""
+    arms = np.empty((2, 2, 2, 2))
+    for bit in (0, 1):
+        for b, basis in enumerate(BASES):
+            kept = detected_state(tap_arms(alice_source(source, bit, basis), 0.5)[1], detector)
+            for a, arm in enumerate(BASES):
+                arms[bit, b, a] = outcome_normal(diff_number_moments(kept, arm), detector)
+    return arms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gain=st.floats(1.05, 1e4),
+    log_total=st.floats(0.0, 12.0),
+    frac=st.floats(1e-3, 0.999),
+    nen=st.floats(0.0, 300.0),
+    qe=st.floats(0.05, 1.0),
+)
+def test_dual_basis_law_converged_and_normalized(gain, log_total, frac, nen, qe):
+    n_total = 10.0**log_total
+    source = SourceParams(gain, n_total, frac * n_total / gain)
+    arms = _eve_arms(source, DetectorModel(noise_equivalent_number=nen, quantum_efficiency=qe))
+    law = _dual_basis_law(arms)
+    assert np.all(law >= 0.0)
+    assert np.max(np.abs(law.sum(-1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(law - _dual_basis_law(arms, nodes=320))) <= 1e-12
+
+
+# arms [V/H, diagonal] of (mean, sigma): the wider arm off zero, either arm
+# the narrower, the narrower's zero inside and beyond 12 sigma, equal widths
+SYNTHETIC_ARMS = [
+    [[3000.0, 1000.0], [-420.0, 100.0]],
+    [[-450.0, 100.0], [2500.0, 3000.0]],
+    [[30.0, 1.0], [5.0, 2.0]],
+    [[0.0, 1.0], [0.0, 1.0]],
+    [[-7.0, 1.0], [3.0, 104.0]],
+]
+
+
+@pytest.mark.parametrize("arms", SYNTHETIC_ARMS)
+def test_dual_basis_law_equals_adaptive_quadrature(arms):
+    """Each outcome integrated over its own trusted arm by adaptive
+    quadrature, split at zero: P(trust X, sign s) = integral over s x > 0
+    of pdf_X(x) P(|Y| >= |x|)."""
+    from scipy.integrate import quad
+
+    expected = []
+    for trusted in (0, 1):
+        (m, s), (m_o, s_o) = arms[trusted], arms[1 - trusted]
+
+        def integrand(x):
+            untrusted_wider = 0.5 * (
+                math.erfc((abs(x) - m_o) / (s_o * math.sqrt(2.0)))
+                + math.erfc((abs(x) + m_o) / (s_o * math.sqrt(2.0)))
+            )
+            density = math.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+            return density * untrusted_wider
+
+        lo, hi = m - 40.0 * s, m + 40.0 * s
+        for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
+            expected.append(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0] if a < b else 0.0)
+    law = _dual_basis_law(np.array(arms))
+    assert np.max(np.abs(law - expected)) <= 1e-13, (law, expected)
+
+
+def test_dual_basis_table_holds_frozen_basis_accuracy():
+    # lossless, noiseless Eve at the design point: she trusts the right arm
+    # (codes 0, 1 for V/H pulses, 2, 3 for diagonal ones) with the
+    # probability frozen from scipy quadrature
+    config = SessionConfig(source=DESIGN_POINT, attack=AttackConfig(kind=AttackKind.DUAL_BASIS))
+    cumulative = _moment_table(config).eve / 2.0**53  # [bit, basis, threshold]
+    right = (cumulative[:, 0, 1] + 1.0 - cumulative[:, 1, 1]) / 2.0
+    assert np.all(np.abs(right - DUAL_BASIS_INFERENCE_ACCURACY) < 1e-9), right
+
+
+@pytest.mark.parametrize(
+    "make_arms",
+    [
+        lambda: _eve_arms(DESIGN_POINT, NOISELESS),
+        lambda: _eve_arms(DESIGN_POINT, DetectorModel(noise_equivalent_number=250.0, quantum_efficiency=0.6)),
+        lambda: _eve_arms(
+            SourceParams(3.0, 5e4, 800.0), DetectorModel(noise_equivalent_number=40.0, quantum_efficiency=0.9)
+        ),
+        lambda: np.array(SYNTHETIC_ARMS[:2]),
+    ],
+    ids=["noiseless", "read_noise_qe_0.6", "small_gain_noisy", "synthetic"],
+)
+def test_dual_basis_law_matches_monte_carlo(make_arms):
+    """The categorical law against a vectorized Monte Carlo of the
+    reference rule: independent normal arms, V/H trusted when |X| <= |Y|,
+    the bit the sign of the trusted arm; every outcome within 5 sigma."""
+    n = 1_000_000
+    z = derive_stream(1969, LANE_SESSION, 3).standard_normal((2, n))
+    arms = make_arms()
+    law = _dual_basis_law(arms)
+    for cell in np.ndindex(arms.shape[:-2]):
+        (m_vh, s_vh), (m_dg, s_dg) = arms[cell]
+        x, y = m_vh + s_vh * z[0], m_dg + s_dg * z[1]
+        vh = np.abs(x) <= np.abs(y)
+        code = np.where(vh, 0, 2) + (np.where(vh, x, y) >= 0.0)
+        share = np.bincount(code, minlength=4) / n
+        p = law[cell]
+        assert np.all(np.abs(share - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)), (cell, share, p)
 
 
 # ------------------------------------------------------------- disclosure
