@@ -85,20 +85,20 @@ def _parse_grid(text: str, lo: float, hi: float, name: str) -> np.ndarray:
     return grid
 
 
-def _source_from_args(args: argparse.Namespace) -> SourceParams:
-    problems = source_param_violations(args.gain, args.n_total, args.bit_amplitude)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return SourceParams(
-        gain_G=args.gain, n_total_amp=args.n_total, bit_amplitude_N=args.bit_amplitude
-    )
+def _fields_from_args(cls: type, args: argparse.Namespace) -> dict:
+    """The fields of dataclass ``cls`` as the flags of the same ``dest`` set
+    them; a field without a flag keeps its default."""
+    return {f.name: getattr(args, f.name, f.default) for f in dataclasses.fields(cls)}
 
 
-def _detector_from_args(args: argparse.Namespace) -> DetectorModel:
-    problems = detector_violations(args.detector_nen, DetectorModel.quantum_efficiency)
+def _from_args(cls: type, violations, args: argparse.Namespace, prefix: str = ""):
+    """A ``cls`` from its flags; raises ConfigError listing every problem
+    ``violations`` finds in them."""
+    values = _fields_from_args(cls, args)
+    problems = violations(*values.values())
     if problems:
-        raise ConfigError("; ".join(f"--detector-nen: {p}" for p in problems))
-    return DetectorModel(noise_equivalent_number=args.detector_nen)
+        raise ConfigError("; ".join(prefix + p for p in problems))
+    return cls(**values)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -115,15 +115,24 @@ class _IOFailure(RuntimeError):
     pass
 
 
+def _csv(header: str, *columns: np.ndarray) -> str:
+    """A CSV table of float columns, every value at full precision."""
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [header, *(row % values for values in zip(*(c.tolist() for c in columns)))]
+    return "\n".join(lines) + "\n"
+
+
 def _add_source_flags(p: argparse.ArgumentParser, nen_default: float | None) -> None:
     """Source design and output flags; ``--detector-nen`` too unless
-    ``nen_default`` is None (fig3's noiseless curve has no detector)."""
-    p.add_argument("--gain", type=float, default=10.0, help="amplifier photon-number gain G")
-    p.add_argument("--n-total", type=float, default=2e6, help="mean total photons after amplification")
-    p.add_argument("--bit-amplitude", type=float, default=2460.0, help="mean difference number N per bit")
+    ``nen_default`` is None (fig3's noiseless curve has no detector). Each
+    design flag's ``dest`` is the SourceParams or DetectorModel field it sets."""
+    p.add_argument("--gain", dest="gain_G", type=float, default=10.0, help="amplifier photon-number gain G")
+    p.add_argument("--n-total", dest="n_total_amp", type=float, default=2e6, help="mean total photons after amplification")
+    p.add_argument("--bit-amplitude", dest="bit_amplitude_N", type=float, default=2460.0, help="mean difference number N per bit")
     if nen_default is not None:
         p.add_argument(
             "--detector-nen",
+            dest="noise_equivalent_number",
             type=float,
             default=nen_default,
             help="detector noise-equivalent photon number (per detector)",
@@ -133,9 +142,9 @@ def _add_source_flags(p: argparse.ArgumentParser, nen_default: float | None) -> 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
     """Outcome distributions for both bit values and the incorrect basis."""
-    params = _source_from_args(args)
-    detector = _detector_from_args(args)
-    eta = args.loss
+    params = _from_args(SourceParams, source_param_violations, args)
+    detector = _from_args(DetectorModel, detector_violations, args, "--detector-nen: ")
+    eta = args.channel_loss
     if not 0.0 <= eta < 1.0:
         raise ConfigError(f"--loss must be in [0, 1) (got {eta})")
     pulse1 = apply_loss(alice_source(params, 1, Basis.VH), eta)
@@ -150,85 +159,71 @@ def cmd_fig1(args: argparse.Namespace) -> int:
         )
         span = abs(mom1.mean) + 8.0 * sigma_max
         grid = np.linspace(-span, span, 2001)
-    columns = (
+    table = _csv(
+        "n,pdf_correct_bit1,pdf_correct_bit0,pdf_incorrect",
         grid,
         distribution_curve(pulse1, Basis.VH, detector, grid),
         distribution_curve(pulse0, Basis.VH, detector, grid),
         distribution_curve(pulse1, Basis.DIAG, detector, grid),
     )
-    rows = zip(*(c.tolist() for c in columns))
-    lines = ["n,pdf_correct_bit1,pdf_correct_bit0,pdf_incorrect"]
-    lines += [f"{n:.17g},{p1:.17g},{p0:.17g},{pw:.17g}" for n, p1, p0, pw in rows]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, table)
     return EXIT_OK
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     """Bob's error rate versus channel loss."""
-    params = _source_from_args(args)
-    detector = _detector_from_args(args)
+    params = _from_args(SourceParams, source_param_violations, args)
+    detector = _from_args(DetectorModel, detector_violations, args, "--detector-nen: ")
     grid = _parse_grid(args.grid, 0.0, 1.0 - 1e-12, "eta")
-    curve = bob_error_curve(params, grid, detector)
-    lines = ["eta,p_err"]
-    lines += [f"{eta:.17g},{p:.17g}" for eta, p in zip(grid.tolist(), curve.tolist())]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _csv("eta,p_err", grid, bob_error_curve(params, grid, detector)))
     return EXIT_OK
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     """Eve's correct-bit probability versus sampled fraction."""
-    params = _source_from_args(args)
+    params = _from_args(SourceParams, source_param_violations, args)
     grid = _parse_grid(args.grid, 0.0, 1.0, "eta")
-    curve = eve_tap_curve(params, grid)
-    lines = ["eta,p_eta"]
-    lines += [f"{eta:.17g},{p:.17g}" for eta, p in zip(grid.tolist(), curve.tolist())]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _csv("eta,p_eta", grid, eve_tap_curve(params, grid)))
     return EXIT_OK
 
 
-def config_to_dict(config: SessionConfig) -> dict:
+def _attack_dict(kind: str, tap_fraction: float | None, eve_detector: DetectorModel) -> dict:
+    """The attack section: Eve's detector is flattened into two fields."""
     return {
-        "source": {
-            "gain_G": config.source.gain_G,
-            "n_total_amp": config.source.n_total_amp,
-            "bit_amplitude_N": config.source.bit_amplitude_N,
-        },
-        "channel_loss": config.channel_loss,
-        "detector": {
-            "noise_equivalent_number": config.detector.noise_equivalent_number,
-            "quantum_efficiency": config.detector.quantum_efficiency,
-        },
-        "attack": {
-            "kind": config.attack.kind.value,
-            "tap_fraction": config.attack.tap_fraction,
-            "eve_detector_nen": config.attack.eve_detector.noise_equivalent_number,
-            "eve_detector_qe": config.attack.eve_detector.quantum_efficiency,
-        },
-        "num_pulses": config.num_pulses,
-        "sample_fraction": config.sample_fraction,
-        "detection_sigma_k": config.detection_sigma_k,
-        "seed": config.seed,
+        "kind": kind,
+        "tap_fraction": tap_fraction,
+        "eve_detector_nen": eve_detector.noise_equivalent_number,
+        "eve_detector_qe": eve_detector.quantum_efficiency,
     }
 
 
-# Field layout of a config dict, as config_to_dict writes it: top-level
-# scalars map to None, sections to their field names.
-_CONFIG_FIELDS = {
-    "source": ("gain_G", "n_total_amp", "bit_amplitude_N"),
-    "channel_loss": None,
-    "detector": ("noise_equivalent_number", "quantum_efficiency"),
-    "attack": ("kind", "tap_fraction", "eve_detector_nen", "eve_detector_qe"),
-    "num_pulses": None,
-    "sample_fraction": None,
-    "detection_sigma_k": None,
-    "seed": None,
+# Field layout of a config dict, in SessionConfig's field order: top-level
+# scalars map to None, sections to their field names. The source and
+# detector sections are their dataclasses' fields.
+_CONFIG_FIELDS = dict.fromkeys(f.name for f in dataclasses.fields(SessionConfig)) | {
+    "source": tuple(f.name for f in dataclasses.fields(SourceParams)),
+    "detector": tuple(f.name for f in dataclasses.fields(DetectorModel)),
+    "attack": tuple(_attack_dict("", None, NOISELESS)),
 }
+_SCALARS = tuple(name for name, fields in _CONFIG_FIELDS.items() if fields is None)
+
+
+def config_to_dict(config: SessionConfig) -> dict:
+    attack = config.attack
+    return {
+        "source": dataclasses.asdict(config.source),
+        "detector": dataclasses.asdict(config.detector),
+        "attack": _attack_dict(attack.kind.value, attack.tap_fraction, attack.eve_detector),
+        **{name: getattr(config, name) for name in _SCALARS},
+    }
 
 
 def config_violations(data: dict) -> list[str]:
     """Every problem of a config dict in config_to_dict's layout: all
     missing and unknown fields if there are any, otherwise all invalid
     values, wrong types included."""
+    if not isinstance(data, dict):
+        return [f"config must be an object (got {type(data).__name__})"]
     missing = []
     unknown = [str(key) for key in data if key not in _CONFIG_FIELDS]
     for key, fields in _CONFIG_FIELDS.items():
@@ -244,18 +239,9 @@ def config_violations(data: dict) -> list[str]:
     if problems:
         return problems
     src, det, att = data["source"], data["detector"], data["attack"]
-    problems = source_param_violations(src["gain_G"], src["n_total_amp"], src["bit_amplitude_N"])
-    problems += [
-        f"detector {p}"
-        for p in detector_violations(det["noise_equivalent_number"], det["quantum_efficiency"])
-    ]
-    problems += session_violations(
-        data["channel_loss"],
-        data["num_pulses"],
-        data["sample_fraction"],
-        data["detection_sigma_k"],
-        data["seed"],
-    )
+    problems = source_param_violations(*(src[f] for f in _CONFIG_FIELDS["source"]))
+    problems += [f"detector {p}" for p in detector_violations(**det)]
+    problems += session_violations(**{name: data[name] for name in _SCALARS})
     try:
         kind = AttackKind(att["kind"])
     except ValueError:
@@ -277,31 +263,16 @@ def config_from_dict(data: dict) -> SessionConfig:
     problems = config_violations(data)
     if problems:
         raise ConfigError("; ".join(problems))
-    src = data["source"]
     att = data["attack"]
     return SessionConfig(
-        source=SourceParams(
-            gain_G=src["gain_G"],
-            n_total_amp=src["n_total_amp"],
-            bit_amplitude_N=src["bit_amplitude_N"],
-        ),
-        channel_loss=data["channel_loss"],
-        detector=DetectorModel(
-            noise_equivalent_number=data["detector"]["noise_equivalent_number"],
-            quantum_efficiency=data["detector"]["quantum_efficiency"],
-        ),
+        source=SourceParams(**data["source"]),
+        detector=DetectorModel(**data["detector"]),
         attack=AttackConfig(
             kind=AttackKind(att["kind"]),
             tap_fraction=att["tap_fraction"],
-            eve_detector=DetectorModel(
-                noise_equivalent_number=att["eve_detector_nen"],
-                quantum_efficiency=att["eve_detector_qe"],
-            ),
+            eve_detector=DetectorModel(att["eve_detector_nen"], att["eve_detector_qe"]),
         ),
-        num_pulses=data["num_pulses"],
-        sample_fraction=data["sample_fraction"],
-        detection_sigma_k=data["detection_sigma_k"],
-        seed=data["seed"],
+        **{name: data[name] for name in _SCALARS},
     )
 
 
@@ -330,26 +301,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Run a full session and write the replayable report."""
     config = config_from_dict(
         {
-            "source": {
-                "gain_G": args.gain,
-                "n_total_amp": args.n_total,
-                "bit_amplitude_N": args.bit_amplitude,
-            },
-            "channel_loss": args.loss,
-            "detector": {
-                "noise_equivalent_number": args.detector_nen,
-                "quantum_efficiency": DetectorModel.quantum_efficiency,
-            },
-            "attack": {
-                "kind": args.attack,
-                "tap_fraction": args.tap_fraction,
-                "eve_detector_nen": NOISELESS.noise_equivalent_number,
-                "eve_detector_qe": NOISELESS.quantum_efficiency,
-            },
-            "num_pulses": args.pulses,
-            "sample_fraction": args.sample_fraction,
-            "detection_sigma_k": args.detect_k,
-            "seed": args.seed,
+            "source": _fields_from_args(SourceParams, args),
+            "detector": _fields_from_args(DetectorModel, args),
+            "attack": _attack_dict(args.kind, args.tap_fraction, NOISELESS),
+            **{name: getattr(args, name) for name in _SCALARS},
         }
     )
     report = run_session(config)
@@ -378,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("fig1", help="outcome distributions at fixed loss")
     _add_source_flags(p1, nen_default=0.0)
-    p1.add_argument("--loss", type=float, default=0.0, help="channel loss fraction eta")
+    p1.add_argument("--loss", dest="channel_loss", type=float, default=0.0, help="channel loss fraction eta")
     p1.add_argument("--grid", default=None, help="n grid as start:stop:steps (default auto)")
     p1.set_defaults(func=cmd_fig1)
 
@@ -394,12 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("run", help="run a full QKD session")
     _add_source_flags(pr, nen_default=250.0)
-    pr.add_argument("--loss", type=float, default=0.0, help="channel loss fraction eta")
-    pr.add_argument("--attack", default="none", help="none, intercept_resend, beamsplitter_tap, dual_basis or superior_channel")
+    # each flag's dest is the config field it sets
+    pr.add_argument("--loss", dest="channel_loss", type=float, default=0.0, help="channel loss fraction eta")
+    pr.add_argument("--attack", dest="kind", default="none", help="none, intercept_resend, beamsplitter_tap, dual_basis or superior_channel")
     pr.add_argument("--tap-fraction", type=float, default=None, help="Eve's sampled fraction (beamsplitter_tap)")
-    pr.add_argument("--pulses", type=_pulse_count, default=10_000, help="number of pulses to send (100000 or 1e5)")
+    pr.add_argument("--pulses", dest="num_pulses", type=_pulse_count, default=10_000, help="number of pulses to send (100000 or 1e5)")
     pr.add_argument("--sample-fraction", type=float, default=0.1, help="fraction of sifted bits disclosed")
-    pr.add_argument("--detect-k", type=float, default=5.0, help="detection threshold in sigmas")
+    pr.add_argument("--detect-k", dest="detection_sigma_k", type=float, default=5.0, help="detection threshold in sigmas")
     pr.add_argument("--seed", type=int, default=0, help="session seed")
     pr.add_argument("--format", choices=("csv", "report"), default="report")
     pr.set_defaults(func=cmd_run)

@@ -204,12 +204,17 @@ def sample_outcome(
     return mean + sigma * rng.standard_normal()
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` elementwise: NumPy has none, and SciPy is not loaded."""
+    return np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _flip_probabilities(mean: np.ndarray, total_var: np.ndarray) -> np.ndarray:
     """0.5 erfc(|mean| / sqrt(2 total_var)) elementwise: exactly 0.5 at zero
     mean and 0 at zero variance otherwise."""
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(mean) / np.sqrt(2.0 * total_var)
-    p = 0.5 * np.array([math.erfc(x) for x in z.ravel().tolist()]).reshape(z.shape)
+    p = 0.5 * _erfc(z)
     p[total_var <= 0.0] = 0.0
     p[mean == 0.0] = 0.5
     return p

@@ -44,6 +44,7 @@ from .gaussian import GaussianState, SourceParams, alice_source, apply_loss, is_
 from .photostats import (
     Basis,
     DetectorModel,
+    _erfc,
     _flip_probabilities,
     bob_error_vs_loss,
     detected_state,
@@ -225,9 +226,6 @@ def _sign_thresholds(laws: np.ndarray) -> np.ndarray:
     opposed = _flip_probabilities(mean, sigma * sigma) * 2.0**53
     thresholds = np.where(mean >= 0.0, np.ceil(opposed - 0.5), 2.0**53 - np.floor(opposed + 0.5))
     return thresholds.astype(np.uint64)
-
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _dual_basis_law(arms: np.ndarray, nodes: int = 80) -> np.ndarray:

@@ -65,13 +65,18 @@ def _key_words_type() -> type:
     return KeyWords
 
 
+def _philox(key: int) -> np.random.Philox:
+    """``np.random.Philox(key=key)``, without its entropy pull."""
+    return np.random.Philox(_key_words_type()(key))
+
+
 def derive_stream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     """Independent Generator for (seed, lane, index).
 
     The 128-bit Philox key is seed in the high word and (lane << 48) | index
     in the low word, so distinct indices and lanes can never collide.
     """
-    return np.random.Generator(np.random.Philox(_key_words_type()(_key(seed, lane, index))))
+    return np.random.Generator(_philox(_key(seed, lane, index)))
 
 
 def pulse_block(seed: int, lane: int, lo: int, hi: int) -> np.ndarray:
@@ -82,7 +87,7 @@ def pulse_block(seed: int, lane: int, lo: int, hi: int) -> np.ndarray:
     """
     if not 0 <= lo <= hi <= _MAX_INDEX:
         raise ValueError(f"pulse range must satisfy 0 <= lo <= hi <= 2^48 (got {lo}, {hi})")
-    bits = np.random.Philox(key=_key(seed, lane, 0) | _BLOCK_KEY)
+    bits = _philox(_key(seed, lane, 0) | _BLOCK_KEY)
     bits.advance(lo)
     return bits.random_raw((hi - lo) * BLOCK_WORDS).reshape(hi - lo, BLOCK_WORDS)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import fock
 from .gaussian import PUMP_PHASE, apply_loss, apply_two_mode_squeeze, make_coherent_seed
@@ -41,6 +41,9 @@ class ComparisonRow:
     relative_error: float
     truncation_deficit: float
     passed: bool
+
+
+_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,%s"
 
 
 def _pick_cutoff(alpha_v_sq: float, alpha_h_sq: float, r: float) -> int:
@@ -133,17 +136,10 @@ def ladder_passed(rows: list[ComparisonRow]) -> bool:
 
 
 def rows_to_csv(rows: list[ComparisonRow]) -> str:
-    header = (
-        "r,alpha_v_sq,alpha_h_sq,eta,basis,quantity,"
-        "engine_value,oracle_value,relative_error,truncation_deficit,passed"
-    )
-    lines = [header]
+    """One line per row in ComparisonRow's field order: numbers at full
+    precision, ``passed`` as pass or FAIL."""
+    lines = [",".join(f.name for f in fields(ComparisonRow))]
     for row in rows:
-        lines.append(
-            f"{row.r:.17g},{row.alpha_v_sq:.17g},{row.alpha_h_sq:.17g},"
-            f"{row.eta:.17g},{row.basis},{row.quantity},"
-            f"{row.engine_value:.17g},{row.oracle_value:.17g},"
-            f"{row.relative_error:.17g},{row.truncation_deficit:.17g},"
-            f"{'pass' if row.passed else 'FAIL'}"
-        )
+        *values, passed = astuple(row)
+        lines.append(_ROW % (*values, "pass" if passed else "FAIL"))
     return "\n".join(lines) + "\n"

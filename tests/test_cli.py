@@ -174,6 +174,32 @@ def test_run_csv_format(tmp_path):
     assert "config.seed" in keys
 
 
+def test_every_run_flag_reaches_its_config_field(tmp_path):
+    out = tmp_path / "report.json"
+    argv = [
+        "run", "--gain", "12", "--n-total", "3e6", "--bit-amplitude", "2000",
+        "--detector-nen", "100", "--loss", "0.25", "--attack", "beamsplitter_tap",
+        "--tap-fraction", "0.3", "--pulses", "1500", "--sample-fraction", "0.2",
+        "--detect-k", "4", "--seed", "9", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["config"] == {
+        "source": {"gain_G": 12.0, "n_total_amp": 3e6, "bit_amplitude_N": 2000.0},
+        "channel_loss": 0.25,
+        "detector": {"noise_equivalent_number": 100.0, "quantum_efficiency": 1.0},
+        "attack": {
+            "kind": "beamsplitter_tap",
+            "tap_fraction": 0.3,
+            "eve_detector_nen": 0.0,
+            "eve_detector_qe": 1.0,
+        },
+        "num_pulses": 1500,
+        "sample_fraction": 0.2,
+        "detection_sigma_k": 4.0,
+        "seed": 9,
+    }
+
+
 def test_config_roundtrip_keeps_detector_efficiencies():
     config = SessionConfig(
         source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0),
@@ -277,6 +303,11 @@ def test_config_from_dict_names_every_missing_field():
     with pytest.raises(ConfigError) as info:
         config_from_dict(data)
     assert str(info.value) == "unknown config fields: source.squeeze_phase_theta"
+    # a config that is not an object is refused as one, never a crash
+    for data, name in (([1, 2], "list"), ("x", "str"), (None, "NoneType"), (5, "int")):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert str(info.value) == f"config must be an object (got {name})"
 
 
 def test_config_from_dict_lists_every_invalid_value():

@@ -49,6 +49,7 @@ from macroqkd.streams import (
     LANE_DEFERRED,
     LANE_PULSE,
     LANE_SESSION,
+    _BLOCK_KEY,
     _key,
     derive_stream,
     pulse_block,
@@ -114,12 +115,19 @@ def test_advanced_block_equals_slice_of_whole_range():
 
 
 def test_derived_stream_is_philox_keyed_by_seed_lane_index():
-    # derive_stream skips Philox(key=...)'s entropy pull; the words must not change
+    # derive_stream and pulse_block skip Philox(key=...)'s entropy pull; the
+    # words must not change
     for seed, lane, index in ((0, 0, 0), (31, LANE_PULSE, 7), (-5, LANE_SESSION, 2**48 - 1),
                               (2**64 + 9, LANE_DEFERRED, 12345)):
         np.testing.assert_array_equal(
             derive_stream(seed, lane, index).bit_generator.random_raw(12),
             np.random.Philox(key=_key(seed, lane, index)).random_raw(12),
+        )
+    for seed, lane, lo, hi in ((0, LANE_PULSE, 0, 1), (31, LANE_PULSE, 3, 9),
+                               (-5, LANE_SESSION, 40, 41), (2**64 + 9, LANE_DEFERRED, 17, 50)):
+        words = np.random.Philox(key=_key(seed, lane, 0) | _BLOCK_KEY).random_raw(hi * BLOCK_WORDS)
+        np.testing.assert_array_equal(
+            pulse_block(seed, lane, lo, hi), words.reshape(hi, BLOCK_WORDS)[lo:]
         )
 
 
