@@ -15,6 +15,17 @@ alpha_H> the rightmost factor is an eigen-action, the middle is diagonal
 in photon number, and the left factor only couples downward in photon
 number, so every retained amplitude is exact; truncation shows up purely
 as missing norm, which is tracked explicitly.
+
+In the +45/-45 basis this pulse needs no rotation in Fock space. The
+50:50 polarization rotation takes a_V+ a_H+ to (a_+^2 - a_-^2)/2 (Braunstein
+& van Loock, Rev. Mod. Phys. 77, 513 (2005), sec. II), so two-mode
+squeezing becomes opposite single-mode squeezers and the pulse is the
+product S(r e^{i theta})|(alpha_V + alpha_H)/sqrt2> (x) S(r e^{i (theta +
+pi)})|(alpha_H - alpha_V)/sqrt2>. ``diag_number_marginals`` builds each
+factor from the single-mode disentangled squeeze, in O(cutoff^2), and the
+difference distribution is the correlation of the two number
+distributions. ``rotate_exact`` remains the general DIAG path for any
+``FockState``.
 """
 
 from __future__ import annotations
@@ -48,21 +59,29 @@ class FockState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
+    @functools.cached_property
     def norm_deficit(self) -> float:
         """Probability weight lost to truncation, 1 - sum |c|^2."""
         return max(0.0, 1.0 - float(np.sum(np.abs(self.amplitudes) ** 2)))
 
     def check_truncation(self, bound: float = DEFAULT_TRUNCATION_BOUND) -> None:
-        if self.norm_deficit > bound:
-            raise ValueError(
-                f"truncation bound violated: norm deficit {self.norm_deficit:.3e} > {bound:.1e}"
-            )
+        _check_deficit(self.norm_deficit, bound)
+
+
+def _check_deficit(deficit: float, bound: float) -> None:
+    if deficit > bound:
+        raise ValueError(f"truncation bound violated: norm deficit {deficit:.3e} > {bound:.1e}")
+
+
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(2 * MAX_CUTOFF + 1)])
+_LOG_FACTORIALS.setflags(write=False)
 
 
 def _log_factorials(size: int) -> np.ndarray:
-    """log(k!) for k = 0..size."""
-    return np.array([math.lgamma(k + 1.0) for k in range(size + 1)])
+    """log(k!) for k = 0..size, size up to 2 * MAX_CUTOFF."""
+    if size > 2 * MAX_CUTOFF:
+        raise ValueError(f"cutoff must be at most {2 * MAX_CUTOFF} (got {size})")
+    return _LOG_FACTORIALS[: size + 1]
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -112,6 +131,57 @@ def build_state_exact(
     if truncation_bound is not None:
         state.check_truncation(truncation_bound)
     return state
+
+
+def squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: int) -> np.ndarray:
+    """Fock amplitudes of the single-mode state S(r e^{i phi}) |beta>, from
+
+        S(r e^{i phi}) = exp(Gam/2 a+^2) exp(-g (n + 1/2)) exp(-Gam*/2 a^2),
+
+    the one-mode analogue of ``build_state_exact``'s disentangled form, with
+    Gam = e^{i phi} tanh r and g = ln cosh r. Every retained amplitude is exact.
+    """
+    gam = np.exp(1j * phi) * math.tanh(r)
+    n = np.arange(cutoff + 1)
+    sqrt_fact = np.exp(0.5 * _log_factorials(cutoff))
+    c = coherent_amplitudes(beta, cutoff) * np.exp(-math.log(math.cosh(r)) * (n + 0.5)) / sqrt_fact
+    c *= np.exp(-np.conj(gam) / 2 * complex(beta) ** 2)
+    # exp(Gam/2 a+^2): out[n] = sqrt(n!) sum_k w[2k] c[n-2k], a convolution
+    # with w[2k] = (Gam/2)^k / k! and zero at odd indices
+    w = np.zeros(cutoff + 1, dtype=complex)
+    w[::2] = np.cumprod(np.concatenate(([1.0], gam / 2 / np.arange(1.0, cutoff // 2 + 1))))
+    return np.convolve(w, c)[: cutoff + 1] * sqrt_fact
+
+
+def diag_number_marginals(
+    alpha_v: complex,
+    alpha_h: complex,
+    r: float,
+    theta: float,
+    truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
+) -> tuple[np.ndarray, float]:
+    """Photon-number distributions of the +45 and -45 modes of
+    S2(r e^{i theta}) |alpha_V, alpha_H>, rows (+45, -45), each over
+    0..2 MAX_CUTOFF (the span ``rotate_exact`` produces), and the product's
+    norm deficit 1 - sum p_+ sum p_-.
+
+    The modes are independent single-mode squeezed coherent states (module
+    docstring), so no rotation is needed. States whose deficit exceeds
+    ``truncation_bound`` are rejected; pass None to skip the gate.
+    """
+    if r < 0:
+        raise ValueError(f"squeeze parameter r must be >= 0 (got {r})")
+    alpha_v, alpha_h = complex(alpha_v), complex(alpha_h)
+    plus = squeezed_coherent_amplitudes((alpha_v + alpha_h) / math.sqrt(2.0), r, theta, 2 * MAX_CUTOFF)
+    minus = squeezed_coherent_amplitudes(
+        (alpha_h - alpha_v) / math.sqrt(2.0), r, theta + math.pi, 2 * MAX_CUTOFF
+    )
+    marginals = np.abs(np.stack((plus, minus))) ** 2
+    marginals.setflags(write=False)
+    deficit = max(0.0, 1.0 - float(marginals[0].sum() * marginals[1].sum()))
+    if truncation_bound is not None:
+        _check_deficit(deficit, truncation_bound)
+    return marginals, deficit
 
 
 @functools.lru_cache(maxsize=2 * MAX_CUTOFF + 1)
@@ -199,15 +269,6 @@ def _thinning_kernel(transmission: float) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _joint_number_distribution(state: FockState, basis: Basis) -> np.ndarray:
-    # memoized per state object: the DIAG rotation dominates the oracle cost
-    # and validation reuses each state for several loss/basis combinations
-    if Basis(basis) is Basis.VH:
-        return np.abs(state.amplitudes) ** 2
-    return np.abs(rotate_exact(state.amplitudes, math.pi / 4)) ** 2
-
-
 def exact_diff_distribution(
     state: FockState,
     basis: Basis,
@@ -236,17 +297,42 @@ def exact_loss_distribution(
     minus the truncation deficit. States beyond ``truncation_bound`` are
     rejected; pass None to override.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1] (got {eta})")
+    _check_eta(eta)
     if truncation_bound is not None:
         state.check_truncation(truncation_bound)
-    joint = _joint_number_distribution(state, basis)
+    amps = state.amplitudes if Basis(basis) is Basis.VH else rotate_exact(state.amplitudes, math.pi / 4)
+    joint = np.abs(amps) ** 2
     size = joint.shape[0] - 1
     if eta > 0.0:
         kernel = _thinning_kernel(1.0 - eta)[: size + 1, : size + 1]
         joint = kernel @ joint @ kernel.T
     n = np.arange(size + 1)
     probs = np.bincount(np.subtract.outer(n, n).ravel() + size, weights=joint.ravel())
+    return _as_distribution(probs, size)
+
+
+def product_loss_distribution(marginals: np.ndarray, eta: float) -> dict[int, float]:
+    """Exact distribution of n_0 - n_1 for independent modes with number
+    distributions ``marginals`` (rows 0 and 1, as from ``diag_number_marginals``)
+    after a non-polarizing loss of eta; zero-probability values are omitted.
+
+    Loss thins each mode on its own, and the difference of independent
+    counts has the correlation of their distributions as its law.
+    """
+    _check_eta(eta)
+    size = marginals.shape[1] - 1
+    if eta > 0.0:
+        marginals = marginals @ _thinning_kernel(1.0 - eta)[: size + 1, : size + 1].T
+    return _as_distribution(np.convolve(marginals[0], marginals[1][::-1]), size)
+
+
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1] (got {eta})")
+
+
+def _as_distribution(probs: np.ndarray, size: int) -> dict[int, float]:
+    """{n: p} from probabilities indexed by n + size, zeros dropped."""
     (kept,) = np.nonzero(probs > 0.0)
     return dict(zip((kept - size).tolist(), probs[kept].tolist()))
 

@@ -34,6 +34,7 @@ sampling from exactly the law the table holds for its state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -228,6 +229,20 @@ def _sign_thresholds(laws: np.ndarray) -> np.ndarray:
     return thresholds.astype(np.uint64)
 
 
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] and half-weights of the ``nodes``-point Gauss-Legendre
+    rule (Golub & Welsch, Math. Comp. 23, 221 (1969)): the Jacobi matrix's
+    eigenvalues and the squared first components of its eigenvectors."""
+    k = np.arange(1.0, nodes)
+    # eigh reads the lower triangle of the symmetric Jacobi matrix
+    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    weights = vectors[0] ** 2
+    x.setflags(write=False)
+    weights.setflags(write=False)
+    return x, weights
+
+
 def _dual_basis_law(arms: np.ndarray, nodes: int = 80) -> np.ndarray:
     """Probabilities of dual-basis Eve's outcomes (V/H,0), (V/H,1), (DIAG,0),
     (DIAG,1) from independent arm laws arms[..., arm basis, (mean, sigma)]:
@@ -238,9 +253,7 @@ def _dual_basis_law(arms: np.ndarray, nodes: int = 80) -> np.ndarray:
     to 12 sigma; at B = b the wider arm A enters by its mass outside +-|b|
     and, split by sign, inside.
     """
-    k = np.arange(1.0, nodes)
-    # eigh reads the lower triangle of the symmetric Jacobi matrix
-    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    x, weights = _gauss_legendre(nodes)
     swap = arms[..., 1, 1] < arms[..., 0, 1]  # the diagonal arm is the narrower one
     ordered = np.where(swap[..., None, None], arms[..., ::-1, :], arms)
     (mb, sb), (ma, sa) = np.moveaxis(ordered, (-2, -1), (0, 1))[..., None, None]
@@ -248,7 +261,7 @@ def _dual_basis_law(arms: np.ndarray, nodes: int = 80) -> np.ndarray:
     side = np.array([[-1.0], [1.0]])  # piece 0 runs down from B = 0, piece 1 up
     half = (12.0 - side * cut) / 2.0
     z = cut + side * half * (1.0 + x)
-    weight = half * 2.0 * vectors[0] ** 2 * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    weight = half * 2.0 * weights * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     c, r = np.abs(mb + sb * z), sa * math.sqrt(2.0)
     above, below = 0.5 * _erfc((c - ma) / r), 0.5 * _erfc((c + ma) / r)  # P(A >= |b|), P(A <= -|b|)
     narrow = (weight * (above + below)).sum(-1)  # B trusted, by piece: bit 0, bit 1

@@ -10,12 +10,19 @@ matrix, so correctness does not depend on the photon number.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import astuple, dataclass, fields
 
+import numpy as np
+
 from . import fock
-from .gaussian import PUMP_PHASE, apply_loss, apply_two_mode_squeeze, make_coherent_seed
+from .gaussian import (
+    PUMP_PHASE,
+    GaussianState,
+    apply_loss,
+    apply_two_mode_squeeze,
+    make_coherent_seed,
+)
 from .photostats import Basis, diff_number_moments
 
 LADDER_R = (0.2, 0.5, 0.8)
@@ -63,36 +70,48 @@ def _pick_cutoff(alpha_v_sq: float, alpha_h_sq: float, r: float) -> int:
     return min(fock.MAX_CUTOFF, int(math.ceil(mean_mode + 9.0 * sigma + 8.0)))
 
 
-@functools.lru_cache(maxsize=64)
-def _ladder_state(r: float, alpha_v_sq: float, alpha_h_sq: float) -> fock.FockState:
-    cutoff = _pick_cutoff(alpha_v_sq, alpha_h_sq, r)
-    return fock.build_state_exact(
-        math.sqrt(alpha_v_sq), 1j * math.sqrt(alpha_h_sq), r, PUMP_PHASE, cutoff,
-        truncation_bound=None,
-    )
+@dataclass(frozen=True, eq=False)
+class _LadderPoint:
+    """Everything a ladder point's rows share across loss and basis."""
+
+    r: float
+    alpha_v_sq: float
+    alpha_h_sq: float
+    state: GaussianState
+    vh: fock.FockState
+    diag: np.ndarray  # +45/-45 number marginals from fock.diag_number_marginals
+    diag_deficit: float
 
 
-def compare_point(
-    r: float,
-    alpha_v_sq: float,
-    alpha_h_sq: float,
-    eta: float,
-    basis: Basis,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[ComparisonRow]:
-    """Engine-vs-oracle comparison at one ladder point."""
+def _ladder_point(r: float, alpha_v_sq: float, alpha_h_sq: float) -> _LadderPoint:
     alpha_v = math.sqrt(alpha_v_sq)
     alpha_h = 1j * math.sqrt(alpha_h_sq)
-
-    state = apply_two_mode_squeeze(make_coherent_seed(alpha_v, alpha_h), r, PUMP_PHASE)
-    mom = diff_number_moments(apply_loss(state, eta), basis)
-
     # The heaviest ladder point needs the full cutoff-80 space and lands a
     # shade above the default 1e-8 deficit gate; the ladder's own bound is
     # 5e-8, which keeps the induced moment error an order below tolerance.
-    fstate = _ladder_state(r, alpha_v_sq, alpha_h_sq)
-    deficit = fstate.norm_deficit
-    dist = fock.exact_loss_distribution(fstate, eta, basis, LADDER_TRUNCATION_BOUND)
+    vh = fock.build_state_exact(
+        alpha_v, alpha_h, r, PUMP_PHASE, _pick_cutoff(alpha_v_sq, alpha_h_sq, r),
+        truncation_bound=LADDER_TRUNCATION_BOUND,
+    )
+    diag, diag_deficit = fock.diag_number_marginals(
+        alpha_v, alpha_h, r, PUMP_PHASE, LADDER_TRUNCATION_BOUND
+    )
+    state = apply_two_mode_squeeze(make_coherent_seed(alpha_v, alpha_h), r, PUMP_PHASE)
+    return _LadderPoint(r, alpha_v_sq, alpha_h_sq, state, vh, diag, diag_deficit)
+
+
+def _point_rows(
+    point: _LadderPoint, eta: float, basis: Basis, tolerance: float
+) -> list[ComparisonRow]:
+    # engine moments are read through this module's name at every call, so a
+    # fault injected there reaches every row
+    mom = diff_number_moments(apply_loss(point.state, eta), basis)
+    if Basis(basis) is Basis.VH:
+        deficit = point.vh.norm_deficit
+        dist = fock.exact_loss_distribution(point.vh, eta, basis, truncation_bound=None)
+    else:
+        deficit = point.diag_deficit
+        dist = fock.product_loss_distribution(point.diag, eta)
     oracle_mean, oracle_var = fock.distribution_moments(dist)
 
     rows = []
@@ -103,9 +122,9 @@ def compare_point(
         rel = abs(engine_value - oracle_value) / max(abs(oracle_value), MEAN_FLOOR)
         rows.append(
             ComparisonRow(
-                r=r,
-                alpha_v_sq=alpha_v_sq,
-                alpha_h_sq=alpha_h_sq,
+                r=point.r,
+                alpha_v_sq=point.alpha_v_sq,
+                alpha_h_sq=point.alpha_h_sq,
                 eta=eta,
                 basis=Basis(basis).value,
                 quantity=quantity,
@@ -119,15 +138,29 @@ def compare_point(
     return rows
 
 
+def compare_point(
+    r: float,
+    alpha_v_sq: float,
+    alpha_h_sq: float,
+    eta: float,
+    basis: Basis,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> list[ComparisonRow]:
+    """Engine-vs-oracle comparison at one ladder point."""
+    return _point_rows(_ladder_point(r, alpha_v_sq, alpha_h_sq), eta, basis, tolerance)
+
+
 def run_ladder(tolerance: float = DEFAULT_TOLERANCE) -> list[ComparisonRow]:
-    """Full validation ladder over r x seed amplitudes x loss x basis."""
+    """Full validation ladder over r x seed amplitudes x loss x basis; each
+    point's states are built once and serve all its loss and basis rows."""
     rows: list[ComparisonRow] = []
     for r in LADDER_R:
         for av2 in LADDER_ALPHA_SQ:
             for ah2 in LADDER_ALPHA_SQ:
+                point = _ladder_point(r, av2, ah2)
                 for eta in LADDER_ETA:
                     for basis in (Basis.VH, Basis.DIAG):
-                        rows.extend(compare_point(r, av2, ah2, eta, basis, tolerance))
+                        rows.extend(_point_rows(point, eta, basis, tolerance))
     return rows
 
 

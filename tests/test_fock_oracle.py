@@ -14,12 +14,14 @@ from macroqkd.fock import (
     _thinning_kernel,
     build_state_exact,
     coherent_amplitudes,
+    diag_number_marginals,
     distribution_moments,
     exact_diff_distribution,
     exact_loss_distribution,
+    product_loss_distribution,
 )
 from macroqkd.photostats import Basis
-from macroqkd import validate
+from macroqkd import fock, validate
 
 
 # ----------------------------------------------------------------- self-tests
@@ -127,6 +129,45 @@ def test_rotation_block_orthogonal_and_composes_at_full_size():
     )
 
 
+@pytest.mark.parametrize(
+    "alpha_v, alpha_h, r, theta",
+    [
+        (0.9 - 0.4j, 0.3 + 1.1j, 0.6, 0.37),
+        (1.2j, -0.7 + 0.2j, 0.3, 2.5),
+        (-0.5 + 0.8j, 1.0, 0.45, -1.2),
+    ],
+)
+def test_factorized_diag_distribution_matches_rotation(alpha_v, alpha_h, r, theta):
+    # the +45/-45 product state against the Wigner-d rotation of the
+    # two-mode build, at a cutoff where both truncations are below 1e-15
+    state = build_state_exact(alpha_v, alpha_h, r, theta, MAX_CUTOFF)
+    marginals, deficit = diag_number_marginals(alpha_v, alpha_h, r, theta)
+    assert state.norm_deficit < 1e-15 and deficit < 1e-15
+    for eta in (0.0, 0.3, 0.9):
+        rotated = exact_loss_distribution(state, eta, Basis.DIAG)
+        factorized = product_loss_distribution(marginals, eta)
+        for n in rotated.keys() | factorized.keys():
+            assert factorized.get(n, 0.0) == pytest.approx(rotated.get(n, 0.0), rel=0, abs=1e-14), (eta, n)
+
+
+def test_diag_marginals_gate_truncation():
+    with pytest.raises(ValueError, match="r must be"):
+        diag_number_marginals(1.0, 0, -0.2, 0.0)
+    marginals, deficit = diag_number_marginals(3.0, 3.0j, 3.0, math.pi / 2, truncation_bound=None)
+    assert deficit > 1e-8
+    assert deficit == pytest.approx(1.0 - marginals[0].sum() * marginals[1].sum())
+    with pytest.raises(ValueError, match="truncation"):
+        diag_number_marginals(3.0, 3.0j, 3.0, math.pi / 2)
+
+
+def test_log_factorials_match_lgamma():
+    table = fock._log_factorials(2 * MAX_CUTOFF)
+    assert table.tolist() == [math.lgamma(k + 1.0) for k in range(2 * MAX_CUTOFF + 1)]
+    assert fock._log_factorials(7).tolist() == table[:8].tolist()
+    with pytest.raises(ValueError, match="cutoff"):
+        coherent_amplitudes(1.0, 2 * MAX_CUTOFF + 1)
+
+
 # ----------------------------------------------------------------------- loss
 
 
@@ -203,6 +244,18 @@ def test_full_ladder_passes():
     assert len(rows) == 3 * 3 * 3 * 2 * 2 * 2  # r x aV x aH x eta x basis x quantity
     worst = max(rows, key=lambda r: r.relative_error)
     assert worst.relative_error <= 1e-6, worst
+
+
+def test_ladder_needs_no_fock_rotation(monkeypatch):
+    def no_rotation(amplitudes, phi):
+        raise AssertionError("the ladder rotated a Fock state")
+
+    monkeypatch.setattr(fock, "rotate_exact", no_rotation)
+    rows = validate.run_ladder()
+    assert validate.ladder_passed(rows)
+    diag = [row for row in rows if row.basis == Basis.DIAG.value]
+    assert len(diag) == len(rows) // 2
+    assert all(row.truncation_deficit <= validate.LADDER_TRUNCATION_BOUND for row in diag)
 
 
 def test_cold_ladder_builds_one_thinning_kernel():
