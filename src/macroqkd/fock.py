@@ -14,7 +14,10 @@ with Gam = e^{i theta} tanh r and g = ln cosh r. Acting on |alpha_V,
 alpha_H> the rightmost factor is an eigen-action, the middle is diagonal
 in photon number, and the left factor only couples downward in photon
 number, so every retained amplitude is exact; truncation shows up purely
-as missing norm, which is tracked explicitly.
+as missing norm, which is tracked explicitly. The seed amplitudes are an
+outer product u (x) v, so the exp(Gam a+ b+) sum is one matrix product
+(U diag w) V^T of lower-triangular Toeplitz matrices U[n, k] = u[n-k] and
+V[m, k] = v[m-k] with weights w[k] = Gam^k / k!.
 
 In the +45/-45 basis this pulse needs no rotation in Fock space. The
 50:50 polarization rotation takes a_V+ a_H+ to (a_+^2 - a_-^2)/2 (Braunstein
@@ -22,10 +25,10 @@ In the +45/-45 basis this pulse needs no rotation in Fock space. The
 squeezing becomes opposite single-mode squeezers and the pulse is the
 product S(r e^{i theta})|(alpha_V + alpha_H)/sqrt2> (x) S(r e^{i (theta +
 pi)})|(alpha_H - alpha_V)/sqrt2>. ``diag_number_marginals`` builds each
-factor from the single-mode disentangled squeeze, in O(cutoff^2), and the
-difference distribution is the correlation of the two number
-distributions. ``rotate_exact`` remains the general DIAG path for any
-``FockState``.
+factor from the single-mode disentangled squeeze, in O(cutoff^2), only as
+far as a Chernoff bound on its own number tail needs, and the difference
+distribution is the correlation of the two number distributions.
+``rotate_exact`` remains the general DIAG path for any ``FockState``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ from .photostats import Basis
 
 MAX_CUTOFF = 80
 DEFAULT_TRUNCATION_BOUND = 1e-8
+# Photon-number mass a +45/-45 factor of diag_number_marginals may leave
+# beyond the size it is built to
+_TAIL_MASS = 1e-18
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +56,7 @@ class FockState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 < self.cutoff <= MAX_CUTOFF:
-            raise ValueError(f"cutoff must be in 1..{MAX_CUTOFF} (got {self.cutoff})")
+        _check_cutoff(self.cutoff)
         amps = np.array(self.amplitudes, dtype=complex)
         shape = (self.cutoff + 1, self.cutoff + 1)
         if amps.shape != shape:
@@ -62,14 +67,34 @@ class FockState:
     @functools.cached_property
     def norm_deficit(self) -> float:
         """Probability weight lost to truncation, 1 - sum |c|^2."""
-        return max(0.0, 1.0 - float(np.sum(np.abs(self.amplitudes) ** 2)))
+        return _deficit(float(np.sum(np.abs(self.amplitudes) ** 2)))
 
     def check_truncation(self, bound: float = DEFAULT_TRUNCATION_BOUND) -> None:
         _check_deficit(self.norm_deficit, bound)
 
 
+def _check_cutoff(cutoff: int) -> None:
+    if not 0 < cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff must be in 1..{MAX_CUTOFF} (got {cutoff})")
+
+
+def _check_pulse(alpha_v: complex, alpha_h: complex, r: float, theta: float) -> None:
+    for name, value in (("alpha_V", alpha_v), ("alpha_H", alpha_h), ("r", r), ("theta", theta)):
+        z = complex(value)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"{name} must be finite (got {value})")
+    if r < 0:
+        raise ValueError(f"squeeze parameter r must be >= 0 (got {r})")
+
+
+def _deficit(mass: float) -> float:
+    """1 - mass, clamped at zero; a non-finite mass gives NaN, which the
+    gate rejects (max(0.0, nan) would be 0.0)."""
+    return max(0.0, 1.0 - mass) if math.isfinite(mass) else math.nan
+
+
 def _check_deficit(deficit: float, bound: float) -> None:
-    if deficit > bound:
+    if not deficit <= bound:
         raise ValueError(f"truncation bound violated: norm deficit {deficit:.3e} > {bound:.1e}")
 
 
@@ -105,32 +130,48 @@ def build_state_exact(
 ) -> FockState:
     """Two-mode squeezed coherent state S2(r e^{i theta}) |alpha_V, alpha_H>.
 
+    exp(-Gam* a b) and exp(-g (n_V + n_H + 1)) leave the seed's amplitudes
+    an outer product u (x) v, and exp(Gam a+ b+) then gives
+
+        out[n, m] = sqrt(n! m!) sum_k Gam^k / k! u[n-k] v[m-k],
+
+    one matrix product (U diag w) V^T with U[n, k] = u[n-k], V[m, k] =
+    v[m-k] and w[k] = Gam^k / k!.
+
     Pass ``truncation_bound=None`` to skip the norm-deficit gate (the deficit
     stays available on the returned state).
     """
-    if r < 0:
-        raise ValueError(f"squeeze parameter r must be >= 0 (got {r})")
+    _check_pulse(alpha_v, alpha_h, r, theta)
+    _check_cutoff(cutoff)
     gam = np.exp(1j * theta) * math.tanh(r)
     g = math.log(math.cosh(r))
     n = np.arange(cutoff + 1)
     # exp(-g (n_V + n_H + 1)) split between the modes, and each mode's
-    # amplitudes divided by sqrt(n!) so the exp(Gam a+ b+) sum below needs
-    # no per-k ladder weights; sqrt(n! m!) is put back at the end.
+    # amplitudes divided by sqrt(n!); sqrt(n! m!) goes back in as the row
+    # weights of U and V.
     sqrt_fact = np.exp(0.5 * _log_factorials(cutoff))
     mode = np.exp(-g * (n + 0.5)) / sqrt_fact
-    c = np.outer(
-        coherent_amplitudes(alpha_v, cutoff) * mode, coherent_amplitudes(alpha_h, cutoff) * mode
-    )
-    c *= np.exp(-np.conj(gam) * complex(alpha_v) * complex(alpha_h))
-    # exp(Gam a+ b+): out[n,m] = sqrt(n! m!) sum_k Gam^k/k! c[n-k,m-k]
-    out = np.zeros_like(c)
-    for k in range(cutoff + 1):
-        out[k:, k:] += gam**k / math.factorial(k) * c[: cutoff + 1 - k, : cutoff + 1 - k]
-    out *= np.outer(sqrt_fact, sqrt_fact)
+    u = coherent_amplitudes(alpha_v, cutoff) * mode
+    u *= np.exp(-np.conj(gam) * complex(alpha_v) * complex(alpha_h))
+    v = coherent_amplitudes(alpha_h, cutoff) * mode
+    w = np.cumprod(np.concatenate(([1.0], gam / np.arange(1.0, cutoff + 1))))
+    rows_u = sqrt_fact[:, None] * _lower_toeplitz(u) * w
+    out = rows_u @ (sqrt_fact[:, None] * _lower_toeplitz(v)).T
     state = FockState(cutoff, out)
     if truncation_bound is not None:
         state.check_truncation(truncation_bound)
     return state
+
+
+def _lower_toeplitz(x: np.ndarray) -> np.ndarray:
+    """Read-only view T[n, k] = x[n - k], zero for k > n."""
+    size = x.shape[0]
+    padded = np.concatenate((np.zeros(size - 1, dtype=x.dtype), x))
+    step = padded.strides[0]
+    # T[n, k] = padded[size - 1 + n - k]: a row steps forward, a column back
+    return np.lib.stride_tricks.as_strided(
+        padded[size - 1 :], (size, size), (step, -step), writeable=False
+    )
 
 
 def squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: int) -> np.ndarray:
@@ -166,22 +207,62 @@ def diag_number_marginals(
     norm deficit 1 - sum p_+ sum p_-.
 
     The modes are independent single-mode squeezed coherent states (module
-    docstring), so no rotation is needed. States whose deficit exceeds
-    ``truncation_bound`` are rejected; pass None to skip the gate.
+    docstring), so no rotation is needed. Each is built only up to
+    ``_factor_cutoff``, which leaves at most ``_TAIL_MASS`` beyond it, and
+    padded with zeros. States whose deficit exceeds ``truncation_bound``
+    are rejected; pass None to skip the gate.
     """
-    if r < 0:
-        raise ValueError(f"squeeze parameter r must be >= 0 (got {r})")
+    _check_pulse(alpha_v, alpha_h, r, theta)
     alpha_v, alpha_h = complex(alpha_v), complex(alpha_h)
-    plus = squeezed_coherent_amplitudes((alpha_v + alpha_h) / math.sqrt(2.0), r, theta, 2 * MAX_CUTOFF)
-    minus = squeezed_coherent_amplitudes(
-        (alpha_h - alpha_v) / math.sqrt(2.0), r, theta + math.pi, 2 * MAX_CUTOFF
+    marginals = np.zeros((2, 2 * MAX_CUTOFF + 1))
+    factors = (
+        ((alpha_v + alpha_h) / math.sqrt(2.0), theta),
+        ((alpha_h - alpha_v) / math.sqrt(2.0), theta + math.pi),
     )
-    marginals = np.abs(np.stack((plus, minus))) ** 2
+    for row, (beta, phi) in zip(marginals, factors):
+        cutoff = _factor_cutoff(beta, r, phi)
+        row[: cutoff + 1] = np.abs(squeezed_coherent_amplitudes(beta, r, phi, cutoff)) ** 2
     marginals.setflags(write=False)
-    deficit = max(0.0, 1.0 - float(marginals[0].sum() * marginals[1].sum()))
+    deficit = _deficit(float(marginals[0].sum() * marginals[1].sum()))
     if truncation_bound is not None:
         _check_deficit(deficit, truncation_bound)
     return marginals, deficit
+
+
+# Chernoff parameters z = (1 - kappa) / (1 + kappa) with kappa = -lam e^{-2r}
+# span (1, coth r), where the generating function below is finite
+_CHERNOFF_LAM = np.linspace(0.01, 0.99, 99)
+
+
+def _factor_cutoff(beta: complex, r: float, phi: float) -> int:
+    """Smallest cutoff s beyond which S(r e^{i phi}) |beta> provably keeps at
+    most ``_TAIL_MASS``, capped at 2 MAX_CUTOFF: the Chernoff bound
+    P(n > s) <= E[z^n] / z^(s+1), minimized over a fixed grid of z > 1.
+
+    The state is Gaussian, with mean <a> = beta cosh r + beta* e^{i phi}
+    sinh r and, in quadratures x = (a + a+)/sqrt2 (vacuum variance 1/2),
+    variance e^{2r}/2 along angle phi/2 and e^{-2r}/2 across it.
+    Integrating its Wigner function against (1 + kappa) exp(-kappa |x|^2),
+    the Weyl symbol of z^n with kappa = (1 - z)/(1 + z), gives
+
+        E[z^n] = (1 + kappa) prod_j (1 + 2 kappa v_j)^{-1/2}
+                 exp(-kappa d_j^2 / (1 + 2 kappa v_j))
+
+    over the two axes j, with variances v_j and mean components d_j.
+    """
+    kappa = -_CHERNOFF_LAM * math.exp(-2.0 * r)
+    z = (1.0 - kappa) / (1.0 + kappa)
+    mean = beta * math.cosh(r) + beta.conjugate() * np.exp(1j * phi) * math.sinh(r)
+    along = mean * np.exp(-0.5j * phi)  # anti-squeezed axis on the real line
+    wide = 1.0 + kappa * math.exp(2.0 * r)
+    narrow = 1.0 + kappa * math.exp(-2.0 * r)
+    log_pgf = (
+        np.log1p(kappa)
+        - 0.5 * np.log(wide * narrow)
+        - 2.0 * kappa * (along.real**2 / wide + along.imag**2 / narrow)
+    )
+    bound = np.ceil((log_pgf - math.log(_TAIL_MASS)) / np.log(z)) - 1.0
+    return int(min(2 * MAX_CUTOFF, bound.min()))
 
 
 @functools.lru_cache(maxsize=2 * MAX_CUTOFF + 1)
@@ -285,8 +366,19 @@ def exact_loss_distribution(
     basis: Basis,
     truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
 ) -> dict[int, float]:
-    """Exact probability distribution of the difference number n after a
-    non-polarizing loss of eta; zero-probability values are omitted.
+    """``exact_loss_probabilities`` as {n: p}; zero-probability values are
+    omitted."""
+    return _as_distribution(exact_loss_probabilities(state, eta, basis, truncation_bound))
+
+
+def exact_loss_probabilities(
+    state: FockState,
+    eta: float,
+    basis: Basis,
+    truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
+) -> np.ndarray:
+    """Exact probabilities of the difference number n = -size..size, at
+    index n + size, after a non-polarizing loss of eta.
 
     For DIAG the pi/4 beamsplitter transform is applied exactly in Fock
     space first. Beamsplitting each mode against a vacuum ancilla and
@@ -307,14 +399,20 @@ def exact_loss_distribution(
         kernel = _thinning_kernel(1.0 - eta)[: size + 1, : size + 1]
         joint = kernel @ joint @ kernel.T
     n = np.arange(size + 1)
-    probs = np.bincount(np.subtract.outer(n, n).ravel() + size, weights=joint.ravel())
-    return _as_distribution(probs, size)
+    return np.bincount(np.subtract.outer(n, n).ravel() + size, weights=joint.ravel())
 
 
 def product_loss_distribution(marginals: np.ndarray, eta: float) -> dict[int, float]:
-    """Exact distribution of n_0 - n_1 for independent modes with number
-    distributions ``marginals`` (rows 0 and 1, as from ``diag_number_marginals``)
-    after a non-polarizing loss of eta; zero-probability values are omitted.
+    """``product_loss_probabilities`` as {n: p}; zero-probability values
+    are omitted."""
+    return _as_distribution(product_loss_probabilities(marginals, eta))
+
+
+def product_loss_probabilities(marginals: np.ndarray, eta: float) -> np.ndarray:
+    """Exact probabilities of n = n_0 - n_1 = -size..size, at index n + size,
+    for independent modes with number distributions ``marginals`` (rows 0
+    and 1 over 0..size, as from ``diag_number_marginals``) after a
+    non-polarizing loss of eta.
 
     Loss thins each mode on its own, and the difference of independent
     counts has the correlation of their distributions as its law.
@@ -323,7 +421,7 @@ def product_loss_distribution(marginals: np.ndarray, eta: float) -> dict[int, fl
     size = marginals.shape[1] - 1
     if eta > 0.0:
         marginals = marginals @ _thinning_kernel(1.0 - eta)[: size + 1, : size + 1].T
-    return _as_distribution(np.convolve(marginals[0], marginals[1][::-1]), size)
+    return np.convolve(marginals[0], marginals[1][::-1])
 
 
 def _check_eta(eta: float) -> None:
@@ -331,17 +429,26 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be in [0, 1] (got {eta})")
 
 
-def _as_distribution(probs: np.ndarray, size: int) -> dict[int, float]:
+def _as_distribution(probs: np.ndarray) -> dict[int, float]:
     """{n: p} from probabilities indexed by n + size, zeros dropped."""
     (kept,) = np.nonzero(probs > 0.0)
-    return dict(zip((kept - size).tolist(), probs[kept].tolist()))
+    return dict(zip((kept - (probs.shape[0] - 1) // 2).tolist(), probs[kept].tolist()))
 
 
 def distribution_moments(dist: dict[int, float]) -> tuple[float, float]:
     """Mean and variance of an integer-valued distribution, normalized by
     its retained probability mass."""
-    values = np.array(list(dist.keys()), dtype=float)
-    probs = np.array(list(dist.values()), dtype=float)
+    return _moments(np.fromiter(dist.keys(), float), np.fromiter(dist.values(), float))
+
+
+def difference_moments(probs: np.ndarray) -> tuple[float, float]:
+    """``distribution_moments`` of probabilities indexed by n + size, as
+    from ``exact_loss_probabilities`` and ``product_loss_probabilities``."""
+    size = (probs.shape[0] - 1) // 2
+    return _moments(np.arange(-size, size + 1.0), probs)
+
+
+def _moments(values: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
     total = float(probs.sum())
     if total <= 0.0:
         raise ValueError("distribution carries no probability mass")

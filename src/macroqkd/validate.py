@@ -101,18 +101,19 @@ def _ladder_point(r: float, alpha_v_sq: float, alpha_h_sq: float) -> _LadderPoin
 
 
 def _point_rows(
-    point: _LadderPoint, eta: float, basis: Basis, tolerance: float
+    point: _LadderPoint, lossy: GaussianState, eta: float, basis: Basis, tolerance: float
 ) -> list[ComparisonRow]:
+    """Rows of one point at loss eta; ``lossy`` is its state after that loss."""
     # engine moments are read through this module's name at every call, so a
     # fault injected there reaches every row
-    mom = diff_number_moments(apply_loss(point.state, eta), basis)
+    mom = diff_number_moments(lossy, basis)
     if Basis(basis) is Basis.VH:
         deficit = point.vh.norm_deficit
-        dist = fock.exact_loss_distribution(point.vh, eta, basis, truncation_bound=None)
+        probs = fock.exact_loss_probabilities(point.vh, eta, basis, truncation_bound=None)
     else:
         deficit = point.diag_deficit
-        dist = fock.product_loss_distribution(point.diag, eta)
-    oracle_mean, oracle_var = fock.distribution_moments(dist)
+        probs = fock.product_loss_probabilities(point.diag, eta)
+    oracle_mean, oracle_var = fock.difference_moments(probs)
 
     rows = []
     for quantity, engine_value, oracle_value in (
@@ -147,20 +148,23 @@ def compare_point(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[ComparisonRow]:
     """Engine-vs-oracle comparison at one ladder point."""
-    return _point_rows(_ladder_point(r, alpha_v_sq, alpha_h_sq), eta, basis, tolerance)
+    point = _ladder_point(r, alpha_v_sq, alpha_h_sq)
+    return _point_rows(point, apply_loss(point.state, eta), eta, basis, tolerance)
 
 
 def run_ladder(tolerance: float = DEFAULT_TOLERANCE) -> list[ComparisonRow]:
     """Full validation ladder over r x seed amplitudes x loss x basis; each
-    point's states are built once and serve all its loss and basis rows."""
+    point's states are built once and serve all its loss and basis rows, and
+    each lossy engine state serves both bases."""
     rows: list[ComparisonRow] = []
     for r in LADDER_R:
         for av2 in LADDER_ALPHA_SQ:
             for ah2 in LADDER_ALPHA_SQ:
                 point = _ladder_point(r, av2, ah2)
                 for eta in LADDER_ETA:
+                    lossy = apply_loss(point.state, eta)
                     for basis in (Basis.VH, Basis.DIAG):
-                        rows.extend(_point_rows(point, eta, basis, tolerance))
+                        rows.extend(_point_rows(point, lossy, eta, basis, tolerance))
     return rows
 
 

@@ -15,13 +15,34 @@ from macroqkd.fock import (
     build_state_exact,
     coherent_amplitudes,
     diag_number_marginals,
+    difference_moments,
     distribution_moments,
     exact_diff_distribution,
     exact_loss_distribution,
+    exact_loss_probabilities,
     product_loss_distribution,
+    product_loss_probabilities,
+    squeezed_coherent_amplitudes,
 )
+from macroqkd.gaussian import PUMP_PHASE
 from macroqkd.photostats import Basis
 from macroqkd import fock, validate
+
+# (alpha_V, alpha_H, r, theta) off the ladder's real/imaginary seeds and pi/2
+# pump, light enough that both oracle paths truncate below 1e-15 at MAX_CUTOFF
+COMPLEX_POINTS = [
+    (0.9 - 0.4j, 0.3 + 1.1j, 0.6, 0.37),
+    (1.2j, -0.7 + 0.2j, 0.3, 2.5),
+    (-0.5 + 0.8j, 1.0, 0.45, -1.2),
+    (0.2 + 1.3j, -1.1 - 0.3j, 0.7, 4.0),
+    (1.4, 0.6 - 1.2j, 0.15, 0.9),
+]
+LADDER_POINTS = [
+    (math.sqrt(av2), 1j * math.sqrt(ah2), r, PUMP_PHASE)
+    for r in validate.LADDER_R
+    for av2 in validate.LADDER_ALPHA_SQ
+    for ah2 in validate.LADDER_ALPHA_SQ
+]
 
 
 # ----------------------------------------------------------------- self-tests
@@ -84,6 +105,73 @@ def test_build_rejects_bad_args():
         FockState(100, np.zeros((101, 101), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0)])
+@pytest.mark.parametrize("arg", range(4))  # alpha_V, alpha_H, r, theta
+@pytest.mark.parametrize(
+    "builder",
+    [lambda *pulse, **bound: build_state_exact(*pulse, 20, **bound), diag_number_marginals],
+    ids=["build_state_exact", "diag_number_marginals"],
+)
+def test_builders_reject_non_finite_inputs(builder, arg, bad):
+    # a NaN pulse must not reach the gate: max(0.0, nan) is 0.0, so its
+    # deficit would read zero and its distribution come out empty
+    pulse = [1.0, 0.5j, 0.5, 0.3]
+    pulse[arg] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        builder(*pulse)
+    with pytest.raises(ValueError, match="must be finite"):
+        builder(*pulse, truncation_bound=None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_amplitudes_fail_the_gate(bad):
+    amps = np.zeros((3, 3), dtype=complex)
+    amps[1, 2] = bad
+    state = FockState(2, amps)
+    assert math.isnan(state.norm_deficit)
+    with pytest.raises(ValueError, match="truncation"):
+        state.check_truncation()
+    with pytest.raises(ValueError, match="truncation"):
+        exact_loss_distribution(state, 0.0, Basis.VH)
+
+
+@pytest.mark.parametrize("cutoff", [0, -3, MAX_CUTOFF + 1, 10**12])
+def test_build_checks_cutoff_before_building(monkeypatch, cutoff):
+    def no_amplitudes(alpha, size):
+        raise AssertionError("amplitudes built before the cutoff check")
+
+    monkeypatch.setattr(fock, "coherent_amplitudes", no_amplitudes)
+    with pytest.raises(ValueError, match="cutoff"):
+        build_state_exact(1.0, 0.5j, 0.5, 0.3, cutoff)
+
+
+def _direct_sum_build(alpha_v, alpha_h, r, theta, cutoff):
+    # exp(Gam a+ b+) as one shifted slice-add per power k of Gam, each
+    # weighted by Gam^k / k!
+    gam = np.exp(1j * theta) * math.tanh(r)
+    n = np.arange(cutoff + 1)
+    sqrt_fact = np.exp(0.5 * fock._log_factorials(cutoff))
+    mode = np.exp(-math.log(math.cosh(r)) * (n + 0.5)) / sqrt_fact
+    c = np.outer(
+        coherent_amplitudes(alpha_v, cutoff) * mode, coherent_amplitudes(alpha_h, cutoff) * mode
+    )
+    c *= np.exp(-np.conj(gam) * complex(alpha_v) * complex(alpha_h))
+    out = np.zeros_like(c)
+    for k in range(cutoff + 1):
+        out[k:, k:] += gam**k / math.factorial(k) * c[: cutoff + 1 - k, : cutoff + 1 - k]
+    return FockState(cutoff, out * np.outer(sqrt_fact, sqrt_fact))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 40, MAX_CUTOFF])
+@pytest.mark.parametrize("alpha_v, alpha_h, r, theta", COMPLEX_POINTS[:3])
+def test_factorized_build_matches_direct_sum(alpha_v, alpha_h, r, theta, cutoff):
+    built = build_state_exact(alpha_v, alpha_h, r, theta, cutoff, truncation_bound=None)
+    direct = _direct_sum_build(alpha_v, alpha_h, r, theta, cutoff)
+    scale = np.abs(direct.amplitudes).max()
+    np.testing.assert_allclose(built.amplitudes, direct.amplitudes, rtol=0, atol=1e-14 * scale)
+    assert built.norm_deficit == pytest.approx(direct.norm_deficit, rel=0, abs=1e-15)
+
+
 def test_rotation_sign_matches_engine_convention():
     # coherent (1, 0.5): DIAG mean must be +1 (cross term), not -1
     state = build_state_exact(1.0, 0.5, 0.0, 0.0, 25)
@@ -129,14 +217,7 @@ def test_rotation_block_orthogonal_and_composes_at_full_size():
     )
 
 
-@pytest.mark.parametrize(
-    "alpha_v, alpha_h, r, theta",
-    [
-        (0.9 - 0.4j, 0.3 + 1.1j, 0.6, 0.37),
-        (1.2j, -0.7 + 0.2j, 0.3, 2.5),
-        (-0.5 + 0.8j, 1.0, 0.45, -1.2),
-    ],
-)
+@pytest.mark.parametrize("alpha_v, alpha_h, r, theta", COMPLEX_POINTS)
 def test_factorized_diag_distribution_matches_rotation(alpha_v, alpha_h, r, theta):
     # the +45/-45 product state against the Wigner-d rotation of the
     # two-mode build, at a cutoff where both truncations are below 1e-15
@@ -148,6 +229,41 @@ def test_factorized_diag_distribution_matches_rotation(alpha_v, alpha_h, r, thet
         factorized = product_loss_distribution(marginals, eta)
         for n in rotated.keys() | factorized.keys():
             assert factorized.get(n, 0.0) == pytest.approx(rotated.get(n, 0.0), rel=0, abs=1e-14), (eta, n)
+
+
+@pytest.mark.parametrize("alpha_v, alpha_h, r, theta", LADDER_POINTS + COMPLEX_POINTS)
+def test_sized_diag_marginals_match_full_span(alpha_v, alpha_h, r, theta):
+    marginals, deficit = diag_number_marginals(alpha_v, alpha_h, r, theta, truncation_bound=None)
+    assert marginals.shape == (2, 2 * MAX_CUTOFF + 1)
+    assert deficit <= 1e-12
+    factors = [
+        ((alpha_v + alpha_h) / math.sqrt(2.0), theta),
+        ((alpha_h - alpha_v) / math.sqrt(2.0), theta + math.pi),
+    ]
+    for row, (beta, phi) in zip(marginals, factors):
+        full = np.abs(squeezed_coherent_amplitudes(beta, r, phi, 2 * MAX_CUTOFF)) ** 2
+        np.testing.assert_allclose(row, full, rtol=0, atol=1e-15)
+        # the Chernoff size leaves at most the promised mass beyond it
+        size = fock._factor_cutoff(beta, r, phi)
+        assert np.all(row[size + 1 :] == 0.0)
+        assert full[size + 1 :].sum() <= fock._TAIL_MASS
+
+
+def test_probability_arrays_match_distributions():
+    alpha_v, alpha_h, r, theta = COMPLEX_POINTS[0]
+    state = build_state_exact(alpha_v, alpha_h, r, theta, 60)
+    marginals, _ = diag_number_marginals(alpha_v, alpha_h, r, theta)
+    for eta in (0.0, 0.4):
+        vh = exact_loss_probabilities(state, eta, Basis.VH)
+        diag = product_loss_probabilities(marginals, eta)
+        for probs, dist in (
+            (vh, exact_loss_distribution(state, eta, Basis.VH)),
+            (diag, product_loss_distribution(marginals, eta)),
+        ):
+            size = (probs.shape[0] - 1) // 2
+            assert dist == {n - size: p for n, p in enumerate(probs.tolist()) if p > 0.0}
+            moments = difference_moments(probs)
+            np.testing.assert_allclose(moments, distribution_moments(dist), rtol=1e-13)
 
 
 def test_diag_marginals_gate_truncation():
