@@ -5,7 +5,13 @@ validated against an exact small-scale Fock-space oracle.
 """
 
 from .attacks import AttackConfig, AttackKind
-from .fock import FockState, build_state_exact, exact_diff_distribution, exact_loss_distribution
+from .fock import (
+    FockState,
+    build_state_exact,
+    difference_moments,
+    exact_diff_distribution,
+    exact_loss_distribution,
+)
 from .gaussian import (
     GaussianState,
     SourceParams,
@@ -29,7 +35,6 @@ from .photostats import (
     eve_tap_curve,
     eve_tap_probability,
     joint_diff_moments,
-    sample_outcome,
 )
 from .protocol import RunReport, SessionConfig, run_session
 
@@ -55,6 +60,7 @@ __all__ = [
     "bob_error_vs_loss",
     "build_state_exact",
     "diff_number_moments",
+    "difference_moments",
     "distribution_curve",
     "error_probability",
     "eve_tap_curve",
@@ -64,6 +70,5 @@ __all__ = [
     "joint_diff_moments",
     "make_coherent_seed",
     "run_session",
-    "sample_outcome",
     "tap_split",
 ]

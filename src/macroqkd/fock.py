@@ -29,6 +29,11 @@ factor from the single-mode disentangled squeeze, in O(cutoff^2), only as
 far as a Chernoff bound on its own number tail needs, and the difference
 distribution is the correlation of the two number distributions.
 ``rotate_exact`` remains the general DIAG path for any ``FockState``.
+
+Every distribution here is an array of probabilities of the difference
+number n = -size..size at index n + size (``exact_loss_distribution``,
+``product_loss_distribution``); ``difference_moments`` reads its mean and
+variance.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ def _log_factorials(size: int) -> np.ndarray:
     return _LOG_FACTORIALS[: size + 1]
 
 
-def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes of a single-mode coherent state."""
     n = np.arange(cutoff + 1)
     if alpha == 0:
@@ -151,9 +156,9 @@ def build_state_exact(
     # weights of U and V.
     sqrt_fact = np.exp(0.5 * _log_factorials(cutoff))
     mode = np.exp(-g * (n + 0.5)) / sqrt_fact
-    u = coherent_amplitudes(alpha_v, cutoff) * mode
+    u = _coherent_amplitudes(alpha_v, cutoff) * mode
     u *= np.exp(-np.conj(gam) * complex(alpha_v) * complex(alpha_h))
-    v = coherent_amplitudes(alpha_h, cutoff) * mode
+    v = _coherent_amplitudes(alpha_h, cutoff) * mode
     w = np.cumprod(np.concatenate(([1.0], gam / np.arange(1.0, cutoff + 1))))
     rows_u = sqrt_fact[:, None] * _lower_toeplitz(u) * w
     out = rows_u @ (sqrt_fact[:, None] * _lower_toeplitz(v)).T
@@ -174,7 +179,7 @@ def _lower_toeplitz(x: np.ndarray) -> np.ndarray:
     )
 
 
-def squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: int) -> np.ndarray:
+def _squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: int) -> np.ndarray:
     """Fock amplitudes of the single-mode state S(r e^{i phi}) |beta>, from
 
         S(r e^{i phi}) = exp(Gam/2 a+^2) exp(-g (n + 1/2)) exp(-Gam*/2 a^2),
@@ -185,7 +190,7 @@ def squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: in
     gam = np.exp(1j * phi) * math.tanh(r)
     n = np.arange(cutoff + 1)
     sqrt_fact = np.exp(0.5 * _log_factorials(cutoff))
-    c = coherent_amplitudes(beta, cutoff) * np.exp(-math.log(math.cosh(r)) * (n + 0.5)) / sqrt_fact
+    c = _coherent_amplitudes(beta, cutoff) * np.exp(-math.log(math.cosh(r)) * (n + 0.5)) / sqrt_fact
     c *= np.exp(-np.conj(gam) / 2 * complex(beta) ** 2)
     # exp(Gam/2 a+^2): out[n] = sqrt(n!) sum_k w[2k] c[n-2k], a convolution
     # with w[2k] = (Gam/2)^k / k! and zero at odd indices
@@ -221,7 +226,7 @@ def diag_number_marginals(
     )
     for row, (beta, phi) in zip(marginals, factors):
         cutoff = _factor_cutoff(beta, r, phi)
-        row[: cutoff + 1] = np.abs(squeezed_coherent_amplitudes(beta, r, phi, cutoff)) ** 2
+        row[: cutoff + 1] = np.abs(_squeezed_coherent_amplitudes(beta, r, phi, cutoff)) ** 2
     marginals.setflags(write=False)
     deficit = _deficit(float(marginals[0].sum() * marginals[1].sum()))
     if truncation_bound is not None:
@@ -354,24 +359,13 @@ def exact_diff_distribution(
     state: FockState,
     basis: Basis,
     truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
-) -> dict[int, float]:
-    """Exact probability distribution of the difference number n: the
-    lossless case of ``exact_loss_distribution``."""
+) -> np.ndarray:
+    """Exact probabilities of the difference number n: the lossless case of
+    ``exact_loss_distribution``."""
     return exact_loss_distribution(state, 0.0, basis, truncation_bound)
 
 
 def exact_loss_distribution(
-    state: FockState,
-    eta: float,
-    basis: Basis,
-    truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
-) -> dict[int, float]:
-    """``exact_loss_probabilities`` as {n: p}; zero-probability values are
-    omitted."""
-    return _as_distribution(exact_loss_probabilities(state, eta, basis, truncation_bound))
-
-
-def exact_loss_probabilities(
     state: FockState,
     eta: float,
     basis: Basis,
@@ -402,13 +396,7 @@ def exact_loss_probabilities(
     return np.bincount(np.subtract.outer(n, n).ravel() + size, weights=joint.ravel())
 
 
-def product_loss_distribution(marginals: np.ndarray, eta: float) -> dict[int, float]:
-    """``product_loss_probabilities`` as {n: p}; zero-probability values
-    are omitted."""
-    return _as_distribution(product_loss_probabilities(marginals, eta))
-
-
-def product_loss_probabilities(marginals: np.ndarray, eta: float) -> np.ndarray:
+def product_loss_distribution(marginals: np.ndarray, eta: float) -> np.ndarray:
     """Exact probabilities of n = n_0 - n_1 = -size..size, at index n + size,
     for independent modes with number distributions ``marginals`` (rows 0
     and 1 over 0..size, as from ``diag_number_marginals``) after a
@@ -429,29 +417,15 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be in [0, 1] (got {eta})")
 
 
-def _as_distribution(probs: np.ndarray) -> dict[int, float]:
-    """{n: p} from probabilities indexed by n + size, zeros dropped."""
-    (kept,) = np.nonzero(probs > 0.0)
-    return dict(zip((kept - (probs.shape[0] - 1) // 2).tolist(), probs[kept].tolist()))
-
-
-def distribution_moments(dist: dict[int, float]) -> tuple[float, float]:
-    """Mean and variance of an integer-valued distribution, normalized by
-    its retained probability mass."""
-    return _moments(np.fromiter(dist.keys(), float), np.fromiter(dist.values(), float))
-
-
 def difference_moments(probs: np.ndarray) -> tuple[float, float]:
-    """``distribution_moments`` of probabilities indexed by n + size, as
-    from ``exact_loss_probabilities`` and ``product_loss_probabilities``."""
-    size = (probs.shape[0] - 1) // 2
-    return _moments(np.arange(-size, size + 1.0), probs)
-
-
-def _moments(values: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the difference number from probabilities indexed
+    by n + size, as from ``exact_loss_distribution`` and
+    ``product_loss_distribution``, normalized by their retained mass."""
     total = float(probs.sum())
     if total <= 0.0:
         raise ValueError("distribution carries no probability mass")
+    size = (probs.shape[0] - 1) // 2
+    values = np.arange(-size, size + 1.0)
     mean = float((values * probs).sum() / total)
     var = float((values**2 * probs).sum() / total - mean**2)
     return mean, var

@@ -269,23 +269,6 @@ def tap_split(state: GaussianState, eta: float) -> GaussianState:
     return GaussianState(labels, s @ mean_in, s @ cov_in @ s.T)
 
 
-def amplified_total_number(params: SourceParams, r: float) -> float:
-    """Mean total photon number after squeezing the aligned-phase seed by r.
-
-    Closed form for the seed (alpha_V real, alpha_H = i|alpha_H|) at the
-    pump phase PUMP_PHASE:
-    N_T(r) = N_seed cosh 2r + 2 |alpha_V||alpha_H| sinh 2r + 2 sinh^2 r.
-    """
-    n_seed = params.n_total_seed
-    av2 = 0.5 * (n_seed + params.bit_amplitude_N)
-    ah2 = 0.5 * (n_seed - params.bit_amplitude_N)
-    return (
-        n_seed * math.cosh(2 * r)
-        + 2.0 * math.sqrt(av2) * math.sqrt(ah2) * math.sinh(2 * r)
-        + 2.0 * math.sinh(r) ** 2
-    )
-
-
 def solve_gain_squeeze(params: SourceParams) -> float:
     """Squeeze parameter r with N_T,amp(r) = gain_G * N_T,seed, in closed form.
 

@@ -6,6 +6,11 @@ and checks that the engine's difference-number mean and variance agree to
 a relative tolerance. Agreement here certifies the moment formulas at any
 scale: they are polynomial identities in the mean vector and covariance
 matrix, so correctness does not depend on the photon number.
+
+The oracle side of a V/H row is ``fock.exact_loss_distribution`` of the
+two-mode Fock state, and of a DIAG row ``fock.product_loss_distribution``
+of the +45/-45 number marginals; both are arrays indexed n + size, read
+through ``fock.difference_moments``.
 """
 
 from __future__ import annotations
@@ -109,10 +114,10 @@ def _point_rows(
     mom = diff_number_moments(lossy, basis)
     if Basis(basis) is Basis.VH:
         deficit = point.vh.norm_deficit
-        probs = fock.exact_loss_probabilities(point.vh, eta, basis, truncation_bound=None)
+        probs = fock.exact_loss_distribution(point.vh, eta, basis, truncation_bound=None)
     else:
         deficit = point.diag_deficit
-        probs = fock.product_loss_probabilities(point.diag, eta)
+        probs = fock.product_loss_distribution(point.diag, eta)
     oracle_mean, oracle_var = fock.difference_moments(probs)
 
     rows = []

@@ -400,6 +400,14 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_exported_name_resolves():
+    import macroqkd
+
+    assert [name for name in macroqkd.__all__ if not hasattr(macroqkd, name)] == []
+    assert "difference_moments" in macroqkd.__all__
+    assert "sample_outcome" not in macroqkd.__all__
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "fig3.csv"
     proc = subprocess.run(

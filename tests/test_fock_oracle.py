@@ -10,19 +10,16 @@ import pytest
 from macroqkd.fock import (
     MAX_CUTOFF,
     FockState,
+    _coherent_amplitudes,
     _rotation_block,
+    _squeezed_coherent_amplitudes,
     _thinning_kernel,
     build_state_exact,
-    coherent_amplitudes,
     diag_number_marginals,
     difference_moments,
-    distribution_moments,
     exact_diff_distribution,
     exact_loss_distribution,
-    exact_loss_probabilities,
     product_loss_distribution,
-    product_loss_probabilities,
-    squeezed_coherent_amplitudes,
 )
 from macroqkd.gaussian import PUMP_PHASE
 from macroqkd.photostats import Basis
@@ -50,19 +47,19 @@ LADDER_POINTS = [
 
 def test_vacuum_distribution():
     state = build_state_exact(0, 0, 0.0, 0.0, 10)
-    dist = exact_diff_distribution(state, Basis.VH)
-    assert dist[0] == pytest.approx(1.0, abs=1e-14)
-    assert all(p < 1e-14 for d, p in dist.items() if d != 0)
+    probs = exact_diff_distribution(state, Basis.VH)  # n at index n + 10
+    assert probs[10] == pytest.approx(1.0, abs=1e-14)
+    assert np.all(np.delete(probs, 10) < 1e-14)
 
 
 def test_coherent_state_is_poisson():
     # one empty mode: difference distribution is Poisson(1) on n >= 0
     state = build_state_exact(1.0, 0, 0.0, 0.0, 30)
-    dist = exact_diff_distribution(state, Basis.VH)
-    assert all(d >= 0 for d in dist)
+    probs = exact_diff_distribution(state, Basis.VH)  # n at index n + 30
+    assert np.all(probs[:30] == 0.0)
     for n in range(6):
-        assert dist[n] == pytest.approx(math.exp(-1) / math.factorial(n), rel=1e-10)
-    mean, var = distribution_moments(dist)
+        assert probs[n + 30] == pytest.approx(math.exp(-1) / math.factorial(n), rel=1e-10)
+    mean, var = difference_moments(probs)
     assert mean == pytest.approx(1.0, rel=1e-10)
     assert var == pytest.approx(1.0, rel=1e-9)
 
@@ -73,7 +70,7 @@ def test_two_mode_squeezed_vacuum():
     n_v = float(np.sum(amps * np.arange(41)[:, None]))
     assert n_v == pytest.approx(math.sinh(0.5) ** 2, rel=1e-12)
     # pair production conserves n exactly: var(n_V - n_H) = 0
-    mean, var = distribution_moments(exact_diff_distribution(state, Basis.VH))
+    mean, var = difference_moments(exact_diff_distribution(state, Basis.VH))
     assert mean == pytest.approx(0.0, abs=1e-14)
     assert var == pytest.approx(0.0, abs=1e-12)
 
@@ -81,7 +78,7 @@ def test_two_mode_squeezed_vacuum():
 def test_squeezed_coherent_variance_matches_seed_total():
     # var(n) after amplification equals the seed photon number: 4 + 4 = 8
     state = build_state_exact(2.0, 2.0j, 0.5, math.pi / 2, 60)
-    mean, var = distribution_moments(exact_diff_distribution(state, Basis.VH))
+    mean, var = difference_moments(exact_diff_distribution(state, Basis.VH))
     assert mean == pytest.approx(0.0, abs=1e-9)
     assert var == pytest.approx(8.0, rel=1e-9)
 
@@ -140,7 +137,7 @@ def test_build_checks_cutoff_before_building(monkeypatch, cutoff):
     def no_amplitudes(alpha, size):
         raise AssertionError("amplitudes built before the cutoff check")
 
-    monkeypatch.setattr(fock, "coherent_amplitudes", no_amplitudes)
+    monkeypatch.setattr(fock, "_coherent_amplitudes", no_amplitudes)
     with pytest.raises(ValueError, match="cutoff"):
         build_state_exact(1.0, 0.5j, 0.5, 0.3, cutoff)
 
@@ -153,7 +150,7 @@ def _direct_sum_build(alpha_v, alpha_h, r, theta, cutoff):
     sqrt_fact = np.exp(0.5 * fock._log_factorials(cutoff))
     mode = np.exp(-math.log(math.cosh(r)) * (n + 0.5)) / sqrt_fact
     c = np.outer(
-        coherent_amplitudes(alpha_v, cutoff) * mode, coherent_amplitudes(alpha_h, cutoff) * mode
+        _coherent_amplitudes(alpha_v, cutoff) * mode, _coherent_amplitudes(alpha_h, cutoff) * mode
     )
     c *= np.exp(-np.conj(gam) * complex(alpha_v) * complex(alpha_h))
     out = np.zeros_like(c)
@@ -175,7 +172,7 @@ def test_factorized_build_matches_direct_sum(alpha_v, alpha_h, r, theta, cutoff)
 def test_rotation_sign_matches_engine_convention():
     # coherent (1, 0.5): DIAG mean must be +1 (cross term), not -1
     state = build_state_exact(1.0, 0.5, 0.0, 0.0, 25)
-    mean, _ = distribution_moments(exact_diff_distribution(state, Basis.DIAG))
+    mean, _ = difference_moments(exact_diff_distribution(state, Basis.DIAG))
     assert mean == pytest.approx(1.0, rel=1e-9)
 
 
@@ -227,8 +224,7 @@ def test_factorized_diag_distribution_matches_rotation(alpha_v, alpha_h, r, thet
     for eta in (0.0, 0.3, 0.9):
         rotated = exact_loss_distribution(state, eta, Basis.DIAG)
         factorized = product_loss_distribution(marginals, eta)
-        for n in rotated.keys() | factorized.keys():
-            assert factorized.get(n, 0.0) == pytest.approx(rotated.get(n, 0.0), rel=0, abs=1e-14), (eta, n)
+        np.testing.assert_allclose(factorized, rotated, rtol=0, atol=1e-14, err_msg=f"eta={eta}")
 
 
 @pytest.mark.parametrize("alpha_v, alpha_h, r, theta", LADDER_POINTS + COMPLEX_POINTS)
@@ -241,7 +237,7 @@ def test_sized_diag_marginals_match_full_span(alpha_v, alpha_h, r, theta):
         ((alpha_h - alpha_v) / math.sqrt(2.0), theta + math.pi),
     ]
     for row, (beta, phi) in zip(marginals, factors):
-        full = np.abs(squeezed_coherent_amplitudes(beta, r, phi, 2 * MAX_CUTOFF)) ** 2
+        full = np.abs(_squeezed_coherent_amplitudes(beta, r, phi, 2 * MAX_CUTOFF)) ** 2
         np.testing.assert_allclose(row, full, rtol=0, atol=1e-15)
         # the Chernoff size leaves at most the promised mass beyond it
         size = fock._factor_cutoff(beta, r, phi)
@@ -249,21 +245,21 @@ def test_sized_diag_marginals_match_full_span(alpha_v, alpha_h, r, theta):
         assert full[size + 1 :].sum() <= fock._TAIL_MASS
 
 
-def test_probability_arrays_match_distributions():
+def test_difference_moments_match_direct_sums():
     alpha_v, alpha_h, r, theta = COMPLEX_POINTS[0]
     state = build_state_exact(alpha_v, alpha_h, r, theta, 60)
     marginals, _ = diag_number_marginals(alpha_v, alpha_h, r, theta)
     for eta in (0.0, 0.4):
-        vh = exact_loss_probabilities(state, eta, Basis.VH)
-        diag = product_loss_probabilities(marginals, eta)
-        for probs, dist in (
-            (vh, exact_loss_distribution(state, eta, Basis.VH)),
-            (diag, product_loss_distribution(marginals, eta)),
+        for probs, size in (
+            (exact_loss_distribution(state, eta, Basis.VH), state.cutoff),
+            (product_loss_distribution(marginals, eta), marginals.shape[1] - 1),
         ):
-            size = (probs.shape[0] - 1) // 2
-            assert dist == {n - size: p for n, p in enumerate(probs.tolist()) if p > 0.0}
-            moments = difference_moments(probs)
-            np.testing.assert_allclose(moments, distribution_moments(dist), rtol=1e-13)
+            assert probs.shape == (2 * size + 1,)  # n = -size..size at index n + size
+            n = np.arange(-size, size + 1)
+            mass = probs.sum()
+            mean = np.sum(n * probs) / mass
+            var = np.sum(n**2 * probs) / mass - mean**2
+            np.testing.assert_allclose(difference_moments(probs), (mean, var), rtol=1e-13)
 
 
 def test_diag_marginals_gate_truncation():
@@ -281,7 +277,7 @@ def test_log_factorials_match_lgamma():
     assert table.tolist() == [math.lgamma(k + 1.0) for k in range(2 * MAX_CUTOFF + 1)]
     assert fock._log_factorials(7).tolist() == table[:8].tolist()
     with pytest.raises(ValueError, match="cutoff"):
-        coherent_amplitudes(1.0, 2 * MAX_CUTOFF + 1)
+        _coherent_amplitudes(1.0, 2 * MAX_CUTOFF + 1)
 
 
 # ----------------------------------------------------------------------- loss
@@ -291,9 +287,9 @@ def test_loss_endpoints_match():
     state = build_state_exact(1.5, 1.5j, 0.4, math.pi / 2, 40)
     base = exact_diff_distribution(state, Basis.VH)
     same = exact_loss_distribution(state, 0.0, Basis.VH)
-    assert same == base  # the lossless distribution is the eta = 0 case
+    np.testing.assert_array_equal(same, base)  # the lossless distribution is the eta = 0 case
     dark = exact_loss_distribution(state, 1.0, Basis.VH)
-    assert dark[0] == pytest.approx(1.0, abs=1e-12)
+    assert dark[40] == pytest.approx(1.0, abs=1e-12)  # n = 0 at index 0 + cutoff
 
 
 @pytest.mark.parametrize("transmission", [0.0, 0.3, 0.5, 1.0])
@@ -312,8 +308,8 @@ def test_thinning_kernel_matches_binomial_pmf(transmission):
 
 def test_loss_halves_mean_and_matches_moment_formula():
     state = build_state_exact(1.5, 1.5j, 0.4, math.pi / 2, 45)
-    full_mean, _ = distribution_moments(exact_diff_distribution(state, Basis.VH))
-    mean, var = distribution_moments(exact_loss_distribution(state, 0.5, Basis.VH))
+    full_mean, _ = difference_moments(exact_diff_distribution(state, Basis.VH))
+    mean, var = difference_moments(exact_loss_distribution(state, 0.5, Basis.VH))
     assert mean == pytest.approx(0.5 * full_mean, abs=1e-9)
     # engine prediction: T^2 var0 + T(1-T) N_T
     from macroqkd.gaussian import apply_loss, apply_two_mode_squeeze, make_coherent_seed
@@ -333,10 +329,9 @@ def test_gaussian_approximation_improves_with_photon_number():
     for a_sq in (1.0, 2.0, 4.0):
         a = math.sqrt(a_sq)
         state = build_state_exact(a, 1j * a, 0.4, math.pi / 2, 60)
-        dist = exact_diff_distribution(state, Basis.VH)
-        mean, var = distribution_moments(dist)
-        ns = np.array(sorted(dist))
-        exact = np.array([dist[n] for n in ns])
+        exact = exact_diff_distribution(state, Basis.VH)
+        mean, var = difference_moments(exact)
+        ns = np.arange(-60, 61)
         approx = scipy.stats.norm.cdf(ns + 0.5, mean, math.sqrt(var)) - scipy.stats.norm.cdf(
             ns - 0.5, mean, math.sqrt(var)
         )
@@ -372,6 +367,22 @@ def test_ladder_needs_no_fock_rotation(monkeypatch):
     diag = [row for row in rows if row.basis == Basis.DIAG.value]
     assert len(diag) == len(rows) // 2
     assert all(row.truncation_deficit <= validate.LADDER_TRUNCATION_BOUND for row in diag)
+
+
+def test_ladder_reads_the_exported_distributions(monkeypatch):
+    # the ladder's oracle rows go through the public names, so a trace of
+    # fock.exact_loss_distribution or fock.product_loss_distribution sees them
+    calls = dict.fromkeys(("exact_loss_distribution", "product_loss_distribution"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(fock, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fock, name, counting)
+    assert validate.ladder_passed(validate.run_ladder())
+    points = len(validate.LADDER_R) * len(validate.LADDER_ALPHA_SQ) ** 2
+    # one call per (point, eta): V/H rows through the first, DIAG through the second
+    assert calls == dict.fromkeys(calls, points * len(validate.LADDER_ETA))
 
 
 def test_cold_ladder_builds_one_thinning_kernel():

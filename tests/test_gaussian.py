@@ -12,7 +12,6 @@ from macroqkd.gaussian import (
     GaussianState,
     SourceParams,
     alice_source,
-    amplified_total_number,
     apply_loss,
     apply_rotation,
     apply_two_mode_squeeze,
@@ -27,6 +26,23 @@ from macroqkd.gaussian import (
 from macroqkd.photostats import Basis, diff_number_moments
 
 DESIGN_POINT = SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0)
+
+
+def amplified_total_number(params: SourceParams, r: float) -> float:
+    """Mean total photon number after squeezing the aligned-phase seed by r.
+
+    Closed form for the seed (alpha_V real, alpha_H = i|alpha_H|) at the
+    pump phase PUMP_PHASE:
+    N_T(r) = N_seed cosh 2r + 2 |alpha_V||alpha_H| sinh 2r + 2 sinh^2 r.
+    """
+    n_seed = params.n_total_seed
+    av2 = 0.5 * (n_seed + params.bit_amplitude_N)
+    ah2 = 0.5 * (n_seed - params.bit_amplitude_N)
+    return (
+        n_seed * math.cosh(2 * r)
+        + 2.0 * math.sqrt(av2) * math.sqrt(ah2) * math.sinh(2 * r)
+        + 2.0 * math.sinh(r) ** 2
+    )
 
 
 def total_mean_photons(state: GaussianState) -> float:
