@@ -25,10 +25,12 @@ In the +45/-45 basis this pulse needs no rotation in Fock space. The
 squeezing becomes opposite single-mode squeezers and the pulse is the
 product S(r e^{i theta})|(alpha_V + alpha_H)/sqrt2> (x) S(r e^{i (theta +
 pi)})|(alpha_H - alpha_V)/sqrt2>. ``diag_number_marginals`` builds each
-factor from the single-mode disentangled squeeze, in O(cutoff^2), only as
-far as a Chernoff bound on its own number tail needs, and the difference
-distribution is the correlation of the two number distributions.
+factor from the single-mode disentangled squeeze, in O(cutoff^2), and the
+difference distribution is the correlation of the two number distributions.
 ``rotate_exact`` remains the general DIAG path for any ``FockState``.
+
+One Chernoff bound on each mode's number tail, ``_tail_cutoff``, sizes both
+builds: each V/H mode (``state_cutoff``) and each +45/-45 factor.
 
 Every distribution here is an array of probabilities of the difference
 number n = -size..size at index n + size (``exact_loss_distribution``,
@@ -48,8 +50,7 @@ from .photostats import Basis
 
 MAX_CUTOFF = 80
 DEFAULT_TRUNCATION_BOUND = 1e-8
-# Photon-number mass a +45/-45 factor of diag_number_marginals may leave
-# beyond the size it is built to
+# Photon-number mass a mode may leave beyond the size its build is given
 _TAIL_MASS = 1e-18
 
 
@@ -168,6 +169,21 @@ def build_state_exact(
     return state
 
 
+def state_cutoff(alpha_v: complex, alpha_h: complex, r: float, theta: float) -> int:
+    """Cutoff for ``build_state_exact``: the larger of its two modes'
+    ``_tail_cutoff``, capped at MAX_CUTOFF, so that uncapped the build loses at
+    most 2 ``_TAIL_MASS``. Each mode is a displaced thermal state, variance
+    cosh(2r)/2 on every axis and mean <a_V> = alpha_V cosh r + e^{i theta}
+    alpha_H* sinh r (V and H swapped for the other mode)."""
+    _check_pulse(alpha_v, alpha_h, r, theta)
+    var = math.cosh(2.0 * r) / 2
+    pump = np.exp(1j * theta) * math.sinh(r)
+    return max(
+        _tail_cutoff(a * math.cosh(r) + pump * np.conj(b), var, var, MAX_CUTOFF)
+        for a, b in ((alpha_v, alpha_h), (alpha_h, alpha_v))
+    )
+
+
 def _lower_toeplitz(x: np.ndarray) -> np.ndarray:
     """Read-only view T[n, k] = x[n - k], zero for k > n."""
     size = x.shape[0]
@@ -196,7 +212,10 @@ def _squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: i
     # with w[2k] = (Gam/2)^k / k! and zero at odd indices
     w = np.zeros(cutoff + 1, dtype=complex)
     w[::2] = np.cumprod(np.concatenate(([1.0], gam / 2 / np.arange(1.0, cutoff // 2 + 1))))
-    return np.convolve(w, c)[: cutoff + 1] * sqrt_fact
+    # Scaling index j of both operands by 4^j, and output n back by 4^n, is
+    # exact and keeps every product out of the slow subnormal range
+    scale = np.ldexp(1.0, 2 * n)
+    return np.convolve(w * scale, c * scale)[: cutoff + 1] / scale * sqrt_fact
 
 
 def diag_number_marginals(
@@ -212,8 +231,8 @@ def diag_number_marginals(
     norm deficit 1 - sum p_+ sum p_-.
 
     The modes are independent single-mode squeezed coherent states (module
-    docstring), so no rotation is needed. Each is built only up to
-    ``_factor_cutoff``, which leaves at most ``_TAIL_MASS`` beyond it, and
+    docstring), so no rotation is needed. Each is built only up to its
+    ``_tail_cutoff``, which leaves at most ``_TAIL_MASS`` beyond it, and
     padded with zeros. States whose deficit exceeds ``truncation_bound``
     are rejected; pass None to skip the gate.
     """
@@ -224,8 +243,10 @@ def diag_number_marginals(
         ((alpha_v + alpha_h) / math.sqrt(2.0), theta),
         ((alpha_h - alpha_v) / math.sqrt(2.0), theta + math.pi),
     )
+    squeezed = (math.exp(2.0 * r) / 2, math.exp(-2.0 * r) / 2)  # variances along phi/2, across
     for row, (beta, phi) in zip(marginals, factors):
-        cutoff = _factor_cutoff(beta, r, phi)
+        mean = beta * math.cosh(r) + beta.conjugate() * np.exp(1j * phi) * math.sinh(r)
+        cutoff = _tail_cutoff(mean * np.exp(-0.5j * phi), *squeezed, 2 * MAX_CUTOFF)
         row[: cutoff + 1] = np.abs(_squeezed_coherent_amplitudes(beta, r, phi, cutoff)) ** 2
     marginals.setflags(write=False)
     deficit = _deficit(float(marginals[0].sum() * marginals[1].sum()))
@@ -234,19 +255,20 @@ def diag_number_marginals(
     return marginals, deficit
 
 
-# Chernoff parameters z = (1 - kappa) / (1 + kappa) with kappa = -lam e^{-2r}
-# span (1, coth r), where the generating function below is finite
+# Chernoff parameters z = (1 - kappa) / (1 + kappa), kappa = -lam / (2 v_max),
+# span (1, (2 v_max + 1) / (2 v_max - 1)), where the generating function is finite
 _CHERNOFF_LAM = np.linspace(0.01, 0.99, 99)
 
 
-def _factor_cutoff(beta: complex, r: float, phi: float) -> int:
-    """Smallest cutoff s beyond which S(r e^{i phi}) |beta> provably keeps at
-    most ``_TAIL_MASS``, capped at 2 MAX_CUTOFF: the Chernoff bound
-    P(n > s) <= E[z^n] / z^(s+1), minimized over a fixed grid of z > 1.
+def _tail_cutoff(mean: complex, var_along: float, var_across: float, cap: int) -> int:
+    """Smallest size s beyond which a single-mode Gaussian state provably
+    keeps at most ``_TAIL_MASS`` photon-number probability, capped at
+    ``cap``: the Chernoff bound P(n > s) <= E[z^n] / z^(s+1), minimized over
+    a fixed grid of z > 1. This is the oracle's one truncation policy.
 
-    The state is Gaussian, with mean <a> = beta cosh r + beta* e^{i phi}
-    sinh r and, in quadratures x = (a + a+)/sqrt2 (vacuum variance 1/2),
-    variance e^{2r}/2 along angle phi/2 and e^{-2r}/2 across it.
+    The state has mean <a> = ``mean``, taken in the frame of its axes, and
+    in quadratures x = (a + a+)/sqrt2 (vacuum variance 1/2) variance
+    ``var_along`` on the real axis and ``var_across`` on the imaginary.
     Integrating its Wigner function against (1 + kappa) exp(-kappa |x|^2),
     the Weyl symbol of z^n with kappa = (1 - z)/(1 + z), gives
 
@@ -255,19 +277,17 @@ def _factor_cutoff(beta: complex, r: float, phi: float) -> int:
 
     over the two axes j, with variances v_j and mean components d_j.
     """
-    kappa = -_CHERNOFF_LAM * math.exp(-2.0 * r)
+    kappa = -_CHERNOFF_LAM / (2.0 * max(var_along, var_across))
     z = (1.0 - kappa) / (1.0 + kappa)
-    mean = beta * math.cosh(r) + beta.conjugate() * np.exp(1j * phi) * math.sinh(r)
-    along = mean * np.exp(-0.5j * phi)  # anti-squeezed axis on the real line
-    wide = 1.0 + kappa * math.exp(2.0 * r)
-    narrow = 1.0 + kappa * math.exp(-2.0 * r)
+    along = 1.0 + 2.0 * kappa * var_along
+    across = 1.0 + 2.0 * kappa * var_across
     log_pgf = (
         np.log1p(kappa)
-        - 0.5 * np.log(wide * narrow)
-        - 2.0 * kappa * (along.real**2 / wide + along.imag**2 / narrow)
+        - 0.5 * np.log(along * across)
+        - 2.0 * kappa * (mean.real**2 / along + mean.imag**2 / across)
     )
     bound = np.ceil((log_pgf - math.log(_TAIL_MASS)) / np.log(z)) - 1.0
-    return int(min(2 * MAX_CUTOFF, bound.min()))
+    return int(min(cap, bound.min()))
 
 
 @functools.lru_cache(maxsize=2 * MAX_CUTOFF + 1)

@@ -58,23 +58,6 @@ class ComparisonRow:
 _ROW = "%.17g,%.17g,%.17g,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,%s"
 
 
-def _pick_cutoff(alpha_v_sq: float, alpha_h_sq: float, r: float) -> int:
-    """Cutoff heavy enough for an ~1e-8 norm deficit, capped at the oracle limit.
-
-    Squeezed pulses are super-Poissonian, so the tail is sized from the
-    per-mode variance rather than sqrt(mean)."""
-    av, ah = math.sqrt(alpha_v_sq), math.sqrt(alpha_h_sq)
-    ch, sh = math.cosh(r), math.sinh(r)
-    mean_mode = max(
-        ch**2 * alpha_v_sq + sh**2 * (alpha_h_sq + 1) + 2 * ch * sh * av * ah,
-        ch**2 * alpha_h_sq + sh**2 * (alpha_v_sq + 1) + 2 * ch * sh * av * ah,
-    )
-    # crude per-mode std bound: amplified coherent noise in the anti-squeezed
-    # quadrature plus the Poisson floor
-    sigma = math.sqrt(mean_mode) * math.exp(r) + 1.0
-    return min(fock.MAX_CUTOFF, int(math.ceil(mean_mode + 9.0 * sigma + 8.0)))
-
-
 @dataclass(frozen=True, eq=False)
 class _LadderPoint:
     """Everything a ladder point's rows share across loss and basis."""
@@ -95,7 +78,7 @@ def _ladder_point(r: float, alpha_v_sq: float, alpha_h_sq: float) -> _LadderPoin
     # shade above the default 1e-8 deficit gate; the ladder's own bound is
     # 5e-8, which keeps the induced moment error an order below tolerance.
     vh = fock.build_state_exact(
-        alpha_v, alpha_h, r, PUMP_PHASE, _pick_cutoff(alpha_v_sq, alpha_h_sq, r),
+        alpha_v, alpha_h, r, PUMP_PHASE, fock.state_cutoff(alpha_v, alpha_h, r, PUMP_PHASE),
         truncation_bound=LADDER_TRUNCATION_BOUND,
     )
     diag, diag_deficit = fock.diag_number_marginals(

@@ -239,10 +239,51 @@ def test_sized_diag_marginals_match_full_span(alpha_v, alpha_h, r, theta):
     for row, (beta, phi) in zip(marginals, factors):
         full = np.abs(_squeezed_coherent_amplitudes(beta, r, phi, 2 * MAX_CUTOFF)) ** 2
         np.testing.assert_allclose(row, full, rtol=0, atol=1e-15)
-        # the Chernoff size leaves at most the promised mass beyond it
-        size = fock._factor_cutoff(beta, r, phi)
+        # the Chernoff size leaves at most the promised mass beyond it; the
+        # factor's variance is e^{2r}/2 along angle phi/2, e^{-2r}/2 across
+        mean = beta * math.cosh(r) + beta.conjugate() * np.exp(1j * phi) * math.sinh(r)
+        size = fock._tail_cutoff(
+            mean * np.exp(-0.5j * phi), math.exp(2.0 * r) / 2, math.exp(-2.0 * r) / 2, 2 * MAX_CUTOFF
+        )
         assert np.all(row[size + 1 :] == 0.0)
         assert full[size + 1 :].sum() <= fock._TAIL_MASS
+
+
+@pytest.mark.parametrize(
+    "alpha_v, alpha_h, r, theta", [p for p in LADDER_POINTS if p[2] <= 0.5] + COMPLEX_POINTS
+)
+def test_state_cutoff_bounds_each_mode_tail(alpha_v, alpha_h, r, theta):
+    cutoff = fock.state_cutoff(alpha_v, alpha_h, r, theta)
+    assert cutoff < MAX_CUTOFF
+    joint = np.abs(build_state_exact(alpha_v, alpha_h, r, theta, MAX_CUTOFF).amplitudes) ** 2
+    for marginal in (joint.sum(axis=1), joint.sum(axis=0)):  # V, then H
+        assert marginal[cutoff + 1 :].sum() <= fock._TAIL_MASS
+    # A build at the cutoff keeps these amplitudes exactly and loses the rest;
+    # its 1 - sum |c|^2 reads that loss only to rounding (~1e-15), so the loss
+    # is summed here directly.
+    lost = joint[cutoff + 1 :].sum() + joint[: cutoff + 1, cutoff + 1 :].sum()
+    assert lost <= 2 * fock._TAIL_MASS
+
+
+@pytest.mark.parametrize(
+    "beta, phi",
+    [((2 + 2j) / math.sqrt(2), PUMP_PHASE), ((2j - 2) / math.sqrt(2), PUMP_PHASE + math.pi)],
+)
+def test_squeezed_convolution_stays_out_of_subnormals(monkeypatch, beta, phi):
+    # the +-45 factors of the heaviest ladder point, at the 160-photon cap
+    operands = []
+    convolve = np.convolve
+
+    def capture(a, v, *args):
+        operands.append((a, v))
+        return convolve(a, v, *args)
+
+    monkeypatch.setattr(np, "convolve", capture)
+    _squeezed_coherent_amplitudes(beta, 0.8, phi, 2 * MAX_CUTOFF)
+    [(w, c)] = operands
+    # every real product the complex convolution forms
+    products = np.abs(np.multiply.outer(np.stack((w.real, w.imag)), np.stack((c.real, c.imag))))
+    assert np.all((products == 0.0) | (products >= np.finfo(float).tiny))
 
 
 def test_difference_moments_match_direct_sums():
