@@ -4,13 +4,6 @@ statistics, the full Alice/Bob protocol and four eavesdropping attacks,
 validated against an exact small-scale Fock-space oracle.
 """
 
-import os
-
-# One BLAS thread unless the user set a count: the package's products are
-# small and slower threaded. Takes effect only if imported before NumPy.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 from .attacks import AttackConfig, AttackKind
 from .fock import (
     FockState,

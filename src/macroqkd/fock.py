@@ -25,12 +25,11 @@ In the +45/-45 basis this pulse needs no rotation in Fock space. The
 squeezing becomes opposite single-mode squeezers and the pulse is the
 product S(r e^{i theta})|(alpha_V + alpha_H)/sqrt2> (x) S(r e^{i (theta +
 pi)})|(alpha_H - alpha_V)/sqrt2>. ``diag_number_marginals`` builds each
-factor from the single-mode disentangled squeeze, in O(cutoff^2), and the
-difference distribution is the correlation of the two number distributions.
+factor from the single-mode disentangled squeeze, in O(cutoff^2), only as
+far as a Chernoff bound on its own number tail needs, and the difference
+distribution is the correlation of the two number distributions. The same
+bound, ``_tail_cutoff``, sizes each V/H mode (``state_cutoff``).
 ``rotate_exact`` remains the general DIAG path for any ``FockState``.
-
-One Chernoff bound on each mode's number tail, ``_tail_cutoff``, sizes both
-builds: each V/H mode (``state_cutoff``) and each +45/-45 factor.
 
 Every distribution here is an array of probabilities of the difference
 number n = -size..size at index n + size (``exact_loss_distribution``,
@@ -170,14 +169,11 @@ def build_state_exact(
 
 
 def state_cutoff(alpha_v: complex, alpha_h: complex, r: float, theta: float) -> int:
-    """Cutoff for ``build_state_exact``: the larger of its two modes'
-    ``_tail_cutoff``, capped at MAX_CUTOFF, so that uncapped the build loses at
-    most 2 ``_TAIL_MASS``. Each mode is a displaced thermal state, variance
-    cosh(2r)/2 on every axis and mean <a_V> = alpha_V cosh r + e^{i theta}
-    alpha_H* sinh r (V and H swapped for the other mode)."""
+    """Cutoff for ``build_state_exact``: the larger ``_tail_cutoff`` of its two
+    modes, capped at MAX_CUTOFF. Each is displaced thermal with variance cosh(2r)/2,
+    <a_V> = alpha_V cosh r + e^{i theta} alpha_H* sinh r and V, H swapped for <a_H>."""
     _check_pulse(alpha_v, alpha_h, r, theta)
-    var = math.cosh(2.0 * r) / 2
-    pump = np.exp(1j * theta) * math.sinh(r)
+    var, pump = math.cosh(2.0 * r) / 2, np.exp(1j * theta) * math.sinh(r)
     return max(
         _tail_cutoff(a * math.cosh(r) + pump * np.conj(b), var, var, MAX_CUTOFF)
         for a, b in ((alpha_v, alpha_h), (alpha_h, alpha_v))
@@ -212,8 +208,7 @@ def _squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: i
     # with w[2k] = (Gam/2)^k / k! and zero at odd indices
     w = np.zeros(cutoff + 1, dtype=complex)
     w[::2] = np.cumprod(np.concatenate(([1.0], gam / 2 / np.arange(1.0, cutoff // 2 + 1))))
-    # Scaling index j of both operands by 4^j, and output n back by 4^n, is
-    # exact and keeps every product out of the slow subnormal range
+    # Scaling index j of w and c by 4^j (exact), and output n back, keeps products normal
     scale = np.ldexp(1.0, 2 * n)
     return np.convolve(w * scale, c * scale)[: cutoff + 1] / scale * sqrt_fact
 
@@ -231,7 +226,7 @@ def diag_number_marginals(
     norm deficit 1 - sum p_+ sum p_-.
 
     The modes are independent single-mode squeezed coherent states (module
-    docstring), so no rotation is needed. Each is built only up to its
+    docstring), so no rotation is needed. Each is built only up to
     ``_tail_cutoff``, which leaves at most ``_TAIL_MASS`` beyond it, and
     padded with zeros. States whose deficit exceeds ``truncation_bound``
     are rejected; pass None to skip the gate.
@@ -255,20 +250,19 @@ def diag_number_marginals(
     return marginals, deficit
 
 
-# Chernoff parameters z = (1 - kappa) / (1 + kappa), kappa = -lam / (2 v_max),
+# Chernoff parameters z = (1 - kappa) / (1 + kappa) with kappa = -lam / (2 v_max)
 # span (1, (2 v_max + 1) / (2 v_max - 1)), where the generating function is finite
 _CHERNOFF_LAM = np.linspace(0.01, 0.99, 99)
 
 
 def _tail_cutoff(mean: complex, var_along: float, var_across: float, cap: int) -> int:
-    """Smallest size s beyond which a single-mode Gaussian state provably
-    keeps at most ``_TAIL_MASS`` photon-number probability, capped at
-    ``cap``: the Chernoff bound P(n > s) <= E[z^n] / z^(s+1), minimized over
-    a fixed grid of z > 1. This is the oracle's one truncation policy.
+    """Smallest size s beyond which a single-mode Gaussian state provably keeps
+    at most ``_TAIL_MASS``, capped at ``cap``: the Chernoff bound
+    P(n > s) <= E[z^n] / z^(s+1), minimized over a fixed grid of z > 1.
 
-    The state has mean <a> = ``mean``, taken in the frame of its axes, and
-    in quadratures x = (a + a+)/sqrt2 (vacuum variance 1/2) variance
-    ``var_along`` on the real axis and ``var_across`` on the imaginary.
+    The state has mean <a> = ``mean`` and, in quadratures x = (a + a+)/sqrt2
+    (vacuum variance 1/2), variance ``var_along`` on the real axis and
+    ``var_across`` on the imaginary. This one bound sizes every oracle build.
     Integrating its Wigner function against (1 + kappa) exp(-kappa |x|^2),
     the Weyl symbol of z^n with kappa = (1 - z)/(1 + z), gives
 

@@ -4,7 +4,6 @@ byte-level determinism."""
 import importlib.util
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -399,18 +398,6 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_import_defaults_blas_to_one_thread():
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    code = f"import os, macroqkd; print([os.environ[v] for v in {names!r}])"
-    env = {k: v for k, v in os.environ.items() if k not in names}
-    for preset, expected in (({}, ["1", "1", "1"]), ({names[0]: "2"}, ["2", "1", "1"])):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env={**env, **preset}, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == repr(expected)
 
 
 def test_every_exported_name_resolves():
