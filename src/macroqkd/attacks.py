@@ -13,12 +13,11 @@ preparation.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, SourceParams, alice_source, is_number, tap_split
+from .gaussian import GaussianState, SourceParams, alice_source, apply_loss, is_number
 from .photostats import (
     Basis,
     DetectorModel,
@@ -64,19 +63,17 @@ def attack_config_violations(kind: AttackKind, tap_fraction: float | None) -> li
     return out
 
 
-@functools.lru_cache(maxsize=256)
 def tap_arms(state: GaussianState, eta_e: float) -> tuple[GaussianState, GaussianState]:
     """Bob's transmitted and Eve's tapped (V, H) marginals when a fraction
-    eta_e of the pulse is diverted on a non-polarizing beamsplitter.
+    eta_e of the pulse is diverted on a non-polarizing beamsplitter: the
+    pulse after losses eta_e and 1 - eta_e (``tap_split``'s marginals).
 
-    Memoized on (state identity, eta_e), so repeated taps of the same pulse
-    return the same arm states and their moments stay cached.
+    Each arm comes from ``apply_loss``' cache, so repeated taps of the same
+    pulse return the same arm states and their moments stay cached.
     """
-    joint = tap_split(state, eta_e)  # modes (V_B, H_B, V_E, H_E)
-    return (
-        GaussianState(("V", "H"), joint.mean[:4], joint.cov[:4, :4]),
-        GaussianState(("V", "H"), joint.mean[4:], joint.cov[4:, 4:]),
-    )
+    if not 0.0 < eta_e < 1.0:
+        raise ValueError(f"tap fraction eta must be in (0, 1) (got {eta_e})")
+    return apply_loss(state, eta_e), apply_loss(state, 1.0 - eta_e)
 
 
 def _draw_basis(rng: np.random.Generator) -> Basis:

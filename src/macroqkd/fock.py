@@ -27,9 +27,15 @@ product S(r e^{i theta})|(alpha_V + alpha_H)/sqrt2> (x) S(r e^{i (theta +
 pi)})|(alpha_H - alpha_V)/sqrt2>. ``diag_number_marginals`` builds each
 factor from the single-mode disentangled squeeze, in O(cutoff^2), only as
 far as a Chernoff bound on its own number tail needs, and the difference
-distribution is the correlation of the two number distributions. The same
-bound, ``_tail_cutoff``, sizes each V/H mode (``state_cutoff``).
+distribution is the correlation of the two number distributions.
 ``rotate_exact`` remains the general DIAG path for any ``FockState``.
+
+The module owns its truncation policy: no public function takes a cutoff or
+a bound. The same Chernoff bound, ``_tail_cutoff``, sizes each V/H mode
+of ``build_state_exact`` (capped at MAX_CUTOFF) and each +45/-45 factor
+(capped at 2 MAX_CUTOFF), and every state is refused whose norm deficit
+exceeds TRUNCATION_BOUND: ``FockState`` checks its own at construction,
+so the distributions re-check nothing.
 
 Every distribution here is an array of probabilities of the difference
 number n = -size..size at index n + size (``exact_loss_distribution``,
@@ -41,46 +47,44 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .photostats import Basis
 
-MAX_CUTOFF = 80
-DEFAULT_TRUNCATION_BOUND = 1e-8
+MAX_CUTOFF = 81
+# Largest norm deficit any oracle state may carry: 1 - sum |c|^2 of a FockState,
+# 1 - sum p_+ sum p_- of the +45/-45 marginals
+TRUNCATION_BOUND = 1e-8
 # Photon-number mass a mode may leave beyond the size its build is given
 _TAIL_MASS = 1e-18
 
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Two-mode state vector, amplitudes indexed (n_V, n_H) up to cutoff."""
+    """Two-mode state vector, amplitudes indexed (n_V, n_H) up to ``cutoff``.
 
-    cutoff: int
+    Construction refuses a state whose norm deficit exceeds
+    TRUNCATION_BOUND, so every FockState has passed the truncation gate.
+    """
+
     amplitudes: np.ndarray
+    norm_deficit: float = field(init=False)  # probability lost to truncation, 1 - sum |c|^2
 
     def __post_init__(self) -> None:
-        _check_cutoff(self.cutoff)
         amps = np.array(self.amplitudes, dtype=complex)
-        shape = (self.cutoff + 1, self.cutoff + 1)
-        if amps.shape != shape:
-            raise ValueError(f"amplitudes have shape {amps.shape}, expected {shape}")
+        if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
+            raise ValueError(f"amplitudes must be square (got shape {amps.shape})")
+        if not 0 < amps.shape[0] - 1 <= MAX_CUTOFF:
+            raise ValueError(f"cutoff must be in 1..{MAX_CUTOFF} (got {amps.shape[0] - 1})")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "norm_deficit", _gated_deficit(float(np.sum(np.abs(amps) ** 2))))
 
-    @functools.cached_property
-    def norm_deficit(self) -> float:
-        """Probability weight lost to truncation, 1 - sum |c|^2."""
-        return _deficit(float(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def check_truncation(self, bound: float = DEFAULT_TRUNCATION_BOUND) -> None:
-        _check_deficit(self.norm_deficit, bound)
-
-
-def _check_cutoff(cutoff: int) -> None:
-    if not 0 < cutoff <= MAX_CUTOFF:
-        raise ValueError(f"cutoff must be in 1..{MAX_CUTOFF} (got {cutoff})")
+    @property
+    def cutoff(self) -> int:
+        return self.amplitudes.shape[0] - 1
 
 
 def _check_pulse(alpha_v: complex, alpha_h: complex, r: float, theta: float) -> None:
@@ -92,15 +96,15 @@ def _check_pulse(alpha_v: complex, alpha_h: complex, r: float, theta: float) -> 
         raise ValueError(f"squeeze parameter r must be >= 0 (got {r})")
 
 
-def _deficit(mass: float) -> float:
-    """1 - mass, clamped at zero; a non-finite mass gives NaN, which the
-    gate rejects (max(0.0, nan) would be 0.0)."""
-    return max(0.0, 1.0 - mass) if math.isfinite(mass) else math.nan
-
-
-def _check_deficit(deficit: float, bound: float) -> None:
-    if not deficit <= bound:
-        raise ValueError(f"truncation bound violated: norm deficit {deficit:.3e} > {bound:.1e}")
+def _gated_deficit(mass: float) -> float:
+    """1 - mass, clamped at zero, refused above TRUNCATION_BOUND. A non-finite
+    mass gives NaN, which is refused too (max(0.0, nan) would be 0.0)."""
+    deficit = max(0.0, 1.0 - mass) if math.isfinite(mass) else math.nan
+    if not deficit <= TRUNCATION_BOUND:
+        raise ValueError(
+            f"truncation bound violated: norm deficit {deficit:.3e} > {TRUNCATION_BOUND:.1e}"
+        )
+    return deficit
 
 
 _LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(2 * MAX_CUTOFF + 1)])
@@ -125,15 +129,29 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
-def build_state_exact(
-    alpha_v: complex,
-    alpha_h: complex,
-    r: float,
-    theta: float,
-    cutoff: int,
-    truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
-) -> FockState:
-    """Two-mode squeezed coherent state S2(r e^{i theta}) |alpha_V, alpha_H>.
+def build_state_exact(alpha_v: complex, alpha_h: complex, r: float, theta: float) -> FockState:
+    """Two-mode squeezed coherent state S2(r e^{i theta}) |alpha_V, alpha_H>,
+    built up to ``_state_cutoff`` photons per mode."""
+    _check_pulse(alpha_v, alpha_h, r, theta)
+    cutoff = _state_cutoff(alpha_v, alpha_h, r, theta)
+    return FockState(_two_mode_amplitudes(alpha_v, alpha_h, r, theta, cutoff))
+
+
+def _state_cutoff(alpha_v: complex, alpha_h: complex, r: float, theta: float) -> int:
+    """The larger ``_tail_cutoff`` of the two modes, capped at MAX_CUTOFF. Each is
+    displaced thermal with variance cosh(2r)/2, <a_V> = alpha_V cosh r +
+    e^{i theta} alpha_H* sinh r and V, H swapped for <a_H>."""
+    var, pump = math.cosh(2.0 * r) / 2, np.exp(1j * theta) * math.sinh(r)
+    return max(
+        _tail_cutoff(a * math.cosh(r) + pump * np.conj(b), var, var, MAX_CUTOFF)
+        for a, b in ((alpha_v, alpha_h), (alpha_h, alpha_v))
+    )
+
+
+def _two_mode_amplitudes(
+    alpha_v: complex, alpha_h: complex, r: float, theta: float, cutoff: int
+) -> np.ndarray:
+    """Amplitudes of S2(r e^{i theta}) |alpha_V, alpha_H> for n_V, n_H up to cutoff.
 
     exp(-Gam* a b) and exp(-g (n_V + n_H + 1)) leave the seed's amplitudes
     an outer product u (x) v, and exp(Gam a+ b+) then gives
@@ -142,12 +160,7 @@ def build_state_exact(
 
     one matrix product (U diag w) V^T with U[n, k] = u[n-k], V[m, k] =
     v[m-k] and w[k] = Gam^k / k!.
-
-    Pass ``truncation_bound=None`` to skip the norm-deficit gate (the deficit
-    stays available on the returned state).
     """
-    _check_pulse(alpha_v, alpha_h, r, theta)
-    _check_cutoff(cutoff)
     gam = np.exp(1j * theta) * math.tanh(r)
     g = math.log(math.cosh(r))
     n = np.arange(cutoff + 1)
@@ -161,23 +174,7 @@ def build_state_exact(
     v = _coherent_amplitudes(alpha_h, cutoff) * mode
     w = np.cumprod(np.concatenate(([1.0], gam / np.arange(1.0, cutoff + 1))))
     rows_u = sqrt_fact[:, None] * _lower_toeplitz(u) * w
-    out = rows_u @ (sqrt_fact[:, None] * _lower_toeplitz(v)).T
-    state = FockState(cutoff, out)
-    if truncation_bound is not None:
-        state.check_truncation(truncation_bound)
-    return state
-
-
-def state_cutoff(alpha_v: complex, alpha_h: complex, r: float, theta: float) -> int:
-    """Cutoff for ``build_state_exact``: the larger ``_tail_cutoff`` of its two
-    modes, capped at MAX_CUTOFF. Each is displaced thermal with variance cosh(2r)/2,
-    <a_V> = alpha_V cosh r + e^{i theta} alpha_H* sinh r and V, H swapped for <a_H>."""
-    _check_pulse(alpha_v, alpha_h, r, theta)
-    var, pump = math.cosh(2.0 * r) / 2, np.exp(1j * theta) * math.sinh(r)
-    return max(
-        _tail_cutoff(a * math.cosh(r) + pump * np.conj(b), var, var, MAX_CUTOFF)
-        for a, b in ((alpha_v, alpha_h), (alpha_h, alpha_v))
-    )
+    return rows_u @ (sqrt_fact[:, None] * _lower_toeplitz(v)).T
 
 
 def _lower_toeplitz(x: np.ndarray) -> np.ndarray:
@@ -196,7 +193,7 @@ def _squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: i
 
         S(r e^{i phi}) = exp(Gam/2 a+^2) exp(-g (n + 1/2)) exp(-Gam*/2 a^2),
 
-    the one-mode analogue of ``build_state_exact``'s disentangled form, with
+    the one-mode analogue of ``_two_mode_amplitudes``' disentangled form, with
     Gam = e^{i phi} tanh r and g = ln cosh r. Every retained amplitude is exact.
     """
     gam = np.exp(1j * phi) * math.tanh(r)
@@ -214,11 +211,7 @@ def _squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: i
 
 
 def diag_number_marginals(
-    alpha_v: complex,
-    alpha_h: complex,
-    r: float,
-    theta: float,
-    truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
+    alpha_v: complex, alpha_h: complex, r: float, theta: float
 ) -> tuple[np.ndarray, float]:
     """Photon-number distributions of the +45 and -45 modes of
     S2(r e^{i theta}) |alpha_V, alpha_H>, rows (+45, -45), each over
@@ -228,8 +221,7 @@ def diag_number_marginals(
     The modes are independent single-mode squeezed coherent states (module
     docstring), so no rotation is needed. Each is built only up to
     ``_tail_cutoff``, which leaves at most ``_TAIL_MASS`` beyond it, and
-    padded with zeros. States whose deficit exceeds ``truncation_bound``
-    are rejected; pass None to skip the gate.
+    padded with zeros. A deficit above TRUNCATION_BOUND is refused.
     """
     _check_pulse(alpha_v, alpha_h, r, theta)
     alpha_v, alpha_h = complex(alpha_v), complex(alpha_h)
@@ -244,10 +236,7 @@ def diag_number_marginals(
         cutoff = _tail_cutoff(mean * np.exp(-0.5j * phi), *squeezed, 2 * MAX_CUTOFF)
         row[: cutoff + 1] = np.abs(_squeezed_coherent_amplitudes(beta, r, phi, cutoff)) ** 2
     marginals.setflags(write=False)
-    deficit = _deficit(float(marginals[0].sum() * marginals[1].sum()))
-    if truncation_bound is not None:
-        _check_deficit(deficit, truncation_bound)
-    return marginals, deficit
+    return marginals, _gated_deficit(float(marginals[0].sum() * marginals[1].sum()))
 
 
 # Chernoff parameters z = (1 - kappa) / (1 + kappa) with kappa = -lam / (2 v_max)
@@ -369,22 +358,13 @@ def _thinning_kernel(transmission: float) -> np.ndarray:
     return out
 
 
-def exact_diff_distribution(
-    state: FockState,
-    basis: Basis,
-    truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
-) -> np.ndarray:
+def exact_diff_distribution(state: FockState, basis: Basis) -> np.ndarray:
     """Exact probabilities of the difference number n: the lossless case of
     ``exact_loss_distribution``."""
-    return exact_loss_distribution(state, 0.0, basis, truncation_bound)
+    return exact_loss_distribution(state, 0.0, basis)
 
 
-def exact_loss_distribution(
-    state: FockState,
-    eta: float,
-    basis: Basis,
-    truncation_bound: float | None = DEFAULT_TRUNCATION_BOUND,
-) -> np.ndarray:
+def exact_loss_distribution(state: FockState, eta: float, basis: Basis) -> np.ndarray:
     """Exact probabilities of the difference number n = -size..size, at
     index n + size, after a non-polarizing loss of eta.
 
@@ -394,12 +374,9 @@ def exact_loss_distribution(
     photon number: binomial thinning with success probability 1 - eta
     applied to the joint number distribution, evaluated here in closed form
     so no explicit ancilla dimension is needed. Probabilities sum to 1
-    minus the truncation deficit. States beyond ``truncation_bound`` are
-    rejected; pass None to override.
+    minus the state's norm deficit.
     """
     _check_eta(eta)
-    if truncation_bound is not None:
-        state.check_truncation(truncation_bound)
     amps = state.amplitudes if Basis(basis) is Basis.VH else rotate_exact(state.amplitudes, math.pi / 4)
     joint = np.abs(amps) ** 2
     size = joint.shape[0] - 1

@@ -34,7 +34,6 @@ LADDER_R = (0.2, 0.5, 0.8)
 LADDER_ALPHA_SQ = (1.0, 2.0, 4.0)
 LADDER_ETA = (0.0, 0.5)
 DEFAULT_TOLERANCE = 1e-6
-LADDER_TRUNCATION_BOUND = 5e-8
 # Relative errors are taken against max(|oracle|, MEAN_FLOOR) so that
 # identically-zero means compare by absolute size instead of blowing up.
 MEAN_FLOOR = 1e-6
@@ -74,16 +73,8 @@ class _LadderPoint:
 def _ladder_point(r: float, alpha_v_sq: float, alpha_h_sq: float) -> _LadderPoint:
     alpha_v = math.sqrt(alpha_v_sq)
     alpha_h = 1j * math.sqrt(alpha_h_sq)
-    # The heaviest ladder point needs the full cutoff-80 space and lands a
-    # shade above the default 1e-8 deficit gate; the ladder's own bound is
-    # 5e-8, which keeps the induced moment error an order below tolerance.
-    vh = fock.build_state_exact(
-        alpha_v, alpha_h, r, PUMP_PHASE, fock.state_cutoff(alpha_v, alpha_h, r, PUMP_PHASE),
-        truncation_bound=LADDER_TRUNCATION_BOUND,
-    )
-    diag, diag_deficit = fock.diag_number_marginals(
-        alpha_v, alpha_h, r, PUMP_PHASE, LADDER_TRUNCATION_BOUND
-    )
+    vh = fock.build_state_exact(alpha_v, alpha_h, r, PUMP_PHASE)
+    diag, diag_deficit = fock.diag_number_marginals(alpha_v, alpha_h, r, PUMP_PHASE)
     state = apply_two_mode_squeeze(make_coherent_seed(alpha_v, alpha_h), r, PUMP_PHASE)
     return _LadderPoint(r, alpha_v_sq, alpha_h_sq, state, vh, diag, diag_deficit)
 
@@ -97,7 +88,7 @@ def _point_rows(
     mom = diff_number_moments(lossy, basis)
     if Basis(basis) is Basis.VH:
         deficit = point.vh.norm_deficit
-        probs = fock.exact_loss_distribution(point.vh, eta, basis, truncation_bound=None)
+        probs = fock.exact_loss_distribution(point.vh, eta, basis)
     else:
         deficit = point.diag_deficit
         probs = fock.product_loss_distribution(point.diag, eta)

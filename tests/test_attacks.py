@@ -166,12 +166,20 @@ def test_tap_arms_reused_for_a_repeated_pulse():
     # moments of Eve's arm are computed once
     state = alice_source(DESIGN_POINT, 1, Basis.VH)
     first = tap_arms(state, 0.35)
-    assert tap_arms(state, 0.35) is first
+    again = tap_arms(state, 0.35)
+    assert all(arm is earlier for arm, earlier in zip(again, first))
     hits = diff_number_moments.cache_info().hits
     for i in range(10):
         beamsplitter_tap(state, 0.35, derive_stream(35, LANE_PULSE, i))
     # at most the first measurement in each basis misses
     assert diff_number_moments.cache_info().hits >= hits + 10 - len(Basis)
+
+
+@pytest.mark.parametrize("eta_e", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_tap_arms_range_check(eta_e):
+    # both endpoints are valid losses, so apply_loss alone would not refuse them
+    with pytest.raises(ValueError, match="tap fraction"):
+        tap_arms(alice_source(DESIGN_POINT, 1, Basis.VH), eta_e)
 
 
 def test_tap_half_random_basis_mixture():

@@ -3,6 +3,7 @@ engine-vs-oracle agreement gate."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from macroqkd.fock import (
     _rotation_block,
     _squeezed_coherent_amplitudes,
     _thinning_kernel,
+    _two_mode_amplitudes,
     build_state_exact,
     diag_number_marginals,
     difference_moments,
@@ -46,28 +48,29 @@ LADDER_POINTS = [
 
 
 def test_vacuum_distribution():
-    state = build_state_exact(0, 0, 0.0, 0.0, 10)
-    probs = exact_diff_distribution(state, Basis.VH)  # n at index n + 10
-    assert probs[10] == pytest.approx(1.0, abs=1e-14)
-    assert np.all(np.delete(probs, 10) < 1e-14)
+    state = build_state_exact(0, 0, 0.0, 0.0)
+    probs = exact_diff_distribution(state, Basis.VH)  # n at index n + cutoff
+    assert probs[state.cutoff] == pytest.approx(1.0, abs=1e-14)
+    assert np.all(np.delete(probs, state.cutoff) < 1e-14)
 
 
 def test_coherent_state_is_poisson():
     # one empty mode: difference distribution is Poisson(1) on n >= 0
-    state = build_state_exact(1.0, 0, 0.0, 0.0, 30)
-    probs = exact_diff_distribution(state, Basis.VH)  # n at index n + 30
-    assert np.all(probs[:30] == 0.0)
+    state = build_state_exact(1.0, 0, 0.0, 0.0)
+    cut = state.cutoff
+    probs = exact_diff_distribution(state, Basis.VH)  # n at index n + cutoff
+    assert np.all(probs[:cut] == 0.0)
     for n in range(6):
-        assert probs[n + 30] == pytest.approx(math.exp(-1) / math.factorial(n), rel=1e-10)
+        assert probs[n + cut] == pytest.approx(math.exp(-1) / math.factorial(n), rel=1e-10)
     mean, var = difference_moments(probs)
     assert mean == pytest.approx(1.0, rel=1e-10)
     assert var == pytest.approx(1.0, rel=1e-9)
 
 
 def test_two_mode_squeezed_vacuum():
-    state = build_state_exact(0, 0, 0.5, math.pi / 2, 40)
+    state = build_state_exact(0, 0, 0.5, math.pi / 2)
     amps = np.abs(state.amplitudes) ** 2
-    n_v = float(np.sum(amps * np.arange(41)[:, None]))
+    n_v = float(np.sum(amps * np.arange(state.cutoff + 1)[:, None]))
     assert n_v == pytest.approx(math.sinh(0.5) ** 2, rel=1e-12)
     # pair production conserves n exactly: var(n_V - n_H) = 0
     mean, var = difference_moments(exact_diff_distribution(state, Basis.VH))
@@ -77,36 +80,41 @@ def test_two_mode_squeezed_vacuum():
 
 def test_squeezed_coherent_variance_matches_seed_total():
     # var(n) after amplification equals the seed photon number: 4 + 4 = 8
-    state = build_state_exact(2.0, 2.0j, 0.5, math.pi / 2, 60)
+    state = build_state_exact(2.0, 2.0j, 0.5, math.pi / 2)
     mean, var = difference_moments(exact_diff_distribution(state, Basis.VH))
     assert mean == pytest.approx(0.0, abs=1e-9)
     assert var == pytest.approx(8.0, rel=1e-9)
 
 
 def test_norm_deficit_reported_and_gated():
-    state = build_state_exact(2.0, 2.0j, 0.5, math.pi / 2, 60)
+    state = build_state_exact(2.0, 2.0j, 0.5, math.pi / 2)
     assert 0.0 <= state.norm_deficit < 1e-10
-    with pytest.raises(ValueError, match="truncation"):
-        build_state_exact(3.0, 3.0j, 0.8, math.pi / 2, 20)
-    # explicit override skips the gate but keeps the deficit visible
-    loose = build_state_exact(3.0, 3.0j, 0.8, math.pi / 2, 20, truncation_bound=None)
-    assert loose.norm_deficit > 1e-8
+    # a cutoff of 20 loses far more than the bound to truncation, and the
+    # refusal names the deficit
+    short = _direct_sum_build(3.0, 3.0j, 0.8, math.pi / 2, 20)
+    deficit = 1.0 - np.sum(np.abs(short) ** 2)
+    assert deficit > fock.TRUNCATION_BOUND
+    refusal = re.escape(f"truncation bound violated: norm deficit {deficit:.3e}")
+    with pytest.raises(ValueError, match=refusal):
+        FockState(short)
 
 
 def test_build_rejects_bad_args():
     with pytest.raises(ValueError, match="r must be"):
-        build_state_exact(1.0, 0, -0.2, 0.0, 20)
+        build_state_exact(1.0, 0, -0.2, 0.0)
     with pytest.raises(ValueError, match="cutoff"):
-        FockState(0, np.zeros((1, 1), dtype=complex))
+        FockState(np.zeros((1, 1), dtype=complex))
     with pytest.raises(ValueError, match="cutoff"):
-        FockState(100, np.zeros((101, 101), dtype=complex))
+        FockState(np.zeros((MAX_CUTOFF + 2, MAX_CUTOFF + 2), dtype=complex))
+    with pytest.raises(ValueError, match="square"):
+        FockState(np.zeros((3, 4), dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0)])
 @pytest.mark.parametrize("arg", range(4))  # alpha_V, alpha_H, r, theta
 @pytest.mark.parametrize(
     "builder",
-    [lambda *pulse, **bound: build_state_exact(*pulse, 20, **bound), diag_number_marginals],
+    [build_state_exact, diag_number_marginals],
     ids=["build_state_exact", "diag_number_marginals"],
 )
 def test_builders_reject_non_finite_inputs(builder, arg, bad):
@@ -116,30 +124,15 @@ def test_builders_reject_non_finite_inputs(builder, arg, bad):
     pulse[arg] = bad
     with pytest.raises(ValueError, match="must be finite"):
         builder(*pulse)
-    with pytest.raises(ValueError, match="must be finite"):
-        builder(*pulse, truncation_bound=None)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_amplitudes_fail_the_gate(bad):
     amps = np.zeros((3, 3), dtype=complex)
+    amps[0, 0] = 1.0  # the vacuum, at cutoff 2, with one non-finite entry
     amps[1, 2] = bad
-    state = FockState(2, amps)
-    assert math.isnan(state.norm_deficit)
-    with pytest.raises(ValueError, match="truncation"):
-        state.check_truncation()
-    with pytest.raises(ValueError, match="truncation"):
-        exact_loss_distribution(state, 0.0, Basis.VH)
-
-
-@pytest.mark.parametrize("cutoff", [0, -3, MAX_CUTOFF + 1, 10**12])
-def test_build_checks_cutoff_before_building(monkeypatch, cutoff):
-    def no_amplitudes(alpha, size):
-        raise AssertionError("amplitudes built before the cutoff check")
-
-    monkeypatch.setattr(fock, "_coherent_amplitudes", no_amplitudes)
-    with pytest.raises(ValueError, match="cutoff"):
-        build_state_exact(1.0, 0.5j, 0.5, 0.3, cutoff)
+    with pytest.raises(ValueError, match="truncation.*nan"):
+        FockState(amps)
 
 
 def _direct_sum_build(alpha_v, alpha_h, r, theta, cutoff):
@@ -156,22 +149,23 @@ def _direct_sum_build(alpha_v, alpha_h, r, theta, cutoff):
     out = np.zeros_like(c)
     for k in range(cutoff + 1):
         out[k:, k:] += gam**k / math.factorial(k) * c[: cutoff + 1 - k, : cutoff + 1 - k]
-    return FockState(cutoff, out * np.outer(sqrt_fact, sqrt_fact))
+    return out * np.outer(sqrt_fact, sqrt_fact)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 40, MAX_CUTOFF])
 @pytest.mark.parametrize("alpha_v, alpha_h, r, theta", COMPLEX_POINTS[:3])
 def test_factorized_build_matches_direct_sum(alpha_v, alpha_h, r, theta, cutoff):
-    built = build_state_exact(alpha_v, alpha_h, r, theta, cutoff, truncation_bound=None)
+    built = _two_mode_amplitudes(alpha_v, alpha_h, r, theta, cutoff)
     direct = _direct_sum_build(alpha_v, alpha_h, r, theta, cutoff)
-    scale = np.abs(direct.amplitudes).max()
-    np.testing.assert_allclose(built.amplitudes, direct.amplitudes, rtol=0, atol=1e-14 * scale)
-    assert built.norm_deficit == pytest.approx(direct.norm_deficit, rel=0, abs=1e-15)
+    scale = np.abs(direct).max()
+    np.testing.assert_allclose(built, direct, rtol=0, atol=1e-14 * scale)
+    mass = [np.sum(np.abs(amps) ** 2) for amps in (built, direct)]
+    assert mass[0] == pytest.approx(mass[1], rel=0, abs=1e-15)
 
 
 def test_rotation_sign_matches_engine_convention():
     # coherent (1, 0.5): DIAG mean must be +1 (cross term), not -1
-    state = build_state_exact(1.0, 0.5, 0.0, 0.0, 25)
+    state = build_state_exact(1.0, 0.5, 0.0, 0.0)
     mean, _ = difference_moments(exact_diff_distribution(state, Basis.DIAG))
     assert mean == pytest.approx(1.0, rel=1e-9)
 
@@ -218,7 +212,7 @@ def test_rotation_block_orthogonal_and_composes_at_full_size():
 def test_factorized_diag_distribution_matches_rotation(alpha_v, alpha_h, r, theta):
     # the +45/-45 product state against the Wigner-d rotation of the
     # two-mode build, at a cutoff where both truncations are below 1e-15
-    state = build_state_exact(alpha_v, alpha_h, r, theta, MAX_CUTOFF)
+    state = FockState(_two_mode_amplitudes(alpha_v, alpha_h, r, theta, MAX_CUTOFF))
     marginals, deficit = diag_number_marginals(alpha_v, alpha_h, r, theta)
     assert state.norm_deficit < 1e-15 and deficit < 1e-15
     for eta in (0.0, 0.3, 0.9):
@@ -229,7 +223,7 @@ def test_factorized_diag_distribution_matches_rotation(alpha_v, alpha_h, r, thet
 
 @pytest.mark.parametrize("alpha_v, alpha_h, r, theta", LADDER_POINTS + COMPLEX_POINTS)
 def test_sized_diag_marginals_match_full_span(alpha_v, alpha_h, r, theta):
-    marginals, deficit = diag_number_marginals(alpha_v, alpha_h, r, theta, truncation_bound=None)
+    marginals, deficit = diag_number_marginals(alpha_v, alpha_h, r, theta)
     assert marginals.shape == (2, 2 * MAX_CUTOFF + 1)
     assert deficit <= 1e-12
     factors = [
@@ -248,9 +242,9 @@ def test_sized_diag_marginals_match_full_span(alpha_v, alpha_h, r, theta):
     "alpha_v, alpha_h, r, theta", [p for p in LADDER_POINTS if p[2] <= 0.5] + COMPLEX_POINTS
 )
 def test_state_cutoff_bounds_each_mode_tail(alpha_v, alpha_h, r, theta):
-    cutoff = fock.state_cutoff(alpha_v, alpha_h, r, theta)
+    cutoff = build_state_exact(alpha_v, alpha_h, r, theta).cutoff
     assert cutoff < MAX_CUTOFF
-    joint = np.abs(build_state_exact(alpha_v, alpha_h, r, theta, MAX_CUTOFF).amplitudes) ** 2
+    joint = np.abs(_direct_sum_build(alpha_v, alpha_h, r, theta, MAX_CUTOFF)) ** 2
     for marginal in (joint.sum(axis=1), joint.sum(axis=0)):  # V, then H
         assert marginal[cutoff + 1 :].sum() <= fock._TAIL_MASS
     # A build at the cutoff keeps these amplitudes exactly and loses the rest;
@@ -260,12 +254,27 @@ def test_state_cutoff_bounds_each_mode_tail(alpha_v, alpha_h, r, theta):
     assert lost <= 2 * fock._TAIL_MASS
 
 
+@pytest.mark.parametrize("alpha_v, alpha_h, r, theta", [p for p in LADDER_POINTS if p[2] > 0.5])
+def test_heavy_ladder_states_meet_the_bound_at_the_cap(alpha_v, alpha_h, r, theta):
+    # the r = 0.8 states' Chernoff sizes (89-136) pass the cap, so each is
+    # built at MAX_CUTOFF and must still lose at most TRUNCATION_BOUND
+    state = build_state_exact(alpha_v, alpha_h, r, theta)
+    assert state.cutoff == MAX_CUTOFF
+    assert state.norm_deficit <= fock.TRUNCATION_BOUND
+
+
+def test_cap_is_the_smallest_that_meets_the_bound():
+    # the heaviest ladder point loses 7.1e-9 at MAX_CUTOFF and 1.07e-8 one below
+    with pytest.raises(ValueError, match="truncation"):
+        FockState(_two_mode_amplitudes(2.0, 2.0j, 0.8, PUMP_PHASE, MAX_CUTOFF - 1))
+
+
 @pytest.mark.parametrize(
     "beta, phi",
     [((2 + 2j) / math.sqrt(2), PUMP_PHASE), ((2j - 2) / math.sqrt(2), PUMP_PHASE + math.pi)],
 )
 def test_squeezed_convolution_stays_out_of_subnormals(monkeypatch, beta, phi):
-    # the +-45 factors of the heaviest ladder point, at the 160-photon cap
+    # the +-45 factors of the heaviest ladder point, at the 2 MAX_CUTOFF cap
     operands = []
     convolve = np.convolve
 
@@ -283,7 +292,7 @@ def test_squeezed_convolution_stays_out_of_subnormals(monkeypatch, beta, phi):
 
 def test_difference_moments_match_direct_sums():
     alpha_v, alpha_h, r, theta = COMPLEX_POINTS[0]
-    state = build_state_exact(alpha_v, alpha_h, r, theta, 60)
+    state = build_state_exact(alpha_v, alpha_h, r, theta)
     marginals, _ = diag_number_marginals(alpha_v, alpha_h, r, theta)
     for eta in (0.0, 0.4):
         for probs, size in (
@@ -301,11 +310,12 @@ def test_difference_moments_match_direct_sums():
 def test_diag_marginals_gate_truncation():
     with pytest.raises(ValueError, match="r must be"):
         diag_number_marginals(1.0, 0, -0.2, 0.0)
-    marginals, deficit = diag_number_marginals(3.0, 3.0j, 3.0, math.pi / 2, truncation_bound=None)
-    assert deficit > 1e-8
-    assert deficit == pytest.approx(1.0 - marginals[0].sum() * marginals[1].sum())
     with pytest.raises(ValueError, match="truncation"):
         diag_number_marginals(3.0, 3.0j, 3.0, math.pi / 2)
+    # a pulse whose +45 factor is cut at its 2 MAX_CUTOFF span, inside the bound
+    marginals, deficit = diag_number_marginals(2.8, 2.8j, 0.8, math.pi / 2)
+    assert 1e-10 < deficit <= fock.TRUNCATION_BOUND
+    assert deficit == pytest.approx(1.0 - marginals[0].sum() * marginals[1].sum())
 
 
 def test_log_factorials_match_lgamma():
@@ -320,12 +330,12 @@ def test_log_factorials_match_lgamma():
 
 
 def test_loss_endpoints_match():
-    state = build_state_exact(1.5, 1.5j, 0.4, math.pi / 2, 40)
+    state = build_state_exact(1.5, 1.5j, 0.4, math.pi / 2)
     base = exact_diff_distribution(state, Basis.VH)
     same = exact_loss_distribution(state, 0.0, Basis.VH)
     np.testing.assert_array_equal(same, base)  # the lossless distribution is the eta = 0 case
     dark = exact_loss_distribution(state, 1.0, Basis.VH)
-    assert dark[40] == pytest.approx(1.0, abs=1e-12)  # n = 0 at index 0 + cutoff
+    assert dark[state.cutoff] == pytest.approx(1.0, abs=1e-12)  # n = 0 at index 0 + cutoff
 
 
 @pytest.mark.parametrize("transmission", [0.0, 0.3, 0.5, 1.0])
@@ -343,7 +353,7 @@ def test_thinning_kernel_matches_binomial_pmf(transmission):
 
 
 def test_loss_halves_mean_and_matches_moment_formula():
-    state = build_state_exact(1.5, 1.5j, 0.4, math.pi / 2, 45)
+    state = build_state_exact(1.5, 1.5j, 0.4, math.pi / 2)
     full_mean, _ = difference_moments(exact_diff_distribution(state, Basis.VH))
     mean, var = difference_moments(exact_loss_distribution(state, 0.5, Basis.VH))
     assert mean == pytest.approx(0.5 * full_mean, abs=1e-9)
@@ -364,10 +374,10 @@ def test_gaussian_approximation_improves_with_photon_number():
     tv = []
     for a_sq in (1.0, 2.0, 4.0):
         a = math.sqrt(a_sq)
-        state = build_state_exact(a, 1j * a, 0.4, math.pi / 2, 60)
+        state = build_state_exact(a, 1j * a, 0.4, math.pi / 2)
         exact = exact_diff_distribution(state, Basis.VH)
         mean, var = difference_moments(exact)
-        ns = np.arange(-60, 61)
+        ns = np.arange(-state.cutoff, state.cutoff + 1)
         approx = scipy.stats.norm.cdf(ns + 0.5, mean, math.sqrt(var)) - scipy.stats.norm.cdf(
             ns - 0.5, mean, math.sqrt(var)
         )
@@ -402,7 +412,7 @@ def test_ladder_needs_no_fock_rotation(monkeypatch):
     assert validate.ladder_passed(rows)
     diag = [row for row in rows if row.basis == Basis.DIAG.value]
     assert len(diag) == len(rows) // 2
-    assert all(row.truncation_deficit <= validate.LADDER_TRUNCATION_BOUND for row in diag)
+    assert all(row.truncation_deficit <= fock.TRUNCATION_BOUND for row in rows)
 
 
 def test_ladder_reads_the_exported_distributions(monkeypatch):
