@@ -18,16 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianState, SourceParams, alice_source, apply_loss, is_number
-from .photostats import (
-    Basis,
-    DetectorModel,
-    NOISELESS,
-    decode_bit,
-    detected_state,
-    diff_number_moments,
-    outcome_normal,
-    sample_outcome,
-)
+from .photostats import Basis, DetectorModel, NOISELESS, decode_bit, outcome_law
 from .streams import LANE_DEFERRED, derive_stream
 
 
@@ -92,8 +83,8 @@ def intercept_resend(
     Returns (resent pulse, Eve's basis, Eve's raw outcome).
     """
     basis = _draw_basis(rng)
-    moments = diff_number_moments(detected_state(state, detector), basis)
-    raw = sample_outcome(moments, detector, rng)
+    mean, sigma = outcome_law(state, basis, detector)
+    raw = mean + sigma * rng.standard_normal()
     return alice_source(source_params, decode_bit(raw), basis), basis, raw
 
 
@@ -112,8 +103,8 @@ def beamsplitter_tap(
     """
     bob, eve = tap_arms(state, eta_e)
     basis = _draw_basis(rng)
-    moments = diff_number_moments(detected_state(eve, detector), basis)
-    return bob, basis, sample_outcome(moments, detector, rng)
+    mean, sigma = outcome_law(eve, basis, detector)
+    return bob, basis, mean + sigma * rng.standard_normal()
 
 
 def dual_basis_measure(
@@ -143,9 +134,9 @@ def dual_basis_measure(
     arm's diagonal difference (``joint_diff_moments``' cov_be) is exactly
     zero, and the normal pair has independent components.
     """
-    eve = detected_state(tap_arms(state, 0.5)[1], detector)
-    mean_vh, sigma_vh = outcome_normal(diff_number_moments(eve, Basis.VH), detector)
-    mean_dg, sigma_dg = outcome_normal(diff_number_moments(eve, Basis.DIAG), detector)
+    eve = tap_arms(state, 0.5)[1]
+    mean_vh, sigma_vh = outcome_law(eve, Basis.VH, detector)
+    mean_dg, sigma_dg = outcome_law(eve, Basis.DIAG, detector)
     z_vh, z_dg = rng.standard_normal(2)
     raw_vh = mean_vh + sigma_vh * z_vh
     raw_dg = mean_dg + sigma_dg * z_dg
@@ -178,6 +169,5 @@ def eve_deferred_measure(
     LANE_DEFERRED, index)``, so outcomes do not depend on the order in which
     Eve measures her stored pulses.
     """
-    rng = derive_stream(seed, LANE_DEFERRED, index)
-    moments = diff_number_moments(detected_state(stored_state, detector), basis)
-    return sample_outcome(moments, detector, rng)
+    mean, sigma = outcome_law(stored_state, basis, detector)
+    return mean + sigma * derive_stream(seed, LANE_DEFERRED, index).standard_normal()

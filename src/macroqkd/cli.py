@@ -30,9 +30,9 @@ from .photostats import (
     DetectorModel,
     bob_error_curve,
     detector_violations,
-    diff_number_moments,
     distribution_curve,
     eve_tap_curve,
+    outcome_law,
 )
 from .protocol import RunReport, SessionConfig, run_session, session_violations
 
@@ -149,15 +149,12 @@ def cmd_fig1(args: argparse.Namespace) -> int:
         raise ConfigError(f"--loss must be in [0, 1) (got {eta})")
     pulse1 = apply_loss(alice_source(params, 1, Basis.VH), eta)
     pulse0 = apply_loss(alice_source(params, 0, Basis.VH), eta)
-    mom1 = diff_number_moments(pulse1, Basis.VH)
-    mom_wrong = diff_number_moments(pulse1, Basis.DIAG)
     if args.grid is not None:
         grid = _parse_grid(args.grid, -math.inf, math.inf, "n")
     else:
-        sigma_max = math.sqrt(
-            max(mom1.variance, mom_wrong.variance) + detector.difference_noise_variance
-        )
-        span = abs(mom1.mean) + 8.0 * sigma_max
+        mean, sigma_correct = outcome_law(pulse1, Basis.VH, detector)
+        sigma_wrong = outcome_law(pulse1, Basis.DIAG, detector)[1]
+        span = abs(mean) + 8.0 * max(sigma_correct, sigma_wrong)
         grid = np.linspace(-span, span, 2001)
     table = _csv(
         "n,pdf_correct_bit1,pdf_correct_bit0,pdf_incorrect",

@@ -16,6 +16,7 @@ All states are immutable; every operation returns a new state.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import numbers
@@ -29,6 +30,13 @@ _SYMMETRY_GUARD = 64  # multiples of eps * |cov| tolerated before symmetrizing
 # alpha_V and alpha_H it aligns pump and seed so the pulse is amplified; the
 # gain solve and every closed form in the package assume it.
 PUMP_PHASE = math.pi / 2
+
+
+class Basis(enum.Enum):
+    """Measurement basis for the photon difference number."""
+
+    VH = "VH"
+    DIAG = "DIAG"
 
 
 def symplectic_form(num_modes: int) -> np.ndarray:
@@ -301,7 +309,7 @@ def _alice_source_cached(params: SourceParams, bit: int, diag: bool) -> Gaussian
     return pulse
 
 
-def alice_source(params: SourceParams, bit: int, basis: "Basis | str") -> GaussianState:
+def alice_source(params: SourceParams, bit: int, basis: Basis | str) -> GaussianState:
     """Alice's encoded pulse for one key bit.
 
     The coherent seed carries the difference number +N (bit 1) or -N (bit 0)
@@ -312,8 +320,6 @@ def alice_source(params: SourceParams, bit: int, basis: "Basis | str") -> Gaussi
     Results are memoized: states are immutable, and a session reuses the
     same four pulses heavily.
     """
-    from .photostats import Basis  # local import to avoid a cycle
-
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1 (got {bit})")
     return _alice_source_cached(params, int(bit), Basis(basis) is Basis.DIAG)

@@ -18,7 +18,6 @@ closed forms are validated against the exact Fock-space oracle before use
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
+    Basis,
     GaussianState,
     SourceParams,
     alice_source,
@@ -34,13 +34,6 @@ from .gaussian import (
     rotation_symplectic,
     symplectic_form,
 )
-
-
-class Basis(enum.Enum):
-    """Measurement basis for the photon difference number."""
-
-    VH = "VH"
-    DIAG = "DIAG"
 
 
 @dataclass(frozen=True)
@@ -191,9 +184,20 @@ def outcome_normal(moments: DiffMoments, detector: DetectorModel) -> tuple[float
     at the macroscopic photon numbers simulated here the discreteness of n
     is negligible, so no integer rounding is applied.
     """
-    if moments.variance < 0:
-        raise ValueError("variance must be >= 0")
+    if not moments.variance >= 0:  # NaN included
+        raise ValueError(f"variance must be >= 0 (got {moments.variance!r})")
     return moments.mean, math.sqrt(moments.variance + detector.difference_noise_variance)
+
+
+def outcome_law(
+    state: GaussianState, basis: Basis, detector: DetectorModel
+) -> tuple[float, float]:
+    """Mean and standard deviation of what ``detector`` reads from ``state``
+    in ``basis``: the pulse after the efficiency loss of ``detected_state``,
+    then read noise as in ``outcome_normal``. This is the one place a
+    detector acts on a pulse; ``bob_error_curve`` applies the same rule to
+    the thinned moments of the lossless pulse."""
+    return outcome_normal(diff_number_moments(detected_state(state, detector), basis), detector)
 
 
 def sample_outcome(
@@ -222,6 +226,8 @@ def _flip_probabilities(mean: np.ndarray, total_var: np.ndarray) -> np.ndarray:
 
 def error_probability(moments: DiffMoments, detector: DetectorModel) -> float:
     """Probability that the sign of the outcome flips the encoded bit."""
+    if not moments.variance >= 0:  # NaN included
+        raise ValueError(f"variance must be >= 0 (got {moments.variance!r})")
     total_var = moments.variance + detector.difference_noise_variance
     return float(_flip_probabilities(np.array([moments.mean]), np.array([total_var]))[0])
 
@@ -285,7 +291,5 @@ def distribution_curve(
     grid = np.asarray(n_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("n_grid must be non-empty")
-    mom = diff_number_moments(detected_state(state, detector), basis)
-    var = mom.variance + detector.difference_noise_variance
-    sigma = math.sqrt(var)
-    return np.exp(-0.5 * ((grid - mom.mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    mean, sigma = outcome_law(state, basis, detector)
+    return np.exp(-0.5 * ((grid - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))

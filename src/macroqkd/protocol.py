@@ -3,9 +3,10 @@ error estimation and eavesdropper detection.
 
 Alice sends one of two bits in one of two bases, so under any attack Bob
 and Eve only ever measure a handful of distinct Gaussian states. A session
-builds their outcome laws once into a moment table, from the same physics
-functions the single-pulse reference uses, then draws whole chunks of
-pulses as arrays.
+builds their outcome laws once into a moment table, then draws whole
+chunks of pulses as arrays. The table and the single-pulse reference both
+read each law from ``photostats.outcome_law``, the one place a detector
+acts on a pulse.
 
 Determinism contract: pulse i's draws are a pure function of (seed, lane,
 i) (see macroqkd.streams), so a session is reproducible bit-for-bit from
@@ -48,10 +49,7 @@ from .photostats import (
     _erfc,
     _flip_probabilities,
     bob_error_vs_loss,
-    detected_state,
-    diff_number_moments,
-    outcome_normal,
-    sample_outcome,
+    outcome_law,
 )
 from .streams import LANE_PULSE, LANE_SESSION, derive_stream, pulse_block
 
@@ -137,8 +135,8 @@ def bob_measure(
     """Bob's randomized-basis difference-number measurement of one pulse:
     his basis and raw outcome (his bit is ``decode_bit`` of it)."""
     basis = Basis.VH if rng.integers(0, 2) == 0 else Basis.DIAG
-    moments = diff_number_moments(detected_state(state, config.detector), basis)
-    return basis, sample_outcome(moments, config.detector, rng)
+    mean, sigma = outcome_law(state, basis, config.detector)
+    return basis, mean + sigma * rng.standard_normal()
 
 
 def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
@@ -214,10 +212,6 @@ _BASES = (Basis.VH, Basis.DIAG)
 _CHUNK = 1 << 16  # pulses drawn per array pass; results do not depend on it
 
 
-def _law(state: GaussianState, basis: Basis, detector: DetectorModel) -> tuple[float, float]:
-    return outcome_normal(diff_number_moments(detected_state(state, detector), basis), detector)
-
-
 def _sign_thresholds(laws: np.ndarray) -> np.ndarray:
     """53-bit thresholds of normal laws (mean, sigma) on the last axis: the
     outcome mean + sigma Phi^-1(((w >> 11) + 0.5) 2^-53) of a raw word w is
@@ -288,9 +282,9 @@ def _moment_table(config: SessionConfig) -> MomentTable:
             if kind is not AttackKind.SUPERIOR_CHANNEL and config.channel_loss > 0.0:
                 sent = apply_loss(sent, config.channel_loss)
             for m, other in enumerate(_BASES):
-                bob[bit, b, m] = _law(sent, other, config.detector)
+                bob[bit, b, m] = outcome_law(sent, other, config.detector)
                 if kind is not AttackKind.NONE:
-                    eve[bit, b, m] = _law(kept, other, config.attack.eve_detector)
+                    eve[bit, b, m] = outcome_law(kept, other, config.attack.eve_detector)
     if kind is AttackKind.DUAL_BASIS:
         cumulative = np.clip(np.cumsum(_dual_basis_law(eve)[..., :3], -1), 0.0, 1.0)
         return MomentTable(_sign_thresholds(bob), np.rint(cumulative * 2.0**53).astype(np.uint64))

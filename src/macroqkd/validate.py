@@ -18,12 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, fields
 
-import numpy as np
-
 from . import fock
 from .gaussian import (
     PUMP_PHASE,
-    GaussianState,
     apply_loss,
     apply_two_mode_squeeze,
     make_coherent_seed,
@@ -57,64 +54,55 @@ class ComparisonRow:
 _ROW = "%.17g,%.17g,%.17g,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,%s"
 
 
-@dataclass(frozen=True, eq=False)
-class _LadderPoint:
-    """Everything a ladder point's rows share across loss and basis."""
-
-    r: float
-    alpha_v_sq: float
-    alpha_h_sq: float
-    state: GaussianState
-    vh: fock.FockState
-    diag: np.ndarray  # +45/-45 number marginals from fock.diag_number_marginals
-    diag_deficit: float
-
-
-def _ladder_point(r: float, alpha_v_sq: float, alpha_h_sq: float) -> _LadderPoint:
+def _point_rows(
+    r: float,
+    alpha_v_sq: float,
+    alpha_h_sq: float,
+    etas: tuple[float, ...],
+    bases: tuple[Basis, ...],
+    tolerance: float,
+) -> list[ComparisonRow]:
+    """Rows of one ladder point for each loss in ``etas`` and, within it,
+    each basis in ``bases``. The point's Gaussian state, V/H Fock state and
+    +45/-45 number marginals are built once, and each lossy engine state
+    serves every basis."""
     alpha_v = math.sqrt(alpha_v_sq)
     alpha_h = 1j * math.sqrt(alpha_h_sq)
     vh = fock.build_state_exact(alpha_v, alpha_h, r, PUMP_PHASE)
     diag, diag_deficit = fock.diag_number_marginals(alpha_v, alpha_h, r, PUMP_PHASE)
     state = apply_two_mode_squeeze(make_coherent_seed(alpha_v, alpha_h), r, PUMP_PHASE)
-    return _LadderPoint(r, alpha_v_sq, alpha_h_sq, state, vh, diag, diag_deficit)
-
-
-def _point_rows(
-    point: _LadderPoint, lossy: GaussianState, eta: float, basis: Basis, tolerance: float
-) -> list[ComparisonRow]:
-    """Rows of one point at loss eta; ``lossy`` is its state after that loss."""
-    # engine moments are read through this module's name at every call, so a
-    # fault injected there reaches every row
-    mom = diff_number_moments(lossy, basis)
-    if Basis(basis) is Basis.VH:
-        deficit = point.vh.norm_deficit
-        probs = fock.exact_loss_distribution(point.vh, eta, basis)
-    else:
-        deficit = point.diag_deficit
-        probs = fock.product_loss_distribution(point.diag, eta)
-    oracle_mean, oracle_var = fock.difference_moments(probs)
-
     rows = []
-    for quantity, engine_value, oracle_value in (
-        ("mean", mom.mean, oracle_mean),
-        ("variance", mom.variance, oracle_var),
-    ):
-        rel = abs(engine_value - oracle_value) / max(abs(oracle_value), MEAN_FLOOR)
-        rows.append(
-            ComparisonRow(
-                r=point.r,
-                alpha_v_sq=point.alpha_v_sq,
-                alpha_h_sq=point.alpha_h_sq,
-                eta=eta,
-                basis=Basis(basis).value,
-                quantity=quantity,
-                engine_value=engine_value,
-                oracle_value=oracle_value,
-                relative_error=rel,
-                truncation_deficit=deficit,
-                passed=rel <= tolerance,
-            )
-        )
+    for eta in etas:
+        lossy = apply_loss(state, eta)
+        for basis in bases:
+            # engine moments are read through this module's name at every call, so a
+            # fault injected there reaches every row
+            mom = diff_number_moments(lossy, basis)
+            if basis is Basis.VH:
+                deficit, probs = vh.norm_deficit, fock.exact_loss_distribution(vh, eta, basis)
+            else:
+                deficit, probs = diag_deficit, fock.product_loss_distribution(diag, eta)
+            oracle_mean, oracle_var = fock.difference_moments(probs)
+            for quantity, engine_value, oracle_value in (
+                ("mean", mom.mean, oracle_mean),
+                ("variance", mom.variance, oracle_var),
+            ):
+                rel = abs(engine_value - oracle_value) / max(abs(oracle_value), MEAN_FLOOR)
+                rows.append(
+                    ComparisonRow(
+                        r=r,
+                        alpha_v_sq=alpha_v_sq,
+                        alpha_h_sq=alpha_h_sq,
+                        eta=eta,
+                        basis=basis.value,
+                        quantity=quantity,
+                        engine_value=engine_value,
+                        oracle_value=oracle_value,
+                        relative_error=rel,
+                        truncation_deficit=deficit,
+                        passed=rel <= tolerance,
+                    )
+                )
     return rows
 
 
@@ -127,24 +115,18 @@ def compare_point(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[ComparisonRow]:
     """Engine-vs-oracle comparison at one ladder point."""
-    point = _ladder_point(r, alpha_v_sq, alpha_h_sq)
-    return _point_rows(point, apply_loss(point.state, eta), eta, basis, tolerance)
+    return _point_rows(r, alpha_v_sq, alpha_h_sq, (eta,), (Basis(basis),), tolerance)
 
 
 def run_ladder(tolerance: float = DEFAULT_TOLERANCE) -> list[ComparisonRow]:
-    """Full validation ladder over r x seed amplitudes x loss x basis; each
-    point's states are built once and serve all its loss and basis rows, and
-    each lossy engine state serves both bases."""
-    rows: list[ComparisonRow] = []
-    for r in LADDER_R:
-        for av2 in LADDER_ALPHA_SQ:
-            for ah2 in LADDER_ALPHA_SQ:
-                point = _ladder_point(r, av2, ah2)
-                for eta in LADDER_ETA:
-                    lossy = apply_loss(point.state, eta)
-                    for basis in (Basis.VH, Basis.DIAG):
-                        rows.extend(_point_rows(point, lossy, eta, basis, tolerance))
-    return rows
+    """Full validation ladder over r x seed amplitudes x loss x basis."""
+    return [
+        row
+        for r in LADDER_R
+        for av2 in LADDER_ALPHA_SQ
+        for ah2 in LADDER_ALPHA_SQ
+        for row in _point_rows(r, av2, ah2, LADDER_ETA, (Basis.VH, Basis.DIAG), tolerance)
+    ]
 
 
 def ladder_passed(rows: list[ComparisonRow]) -> bool:

@@ -395,6 +395,20 @@ def test_single_ladder_point_agrees():
         assert row.relative_error <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "point", [(0.5, 2.0, 1.0, 0.5, Basis.VH), (0.8, 4.0, 1.0, 0.0, "DIAG")]
+)
+def test_compare_point_returns_the_ladder_rows(point):
+    ladder = [
+        row
+        for row in validate.run_ladder()
+        if (row.r, row.alpha_v_sq, row.alpha_h_sq, row.eta, row.basis)
+        == (*point[:4], Basis(point[4]).value)
+    ]
+    assert len(ladder) == 2
+    assert validate.compare_point(*point) == ladder
+
+
 def test_full_ladder_passes():
     rows = validate.run_ladder()
     assert validate.ladder_passed(rows)

@@ -1,5 +1,6 @@
 """Difference-number statistics: moment formulas, error curves, sampling."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import macroqkd
+from macroqkd import gaussian, photostats
 from macroqkd.gaussian import (
     SourceParams,
     alice_source,
@@ -31,6 +34,8 @@ from macroqkd.photostats import (
     eve_tap_probability,
     joint_diff_moments,
     _thinned_moments,
+    outcome_law,
+    outcome_normal,
     sample_outcome,
 )
 from macroqkd.streams import derive_stream
@@ -62,6 +67,13 @@ def test_detector_validation():
         DetectorModel(noise_equivalent_number=-1.0)
     with pytest.raises(ValueError):
         DetectorModel(quantum_efficiency=0.0)
+
+
+def test_basis_is_defined_once_without_an_import_cycle():
+    assert photostats.Basis is gaussian.Basis is macroqkd.Basis is Basis
+    assert Basis("DIAG") is Basis.DIAG
+    assert alice_source(DESIGN_POINT, 1, "DIAG") is alice_source(DESIGN_POINT, 1, Basis.DIAG)
+    assert "from .photostats" not in inspect.getsource(gaussian)
 
 
 def test_decode_bit_tie_rule():
@@ -167,6 +179,15 @@ def test_sample_outcome_moments_converge():
     assert sigma == pytest.approx(570.087712549569, rel=1e-12)
 
 
+@pytest.mark.parametrize("basis", list(Basis))
+def test_outcome_law_applies_efficiency_then_read_noise(basis):
+    detector = DetectorModel(noise_equivalent_number=120.0, quantum_efficiency=0.7)
+    pulse = apply_loss(alice_source(DESIGN_POINT, 1, Basis.VH), 0.3)
+    mom = diff_number_moments(apply_loss(pulse, 1.0 - 0.7), basis)
+    expected = (mom.mean, math.sqrt(mom.variance + 2.0 * 120.0**2))
+    assert outcome_law(pulse, basis, detector) == expected
+
+
 # ---------------------------------------------------------- error probability
 
 
@@ -190,6 +211,16 @@ def test_error_probability_monotonicity():
     assert error_probability(DiffMoments(100.0, 2e4), NOISELESS) > base
     noisy = error_probability(DiffMoments(100.0, 1e4), DetectorModel(50.0))
     assert noisy > base
+
+
+@pytest.mark.parametrize("variance", [-5.0, math.nan])
+@pytest.mark.parametrize("detector", [NOISELESS, DetectorModel(2.0)])
+def test_error_probability_refuses_what_outcome_normal_refuses(variance, detector):
+    # read noise must not hide an invalid variance
+    with pytest.raises(ValueError, match="variance"):
+        error_probability(DiffMoments(1.0, variance), detector)
+    with pytest.raises(ValueError, match="variance"):
+        outcome_normal(DiffMoments(1.0, variance), detector)
 
 
 # ------------------------------------------------------------- derived curves
