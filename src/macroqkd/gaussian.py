@@ -66,7 +66,9 @@ class GaussianState:
             raise ValueError(f"mean has shape {mean.shape}, expected ({dim},)")
         if cov.shape != (dim, dim):
             raise ValueError(f"cov has shape {cov.shape}, expected ({dim}, {dim})")
-        scale = max(1.0, float(np.max(np.abs(cov))))
+        scale = max(float(np.max(np.abs(cov))), 1.0)  # a NaN stays: nothing compares larger
+        if not (math.isfinite(scale) and math.isfinite(float(np.max(np.abs(mean))))):
+            raise ValueError("mean and cov must be finite")
         asym = float(np.max(np.abs(cov - cov.T)))
         if asym > _SYMMETRY_GUARD * np.finfo(float).eps * scale:
             raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")

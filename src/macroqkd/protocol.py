@@ -10,7 +10,7 @@ acts on a pulse.
 
 Determinism contract: pulse i's draws are a pure function of (seed, lane,
 i) (see macroqkd.streams), so a session is reproducible bit-for-bit from
-(config, seed) and its per-pulse columns do not depend on how the pulses
+(config, seed) and its per-pulse cell codes do not depend on how the pulses
 are chunked or in what order the chunks run. Pulse i's block of four raw
 words on LANE_PULSE is laid out as
 
@@ -24,8 +24,10 @@ where word w is the uniform u = ((w >> 11) + 0.5) 2^-53. Each bit is the
 sign of one normal outcome Phi^-1(u), so it is one compare of w >> 11 with
 its state's threshold; dual-basis Eve's (basis, bit) is one categorical
 draw, the number of her cell's cumulative thresholds at or below w >> 11.
-A session keeps only counts; the errors in the disclosed sample are one
-hypergeometric draw on LANE_SESSION.
+A pulse reduces to a 6-bit cell code: from bit 5 down, Alice's bit and
+basis, Bob's basis and bit, and Eve's basis and bit (0 without an attack).
+A session's counts are sums over one 64-bin histogram of the codes; the
+disclosed sample's errors are one hypergeometric draw on LANE_SESSION.
 
 ``alice_prepare``, ``bob_measure`` and the attack functions in
 macroqkd.attacks are the single-pulse reference for the same physics:
@@ -201,7 +203,9 @@ class MomentTable:
     Eve's sign thresholds per [bit, basis, eve_basis] for intercept-resend,
     the tap and the superior channel (read at eve_basis = basis), the three
     cumulative thresholds per [bit, basis] of ``_dual_basis_law`` for
-    dual-basis, and None without an attack.
+    dual-basis, and None without an attack. ``_pulse_cells`` takes each
+    threshold by a pulse's cell code (from bit 5 down: Alice's bit and
+    basis, Bob's basis and bit, Eve's basis and bit).
     """
 
     bob: np.ndarray
@@ -210,6 +214,8 @@ class MomentTable:
 
 _BASES = (Basis.VH, Basis.DIAG)
 _CHUNK = 1 << 16  # pulses drawn per array pass; results do not depend on it
+# the fields of all 64 cell codes
+_ALICE_BIT, _ALICE_BASIS, _BOB_BASIS, _, _EVE_BASIS, _EVE_BIT = np.indices((2,) * 6).reshape(6, 64)
 
 
 def _sign_thresholds(laws: np.ndarray) -> np.ndarray:
@@ -291,53 +297,44 @@ def _moment_table(config: SessionConfig) -> MomentTable:
     return MomentTable(_sign_thresholds(bob), None if kind is AttackKind.NONE else _sign_thresholds(eve))
 
 
-def _pulse_columns(
-    config: SessionConfig, table: MomentTable, lo: int, hi: int
-) -> dict[str, np.ndarray]:
-    """Per-pulse uint8 columns of pulses [lo, hi): Alice's bit and basis,
-    Bob's basis and bit and, under an attack, Eve's basis and bit; every
-    one is a shift or a threshold compare of the pulse's raw words."""
+def _pulse_cells(config: SessionConfig, table: MomentTable, lo: int, hi: int) -> np.ndarray:
+    """uint8 cell codes of pulses [lo, hi): each bit is a head-word bit or a
+    uniform's compare with a threshold taken by the code's earlier bits."""
     words = pulse_block(config.seed, LANE_PULSE, lo, hi)
-    head = words[:, 0]
-    alice_bit = (head >> 63).astype(np.uint8)
-    alice_basis = (head >> 62 & 1).astype(np.uint8)
-    bob_basis = (head >> 60 & 1).astype(np.uint8)
-    cols = {"alice_bit": alice_bit, "alice_basis": alice_basis, "bob_basis": bob_basis}
+    nibble = (words[:, 0] >> 60).astype(np.uint8)  # Alice's bit and basis, Eve's basis, Bob's basis
+    # Bob's and Eve's uniforms in place: copies lift a chunk's peak near twice the
+    # word block, where glibc's malloc trims the heap and every chunk refaults it
+    for w in (1, 2):
+        words[:, w] >>= 11
+    cells = (nibble & 12) << 2 | (nibble & 1) << 3  # Alice's bits to bits 5 and 4, Bob's basis to 3
     kind = config.attack.kind
-    sent_bit, sent_basis = alice_bit, alice_basis
     if kind is AttackKind.DUAL_BASIS:
-        u, cell = words[:, 2] >> 11, alice_bit << 1 | alice_basis
-        code = sum((u >= t.take(cell)).view(np.uint8) for t in table.eve.reshape(4, 3).T)
-        cols["eve_basis"], cols["eve_bit"] = code >> 1, code & 1
+        cells |= sum((words[:, 2] >= t.take(nibble >> 2)).view(np.uint8) for t in table.eve.reshape(4, 3).T)
     elif kind is not AttackKind.NONE:
         # superior-channel Eve measures her stored half in Alice's basis
-        eve_basis = alice_basis if kind is AttackKind.SUPERIOR_CHANNEL else (head >> 61 & 1).astype(np.uint8)
-        eve_bit = (words[:, 2] >> 11) >= table.eve[alice_bit, alice_basis, eve_basis]
-        cols["eve_basis"], cols["eve_bit"] = eve_basis, eve_bit.astype(np.uint8)
-    if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS):
-        sent_bit, sent_basis = cols["eve_bit"], cols["eve_basis"]  # Eve re-prepares
-    bob_bit = (words[:, 1] >> 11) >= table.bob[sent_bit, sent_basis, bob_basis]
-    cols["bob_bit"] = bob_bit.astype(np.uint8)
-    return cols
+        cells |= (nibble >> (2 if kind is AttackKind.SUPERIOR_CHANNEL else 1) & 1) << 1
+        cells |= (words[:, 2] >= table.eve[_ALICE_BIT, _ALICE_BASIS, _EVE_BASIS].take(cells)).view(np.uint8)
+    # Bob measures the pulse Alice launched, or the one Eve re-prepares
+    resent = kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS)
+    sent = (_EVE_BIT, _EVE_BASIS) if resent else (_ALICE_BIT, _ALICE_BASIS)
+    cells |= (words[:, 1] >= table.bob[(*sent, _BOB_BASIS)].take(cells)).view(np.uint8) << 2
+    return cells
 
 
 def run_session(config: SessionConfig) -> RunReport:
-    """Execute a full QKD session and summarize it from per-chunk counts."""
+    """Execute a full QKD session and summarize it from one cell histogram."""
     kind = config.attack.kind
     n = config.num_pulses
     table = _moment_table(config)
-    n_sifted = agree = eve_hits = eve_seen = 0
-    for lo in range(0, n, _CHUNK):
-        cols = _pulse_columns(config, table, lo, min(lo + _CHUNK, n))
-        kept = sift(cols["alice_basis"], cols["bob_basis"])
-        n_sifted += len(kept)
-        agree += int(np.count_nonzero(cols["alice_bit"][kept] == cols["bob_bit"][kept]))
-        if kind is not AttackKind.NONE:
-            # Eve measures her stored halves only once the bases are revealed
-            seen = kept if kind is AttackKind.SUPERIOR_CHANNEL else slice(None)
-            eve_bits = cols["eve_bit"][seen]
-            eve_hits += int(np.count_nonzero(eve_bits == cols["alice_bit"][seen]))
-            eve_seen += len(eve_bits)
+    chunks = (_pulse_cells(config, table, lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+    cells = sum(np.bincount(c, minlength=64) for c in chunks).reshape((2,) * 6)
+    # cells is indexed [Alice bit, Alice basis, Bob basis, Bob bit, Eve basis, Eve bit]
+    sifted = cells.diagonal(0, 1, 2)  # [Alice bit, Bob bit, Eve basis, Eve bit, basis]
+    n_sifted, agree = int(sifted.sum()), int(sifted.diagonal(0, 0, 1).sum())
+    # Eve measures her stored halves only once the bases are revealed
+    seen = sifted.sum((1, 4)) if kind is AttackKind.SUPERIOR_CHANNEL else cells.sum((1, 2, 3))
+    eve_hits = int(seen.diagonal(0, 0, 2).sum())  # [Alice bit, Eve basis, Eve bit] with Eve's bit right
+    eve_seen = 0 if kind is AttackKind.NONE else int(seen.sum())
 
     sampled_count = round(config.sample_fraction * n_sifted)
     if sampled_count > 0:

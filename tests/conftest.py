@@ -1,6 +1,7 @@
 """Shared test plumbing: single-threaded BLAS, a deterministic Hypothesis
-profile, and the acceptance suite's per-criterion lines, which this hook
-prints after the run, capture or not."""
+profile, the decoding of session cell codes, and the acceptance suite's
+per-criterion lines, which this hook prints after the run, capture or
+not."""
 
 import os
 from pathlib import Path
@@ -22,6 +23,15 @@ from hypothesis import settings  # noqa: E402
 # Same examples on every run, with no reliance on a local example database.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+# the fields of a session's 6-bit cell code, from bit 5 down
+CELL_FIELDS = ("alice_bit", "alice_basis", "bob_basis", "bob_bit", "eve_basis", "eve_bit")
+
+
+def cell_columns(cells):
+    """Per-pulse uint8 columns, one per field, of an array of cell codes."""
+    return {name: cells >> (5 - k) & 1 for k, name in enumerate(CELL_FIELDS)}
+
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -31,7 +31,7 @@ from macroqkd.protocol import (
     VERDICT_CLEAN,
     VERDICT_DETECTED,
     _moment_table,
-    _pulse_columns,
+    _pulse_cells,
     run_session,
 )
 from macroqkd.streams import LANE_PULSE, derive_stream
@@ -319,23 +319,21 @@ def test_criterion_10_determinism(tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     byte_identical = out_a.read_bytes() == out_b.read_bytes()
 
-    # per-pulse columns do not depend on how range(n) is split or in what
-    # order the pieces run
+    # per-pulse cell codes do not depend on how range(n) is split or in
+    # what order the pieces run
     config = SessionConfig(
         source=DESIGN_POINT, channel_loss=0.2, detector=NOISELESS, num_pulses=20_000, seed=42
     )
     table = _moment_table(config)
-    whole = _pulse_columns(config, table, 0, 20_000)
-    tail = _pulse_columns(config, table, 7_000, 20_000)
-    head = _pulse_columns(config, table, 0, 7_000)
-    split_equal = whole.keys() == head.keys() == tail.keys() and all(
-        np.array_equal(whole[name], np.concatenate([head[name], tail[name]])) for name in whole
-    )
+    whole = _pulse_cells(config, table, 0, 20_000)
+    tail = _pulse_cells(config, table, 7_000, 20_000)
+    head = _pulse_cells(config, table, 0, 7_000)
+    split_equal = np.array_equal(whole, np.concatenate([head, tail]))
     elapsed = time.time() - t0
     ok = byte_identical and split_equal and elapsed < 30.0
     record_criterion(
         10,
-        "cmd_run reports byte-identical; pulse columns independent of range splitting",
+        "cmd_run reports byte-identical; pulse cells independent of range splitting",
         ok,
         f"bytes={'equal' if byte_identical else 'DIFFER'}, "
         f"split={'equal' if split_equal else 'DIFFER'}, {elapsed:.1f}s",

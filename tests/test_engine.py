@@ -1,8 +1,8 @@
 """The columnar session engine: counter-indexed word blocks, their bits
 and uniforms, chunk independence, exact agreement of the moment table and
-the per-pulse columns with the single-pulse reference functions, dual-basis
-Eve's categorical law, the disclosure draw, and memory bounded by one
-chunk."""
+the per-pulse cell codes with the single-pulse reference functions, the
+cell frequencies against the table's exact law, dual-basis Eve's
+categorical law, the disclosure draw, and memory bounded by one chunk."""
 
 import math
 import tracemalloc
@@ -10,6 +10,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from conftest import cell_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_attacks import DUAL_BASIS_INFERENCE_ACCURACY
@@ -39,7 +40,7 @@ from macroqkd.protocol import (
     SessionConfig,
     _dual_basis_law,
     _moment_table,
-    _pulse_columns,
+    _pulse_cells,
     alice_prepare,
     bob_measure,
     run_session,
@@ -160,12 +161,10 @@ def test_columns_do_not_depend_on_chunk_size(kind):
     table = _moment_table(config)
     runs = []
     for chunk in (1, 7, 1 << 16):
-        parts = [_pulse_columns(config, table, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        runs.append({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
+        parts = [_pulse_cells(config, table, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+        runs.append(np.concatenate(parts))
     for other in runs[1:]:
-        assert other.keys() == runs[0].keys()
-        for name, column in runs[0].items():
-            np.testing.assert_array_equal(other[name], column, err_msg=name)
+        np.testing.assert_array_equal(other, runs[0])
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
@@ -213,8 +212,8 @@ def _engine_codes(config, table, monkeypatch, bit, basis, tops):
     words[:, 2] = np.array(tops, dtype=np.uint64) << np.uint64(11)
     with monkeypatch.context() as patch:
         patch.setattr(protocol, "pulse_block", lambda *_: words)
-        cols = _pulse_columns(config, table, 0, len(tops))
-    return (2 * cols["eve_basis"] + cols["eve_bit"]).tolist()
+        cells = _pulse_cells(config, table, 0, len(tops))
+    return (cells & 3).tolist()  # Eve's basis and bit, the cell's two low bits
 
 
 def _reference_arms(alice, detector):
@@ -290,7 +289,7 @@ def _reference_pulse(config, i, words, cols, monkeypatch):
     (basis, raw) and Eve's (basis, bit), or None for Eve without an attack.
     Dual-basis Eve's (basis, bit) is one categorical draw, not the
     reference's two arm normals, so the pulse she re-prepares is built from
-    the engine's columns."""
+    the engine's decoded cells."""
     kind = config.attack.kind
     head = int(words[i, 0])
     bit, basis, eve_basis, bob_basis = (head >> s & 1 for s in (63, 62, 61, 60))
@@ -333,7 +332,7 @@ def test_columns_equal_single_pulse_reference(kind, monkeypatch):
     config = make_config(kind, num_pulses=300)
     n = config.num_pulses
     table = _moment_table(config)
-    cols = _pulse_columns(config, table, 0, n)
+    cols = cell_columns(_pulse_cells(config, table, 0, n))
     words = pulse_block(config.seed, LANE_PULSE, 0, n)
     for i in range(n):
         (bit, basis), (bob_basis, bob_raw), eve = _reference_pulse(config, i, words, cols, monkeypatch)
@@ -342,7 +341,7 @@ def test_columns_equal_single_pulse_reference(kind, monkeypatch):
         assert BASES[cols["bob_basis"][i]] is bob_basis
         assert cols["bob_bit"][i] == decode_bit(bob_raw)
         if eve is None:
-            assert "eve_bit" not in cols and "eve_basis" not in cols
+            assert cols["eve_basis"][i] == cols["eve_bit"][i] == 0
             continue
         eve_basis, eve_bit = eve
         assert BASES[cols["eve_basis"][i]] is eve_basis
@@ -351,6 +350,56 @@ def test_columns_equal_single_pulse_reference(kind, monkeypatch):
             # the category of word 2 among the cell's cumulative thresholds
             code = np.searchsorted(table.eve[bit, BASES.index(basis)], words[i, 2] >> 11, side="right")
             assert 2 * BASES.index(eve_basis) + eve_bit == code
+
+
+# ------------------------------------------------------- cell frequencies
+
+
+def _cell_law(config, table):
+    """Exact probability of every 6-bit cell code: 1/2 for each random bit
+    or basis, threshold / 2^53 for a sign outcome of 0, and dual-basis Eve's
+    categories between her cumulative thresholds."""
+    kind = config.attack.kind
+    alice_bit, alice_basis, bob_basis, bob_bit, eve_basis, eve_bit = cell_columns(np.arange(64)).values()
+
+    def sign(thresholds, bit):
+        zero = thresholds / 2.0**53
+        return np.where(bit == 1, 1.0 - zero, zero)
+
+    if kind is AttackKind.NONE:
+        eve = ((eve_basis == 0) & (eve_bit == 0)) * 1.0
+    elif kind is AttackKind.DUAL_BASIS:
+        edges = np.concatenate((np.zeros((2, 2, 1)), table.eve / 2.0**53, np.ones((2, 2, 1))), -1)
+        eve = np.diff(edges)[alice_bit, alice_basis, 2 * eve_basis + eve_bit]
+    else:
+        # superior-channel Eve measures in Alice's basis, the others in a random one
+        chosen = (eve_basis == alice_basis) * 1.0 if kind is AttackKind.SUPERIOR_CHANNEL else 0.5
+        eve = chosen * sign(table.eve[alice_bit, alice_basis, eve_basis], eve_bit)
+    resent = kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS)
+    sent = (eve_bit, eve_basis) if resent else (alice_bit, alice_basis)
+    return eve * sign(table.bob[(*sent, bob_basis)], bob_bit) / 8.0
+
+
+@pytest.mark.parametrize("kind", list(AttackKind))
+def test_cell_counts_match_the_table_law(kind):
+    """Every cell's count within 5 sigma of its exact expectation, and none
+    at all in a cell the law excludes: Eve's cells without an attack, and
+    superior-channel Eve measuring in a basis other than Alice's."""
+    config = make_config(kind, num_pulses=1 << 20, seed=2002)
+    n, table = config.num_pulses, _moment_table(config)
+    chunks = (_pulse_cells(config, table, lo, lo + (1 << 16)) for lo in range(0, n, 1 << 16))
+    counts = sum(np.bincount(cells, minlength=64) for cells in chunks)
+    law = _cell_law(config, table)
+    assert abs(law.sum() - 1.0) < 1e-12
+    possible = law > 0.0
+    assert np.all(counts[~possible] == 0), np.flatnonzero(counts * ~possible)
+    p = law[possible]
+    z = (counts[possible] - n * p) / np.sqrt(n * p * (1.0 - p))
+    assert np.all(np.abs(z) < 5.0), (np.flatnonzero(possible), z)
+    if kind is AttackKind.NONE:
+        assert possible.sum() == 16
+    elif kind is AttackKind.SUPERIOR_CHANNEL:
+        assert possible.sum() == 32
 
 
 # ------------------------------------------------------ dual-basis Eve's law
@@ -469,7 +518,7 @@ def test_dual_basis_law_matches_monte_carlo(make_arms):
 @pytest.mark.parametrize("kind", list(AttackKind))
 def test_session_discloses_hypergeometric_errors_of_its_counts(kind):
     config = make_config(kind, num_pulses=5000)
-    cols = _pulse_columns(config, _moment_table(config), 0, config.num_pulses)
+    cols = cell_columns(_pulse_cells(config, _moment_table(config), 0, config.num_pulses))
     kept = cols["alice_basis"] == cols["bob_basis"]
     n_sifted = int(np.count_nonzero(kept))
     agree = int(np.count_nonzero(kept & (cols["alice_bit"] == cols["bob_bit"])))
@@ -479,6 +528,12 @@ def test_session_discloses_hypergeometric_errors_of_its_counts(kind):
     assert (report.sifted_count, report.sampled_count) == (n_sifted, k)
     assert report.bob_bit_accuracy == agree / n_sifted
     assert round(report.estimated_error_rate * report.sampled_count) == errors
+    # Eve's accuracy over every pulse, or over the sifted ones only when she
+    # measures her stored halves after the bases are revealed
+    seen = kept if kind is AttackKind.SUPERIOR_CHANNEL else slice(None)
+    hits = np.count_nonzero(cols["eve_bit"][seen] == cols["alice_bit"][seen])
+    expected = None if kind is AttackKind.NONE else hits / len(cols["eve_bit"][seen])
+    assert report.eve_bit_accuracy == expected
 
 
 # ----------------------------------------------------------------- memory

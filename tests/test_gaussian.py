@@ -92,6 +92,18 @@ def test_state_shape_validation():
         GaussianState(("V", "H"), np.zeros(4), bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mean", "cov"])
+def test_state_refuses_non_finite_entries(field, bad):
+    mean, cov = np.zeros(4), 0.5 * np.eye(4)
+    if field == "mean":
+        mean[0] = bad
+    else:
+        cov[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(("V", "H"), mean, cov)
+
+
 def test_states_are_immutable():
     s = make_coherent_seed(1, 0)
     with pytest.raises((ValueError, RuntimeError)):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cell_columns
 
 from macroqkd.attacks import AttackConfig, AttackKind
 from macroqkd.gaussian import SourceParams
@@ -14,7 +15,7 @@ from macroqkd.protocol import (
     VERDICT_CLEAN,
     VERDICT_DETECTED,
     _moment_table,
-    _pulse_columns,
+    _pulse_cells,
     alice_prepare,
     bob_measure,
     detect_eavesdropping,
@@ -245,31 +246,29 @@ def test_session_quantum_efficiency_acts_as_loss():
     assert rep == ref
 
 
-def _columns(config, lo, hi):
-    return _pulse_columns(config, _moment_table(config), lo, hi)
+def _cells(config, lo, hi):
+    return _pulse_cells(config, _moment_table(config), lo, hi)
 
 
 def test_session_determinism_and_split_independence():
     cfg = make_config(num_pulses=20_000, channel_loss=0.2, seed=999)
     assert run_session(cfg) == run_session(cfg)
-    # per-pulse columns do not depend on how range(n) is split or in what
-    # order the pieces run
+    # per-pulse cell codes do not depend on how range(n) is split or in
+    # what order the pieces run
     cfg = make_config(
         num_pulses=3000, channel_loss=0.2, seed=999,
         attack=AttackConfig(kind=AttackKind.INTERCEPT_RESEND),
     )
-    whole = _columns(cfg, 0, 3000)
-    tail = _columns(cfg, 1234, 3000)
-    head = _columns(cfg, 0, 1234)
-    assert whole.keys() == head.keys() == tail.keys()
-    for name, column in whole.items():
-        np.testing.assert_array_equal(column, np.concatenate([head[name], tail[name]]))
+    whole = _cells(cfg, 0, 3000)
+    tail = _cells(cfg, 1234, 3000)
+    head = _cells(cfg, 0, 1234)
+    np.testing.assert_array_equal(whole, np.concatenate([head, tail]))
 
 
 def test_wrong_basis_pulses_carry_no_information():
     cfg = make_config(num_pulses=100_000, seed=55)
     # correlate alice bits with bob decoded bits on discarded pulses
-    cols = _columns(cfg, 0, cfg.num_pulses)
+    cols = cell_columns(_cells(cfg, 0, cfg.num_pulses))
     discarded = cols["alice_basis"] != cols["bob_basis"]
     a = cols["alice_bit"][discarded].astype(int) * 2 - 1
     b = cols["bob_bit"][discarded].astype(int) * 2 - 1
