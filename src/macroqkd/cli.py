@@ -3,10 +3,12 @@ the Fock-oracle validation gate.
 
 Subcommands: fig1, fig2, fig3, run, validate. Exit codes: 0 success,
 1 configuration error, 2 validation failure, 3 I/O error; any other
-exception is a program fault and propagates. CSV output uses
-full double precision (17 significant digits), comma separators and LF
-line endings so repeated runs with the same configuration are
-byte-identical.
+exception is a program fault and propagates. Each value of a figure CSV
+is the bytes C's ``%.17g`` writes for it, so it parses back to the same
+double; values are comma-separated and lines end in LF, and repeated runs
+with the same configuration are byte-identical. The figure tables are
+formatted in one array pass over all their values (``_csvtext``), not value
+by value.
 """
 
 from __future__ import annotations
@@ -116,10 +118,11 @@ class _IOFailure(RuntimeError):
 
 
 def _csv(header: str, *columns: np.ndarray) -> str:
-    """A CSV table of float columns, every value at full precision."""
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [header, *(row % values for values in zip(*(c.tolist() for c in columns)))]
-    return "\n".join(lines) + "\n"
+    """A CSV table of float columns, each value as C's ``%.17g`` writes it."""
+    # imported on first use: only the figure commands write float tables
+    from ._csvtext import format_rows
+
+    return header + "\n" + format_rows(np.column_stack(columns))
 
 
 def _add_source_flags(p: argparse.ArgumentParser, nen_default: float | None) -> None:

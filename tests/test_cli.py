@@ -6,12 +6,16 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macroqkd import cli, gaussian
+from macroqkd._csvtext import _BLOCK, format_rows
 from macroqkd.attacks import AttackConfig, AttackKind
 from macroqkd.cli import ConfigError, config_from_dict, config_to_dict, main, report_text
 from macroqkd.gaussian import SourceParams
@@ -129,6 +133,63 @@ def test_reproduce_figures_matches_tracked_csvs(tmp_path, monkeypatch):
     assert written == sorted(p.name for p in (REPO / "out").glob("*.csv"))
     for name in written:
         assert (tmp_path / name).read_bytes() == (REPO / "out" / name).read_bytes(), name
+
+
+# ------------------------------------------------------------------ CSV writer
+
+
+def assert_rows_are_percent_g(values: np.ndarray) -> None:
+    """format_rows writes ``'%.17g' % v`` for every value, warning-free, and
+    every value but NaN parses back to the same bits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = format_rows(values)
+    reference = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
+    assert text == reference
+    parsed = np.array([float(v) for line in text.splitlines() for v in line.split(",")])
+    flat = values.ravel()
+    nan = np.isnan(flat)
+    assert np.array_equal(np.isnan(parsed), nan)
+    assert np.array_equal(parsed[~nan].view(np.int64), flat[~nan].view(np.int64))
+
+
+# a float64 bit pattern drawn field by field, so that every exponent is as
+# likely as any other: exponent 0 gives zeros and subnormals, 2047 inf and NaN
+DOUBLE_BITS = st.builds(
+    lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+    st.integers(0, 1),
+    st.integers(0, 2047),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DOUBLE_BITS, max_size=200), st.integers(1, 4))
+def test_csv_writer_matches_percent_g_on_any_bit_pattern(bits, n_cols):
+    words = np.array(bits[: len(bits) // n_cols * n_cols], np.uint64)
+    assert_rows_are_percent_g(words.view(np.float64).reshape(-1, n_cols))
+
+
+def test_csv_writer_matches_percent_g_on_edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 308)])
+    ties = [2.0**50 + 0.25, 2.0**50 + 0.75]  # exact ties at 17 digits, as are their halves
+    values = np.concatenate(
+        [
+            [0.0, math.inf, math.nan, 5e-324, sys.float_info.max],
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, math.inf),
+            [t * 2.0**s for t in ties for s in range(-60, 61)],
+            # the 17 digits of 1e-14 and 1e-305 round up to 10**17
+            [1e-14, 1e-305, 9.999999999999999e22, 0.1, 100.0, 1e16, 1e17, 1e-4, 1e-5],
+            # 1e-16 or less from a tie at 17 digits: double-double alone misrounds them
+            [6.680327267462135e39, 1.8078725207183761e40, 9.193746678076147e40, 6.5349582893675465e44],
+        ]
+    )
+    values = np.concatenate([values, -values])
+    assert values.size > _BLOCK  # more than one block
+    assert_rows_are_percent_g(values[:, None])
+    assert_rows_are_percent_g(values[: values.size // 3 * 3].reshape(-1, 3))
 
 
 # ------------------------------------------------------------------------- run

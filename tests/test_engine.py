@@ -5,6 +5,7 @@ cell frequencies against the table's exact law, dual-basis Eve's
 categorical law, the disclosure draw, and memory bounded by one chunk."""
 
 import math
+import sys
 import tracemalloc
 from statistics import NormalDist
 
@@ -555,3 +556,22 @@ def test_session_memory_bounded_by_one_chunk():
     run_session(make_config(AttackKind.NONE, num_pulses=1 << 17))  # fill the state caches
     small, large = peak(1 << 17), peak(1 << 22)
     assert large - small <= 1 << 20, (small, large)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts the page faults of glibc's heap")
+@pytest.mark.parametrize("kind", list(AttackKind))
+def test_session_faults_no_heap_pages_back_in(kind):
+    """A chunk's arrays peak below glibc's heap-trim threshold, so the heap
+    a chunk frees is still mapped for the next one, and a repeated
+    2**22-pulse session takes no minor page faults (0 for every kind).
+    Past the threshold, glibc returns the heap top after each of its 64
+    chunks and the next one faults pages back in: one more 1 MiB temporary
+    per chunk costs 16 to 520 faults a chunk, 1 024 to 33 248 a session."""
+    import resource
+
+    config = make_config(kind, num_pulses=1 << 22)
+    run_session(config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_session(config)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < config.num_pulses // protocol._CHUNK, faults
