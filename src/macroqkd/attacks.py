@@ -123,16 +123,8 @@ def dual_basis_measure(
     the sign of the chosen arm.
 
     The two arm outcomes are independent, each drawn from its own normal
-    law on Eve's tapped half. Alice's pulses are invariant under the
-    antiunitary K P_H: complex conjugation in the Fock basis composed with
-    a_H -> -a_H. The seed (alpha_V real, alpha_H = i|alpha_H|) and the
-    squeeze at PUMP_PHASE (e^{i theta} = i) map to themselves, and the 50/50
-    split, loss and detector efficiency are real maps on vacuum ancillas,
-    so the tap state keeps the symmetry. Under it n_V - n_H is even and
-    a_V^dag a_H + h.c. odd (for DIAG pulses the -pi/4 rotation swaps the two
-    roles), so the covariance of one arm's V/H difference with the other
-    arm's diagonal difference (``joint_diff_moments``' cov_be) is exactly
-    zero, and the normal pair has independent components.
+    law on Eve's tapped half (the symmetry argument is in
+    ``protocol._dual_basis_law``).
     """
     eve = tap_arms(state, 0.5)[1]
     mean_vh, sigma_vh = outcome_law(eve, Basis.VH, detector)

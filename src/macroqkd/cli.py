@@ -1,7 +1,9 @@
 """Command-line harness: figure-reproduction sweeps, full protocol runs and
 the Fock-oracle validation gate.
 
-Subcommands: fig1, fig2, fig3, run, validate. Exit codes: 0 success,
+Subcommands: fig1, fig2, fig3, run, validate. Every subcommand that builds
+a session configuration turns its flags into the config dict and checks
+them in one pass, so one error lists every problem. Exit codes: 0 success,
 1 configuration error, 2 validation failure, 3 I/O error; any other
 exception is a program fault and propagates. Each value of a figure CSV
 is the bytes C's ``%.17g`` writes for it, so it parses back to the same
@@ -27,9 +29,9 @@ from . import validate as validate_mod
 from .attacks import AttackConfig, AttackKind, attack_config_violations
 from .gaussian import SourceParams, alice_source, apply_loss, source_param_violations
 from .photostats import (
-    NOISELESS,
     Basis,
     DetectorModel,
+    _loss_fractions,
     bob_error_curve,
     detector_violations,
     distribution_curve,
@@ -69,7 +71,10 @@ def _pulse_count(text: str) -> int:
     return int(value)
 
 
-def _parse_grid(text: str, lo: float, hi: float, name: str) -> np.ndarray:
+def _parse_grid(text: str, closed: bool | None) -> np.ndarray:
+    """The grid ``--grid start:stop:steps`` describes; raises ConfigError
+    naming its first problem. An eta grid (``closed`` not None) must lie in
+    the range its curve takes, [0, 1] if ``closed`` else [0, 1)."""
     try:
         start_s, stop_s, steps_s = text.split(":")
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
@@ -82,25 +87,10 @@ def _parse_grid(text: str, lo: float, hi: float, name: str) -> np.ndarray:
     if steps > 1 and not stop > start:
         raise ConfigError(f"--grid must be strictly increasing (got {text!r})")
     grid = np.linspace(start, stop, steps)
-    if grid[0] < lo or grid[-1] > hi:
-        raise ConfigError(f"{name} grid must lie within [{lo}, {hi}] (got {text!r})")
-    return grid
-
-
-def _fields_from_args(cls: type, args: argparse.Namespace) -> dict:
-    """The fields of dataclass ``cls`` as the flags of the same ``dest`` set
-    them; a field without a flag keeps its default."""
-    return {f.name: getattr(args, f.name, f.default) for f in dataclasses.fields(cls)}
-
-
-def _from_args(cls: type, violations, args: argparse.Namespace, prefix: str = ""):
-    """A ``cls`` from its flags; raises ConfigError listing every problem
-    ``violations`` finds in them."""
-    values = _fields_from_args(cls, args)
-    problems = violations(*values.values())
-    if problems:
-        raise ConfigError("; ".join(prefix + p for p in problems))
-    return cls(**values)
+    try:
+        return grid if closed is None else _loss_fractions(grid, closed)
+    except ValueError as exc:
+        raise ConfigError(f"--grid: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -143,18 +133,25 @@ def _add_source_flags(p: argparse.ArgumentParser, nen_default: float | None) -> 
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _figure_config(args: argparse.Namespace, closed: bool | None) -> tuple[SessionConfig, np.ndarray | None]:
+    """A figure subcommand's config and ``--grid`` (None if unset), checked
+    together: raises ConfigError listing every problem of both."""
+    grid, problems = None, []
+    if args.grid is not None:
+        try:
+            grid = _parse_grid(args.grid, closed)
+        except ConfigError as exc:
+            problems.append(str(exc))
+    return config_from_dict(_config_dict(args), problems), grid
+
+
 def cmd_fig1(args: argparse.Namespace) -> int:
     """Outcome distributions for both bit values and the incorrect basis."""
-    params = _from_args(SourceParams, source_param_violations, args)
-    detector = _from_args(DetectorModel, detector_violations, args, "--detector-nen: ")
-    eta = args.channel_loss
-    if not 0.0 <= eta < 1.0:
-        raise ConfigError(f"--loss must be in [0, 1) (got {eta})")
-    pulse1 = apply_loss(alice_source(params, 1, Basis.VH), eta)
-    pulse0 = apply_loss(alice_source(params, 0, Basis.VH), eta)
-    if args.grid is not None:
-        grid = _parse_grid(args.grid, -math.inf, math.inf, "n")
-    else:
+    config, grid = _figure_config(args, closed=None)
+    detector = config.detector
+    pulse1 = apply_loss(alice_source(config.source, 1, Basis.VH), config.channel_loss)
+    pulse0 = apply_loss(alice_source(config.source, 0, Basis.VH), config.channel_loss)
+    if grid is None:
         mean, sigma_correct = outcome_law(pulse1, Basis.VH, detector)
         sigma_wrong = outcome_law(pulse1, Basis.DIAG, detector)[1]
         span = abs(mean) + 8.0 * max(sigma_correct, sigma_wrong)
@@ -172,48 +169,55 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     """Bob's error rate versus channel loss."""
-    params = _from_args(SourceParams, source_param_violations, args)
-    detector = _from_args(DetectorModel, detector_violations, args, "--detector-nen: ")
-    grid = _parse_grid(args.grid, 0.0, 1.0 - 1e-12, "eta")
-    _write_text(args.out, _csv("eta,p_err", grid, bob_error_curve(params, grid, detector)))
+    config, grid = _figure_config(args, closed=False)
+    _write_text(args.out, _csv("eta,p_err", grid, bob_error_curve(config.source, grid, config.detector)))
     return EXIT_OK
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     """Eve's correct-bit probability versus sampled fraction."""
-    params = _from_args(SourceParams, source_param_violations, args)
-    grid = _parse_grid(args.grid, 0.0, 1.0, "eta")
-    _write_text(args.out, _csv("eta,p_eta", grid, eve_tap_curve(params, grid)))
+    config, grid = _figure_config(args, closed=True)
+    _write_text(args.out, _csv("eta,p_eta", grid, eve_tap_curve(config.source, grid)))
     return EXIT_OK
 
 
-def _attack_dict(kind: str, tap_fraction: float | None, eve_detector: DetectorModel) -> dict:
+def _attack_dict(attack: AttackConfig) -> dict:
     """The attack section: Eve's detector is flattened into two fields."""
     return {
-        "kind": kind,
-        "tap_fraction": tap_fraction,
-        "eve_detector_nen": eve_detector.noise_equivalent_number,
-        "eve_detector_qe": eve_detector.quantum_efficiency,
+        "kind": attack.kind.value,
+        "tap_fraction": attack.tap_fraction,
+        "eve_detector_nen": attack.eve_detector.noise_equivalent_number,
+        "eve_detector_qe": attack.eve_detector.quantum_efficiency,
     }
 
 
-# Field layout of a config dict, in SessionConfig's field order: top-level
-# scalars map to None, sections to their field names. The source and
-# detector sections are their dataclasses' fields.
-_CONFIG_FIELDS = dict.fromkeys(f.name for f in dataclasses.fields(SessionConfig)) | {
-    "source": tuple(f.name for f in dataclasses.fields(SourceParams)),
-    "detector": tuple(f.name for f in dataclasses.fields(DetectorModel)),
-    "attack": tuple(_attack_dict("", None, NOISELESS)),
+# SessionConfig's defaults in the config dict's layout and field order: each
+# section maps its field names to their defaults. SourceParams has none (None
+# here); every subcommand that builds a config sets them by flag.
+_SECTIONS = {
+    "source": dict.fromkeys(f.name for f in dataclasses.fields(SourceParams)),
+    "detector": dataclasses.asdict(DetectorModel()),
+    "attack": _attack_dict(AttackConfig()),
 }
-_SCALARS = tuple(name for name, fields in _CONFIG_FIELDS.items() if fields is None)
+_DEFAULTS = {f.name: _SECTIONS.get(f.name, f.default) for f in dataclasses.fields(SessionConfig)}
+_SCALARS = tuple(name for name in _DEFAULTS if name not in _SECTIONS)
+
+
+def _config_dict(args: argparse.Namespace) -> dict:
+    """The config dict a subcommand's flags describe. Each flag's ``dest`` is
+    the field it sets (no two sections share a field name), and a field
+    without a flag keeps its default."""
+    return {
+        key: {f: getattr(args, f, v) for f, v in default.items()} if key in _SECTIONS else getattr(args, key, default)
+        for key, default in _DEFAULTS.items()
+    }
 
 
 def config_to_dict(config: SessionConfig) -> dict:
-    attack = config.attack
     return {
         "source": dataclasses.asdict(config.source),
         "detector": dataclasses.asdict(config.detector),
-        "attack": _attack_dict(attack.kind.value, attack.tap_fraction, attack.eve_detector),
+        "attack": _attack_dict(config.attack),
         **{name: getattr(config, name) for name in _SCALARS},
     }
 
@@ -221,26 +225,26 @@ def config_to_dict(config: SessionConfig) -> dict:
 def config_violations(data: dict) -> list[str]:
     """Every problem of a config dict in config_to_dict's layout: all
     missing and unknown fields if there are any, otherwise all invalid
-    values, wrong types included."""
+    values, wrong types included; Bob's detector problems name its flag too."""
     if not isinstance(data, dict):
         return [f"config must be an object (got {type(data).__name__})"]
     missing = []
-    unknown = [str(key) for key in data if key not in _CONFIG_FIELDS]
-    for key, fields in _CONFIG_FIELDS.items():
-        if fields is None:
+    unknown = [str(key) for key in data if key not in _DEFAULTS]
+    for key in _DEFAULTS:
+        if key not in _SECTIONS:
             missing += [] if key in data else [key]
         else:
             section = data.get(key)
             section = section if isinstance(section, dict) else {}
-            missing += [f"{key}.{f}" for f in fields if f not in section]
-            unknown += [f"{key}.{f}" for f in section if f not in fields]
+            missing += [f"{key}.{f}" for f in _SECTIONS[key] if f not in section]
+            unknown += [f"{key}.{f}" for f in section if f not in _SECTIONS[key]]
     problems = [f"missing config fields: {', '.join(missing)}"] if missing else []
     problems += [f"unknown config fields: {', '.join(unknown)}"] if unknown else []
     if problems:
         return problems
     src, det, att = data["source"], data["detector"], data["attack"]
-    problems = source_param_violations(*(src[f] for f in _CONFIG_FIELDS["source"]))
-    problems += [f"detector {p}" for p in detector_violations(**det)]
+    problems = source_param_violations(*(src[f] for f in _SECTIONS["source"]))
+    problems += [f"detector (--detector-nen) {p}" for p in detector_violations(**det)]
     problems += session_violations(**{name: data[name] for name in _SCALARS})
     try:
         kind = AttackKind(att["kind"])
@@ -257,10 +261,11 @@ def config_violations(data: dict) -> list[str]:
     return problems
 
 
-def config_from_dict(data: dict) -> SessionConfig:
+def config_from_dict(data: dict, more_problems: list[str] = ()) -> SessionConfig:
     """The SessionConfig a config dict describes; raises ConfigError listing
-    every problem of the dict (see ``config_violations``)."""
-    problems = config_violations(data)
+    every problem of the dict (see ``config_violations``), then those in
+    ``more_problems``."""
+    problems = [*config_violations(data), *more_problems]
     if problems:
         raise ConfigError("; ".join(problems))
     att = data["attack"]
@@ -299,14 +304,7 @@ def report_text(config: SessionConfig, report: RunReport, fmt: str) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a full session and write the replayable report."""
-    config = config_from_dict(
-        {
-            "source": _fields_from_args(SourceParams, args),
-            "detector": _fields_from_args(DetectorModel, args),
-            "attack": _attack_dict(args.kind, args.tap_fraction, NOISELESS),
-            **{name: getattr(args, name) for name in _SCALARS},
-        }
-    )
+    config = config_from_dict(_config_dict(args))
     report = run_session(config)
     _write_text(args.out, report_text(config, report, args.format))
     return EXIT_OK
@@ -334,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1 = sub.add_parser("fig1", help="outcome distributions at fixed loss")
     _add_source_flags(p1, nen_default=0.0)
     p1.add_argument("--loss", dest="channel_loss", type=float, default=0.0, help="channel loss fraction eta")
-    p1.add_argument("--grid", default=None, help="n grid as start:stop:steps (default auto)")
+    p1.add_argument("--grid", default=None, help="n grid as start:stop:steps (default auto); write a negative start as --grid=-5000:5000:101")
     p1.set_defaults(func=cmd_fig1)
 
     p2 = sub.add_parser("fig2", help="error rate versus loss")

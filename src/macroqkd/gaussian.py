@@ -258,25 +258,16 @@ def tap_split(state: GaussianState, eta: float) -> GaussianState:
         raise ValueError("tap_split requires exactly two modes")
     t = math.sqrt(1.0 - eta)
     e = math.sqrt(eta)
-    # Mode order in: (V, H, anc_V, anc_H); out: (V_B, H_B, V_E, H_E).
-    # Per quadrature: out_B = t*in + e*anc, out_E = e*in - t*anc.
-    s = np.zeros((8, 8))
-    for mode in range(2):
-        for q in range(2):
-            i_in = 2 * mode + q
-            i_anc = 4 + 2 * mode + q
-            s[2 * mode + q, i_in] = t
-            s[2 * mode + q, i_anc] = e
-            s[4 + 2 * mode + q, i_in] = e
-            s[4 + 2 * mode + q, i_anc] = -t
-    mean_in = np.concatenate([state.mean, np.zeros(4)])
-    cov_in = np.block(
-        [[state.cov, np.zeros((4, 4))], [np.zeros((4, 4)), 0.5 * np.eye(4)]]
+    # Modes in: (V, H, anc_V, anc_H) with vacuum ancillas; out: (V_B, H_B,
+    # V_E, H_E). Per quadrature: out_B = t*in + e*anc, out_E = e*in - t*anc;
+    # + 0.0 turns kron's -0.0 entries into +0.0.
+    labels = tuple(f"{lab}_{arm}" for arm in "BE" for lab in state.mode_labels)
+    padded = GaussianState(
+        labels,
+        np.concatenate([state.mean, np.zeros(4)]),
+        np.block([[state.cov, np.zeros((4, 4))], [np.zeros((4, 4)), 0.5 * np.eye(4)]]),
     )
-    labels = tuple(f"{lab}_B" for lab in state.mode_labels) + tuple(
-        f"{lab}_E" for lab in state.mode_labels
-    )
-    return GaussianState(labels, s @ mean_in, s @ cov_in @ s.T)
+    return _transformed(padded, np.kron([[t, e], [e, -t]], np.eye(4)) + 0.0)
 
 
 def solve_gain_squeeze(params: SourceParams) -> float:

@@ -248,6 +248,17 @@ def _dual_basis_law(arms: np.ndarray, nodes: int = 80) -> np.ndarray:
     (DIAG,1) from independent arm laws arms[..., arm basis, (mean, sigma)]:
     she trusts the arm of smaller magnitude and reads its sign.
 
+    The arms are independent by a symmetry. Alice's pulses are invariant
+    under the antiunitary K P_H: complex conjugation in the Fock basis
+    composed with a_H -> -a_H. The seed (alpha_V real, alpha_H = i|alpha_H|)
+    and the squeeze at PUMP_PHASE (e^{i theta} = i) map to themselves, and
+    the 50/50 split, loss and detector efficiency are real maps on vacuum
+    ancillas, so the tap state keeps the symmetry. Under it n_V - n_H is
+    even and a_V^dag a_H + h.c. odd (for DIAG pulses the -pi/4 rotation
+    swaps the two roles), so the covariance of one arm's V/H difference
+    with the other arm's diagonal difference (``joint_diff_moments``'
+    cov_be) is exactly zero, and the normal pair has independent components.
+
     Gauss-Legendre quadrature (Golub & Welsch, Math. Comp. 23, 221 (1969))
     over the narrower arm B, in two pieces split at its kink B = 0 and out
     to 12 sigma; at B = b the wider arm A enters by its mass outside +-|b|

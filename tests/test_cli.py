@@ -19,7 +19,7 @@ from macroqkd._csvtext import _BLOCK, format_rows
 from macroqkd.attacks import AttackConfig, AttackKind
 from macroqkd.cli import ConfigError, config_from_dict, config_to_dict, main, report_text
 from macroqkd.gaussian import SourceParams
-from macroqkd.photostats import DetectorModel
+from macroqkd.photostats import DetectorModel, bob_error_curve
 from macroqkd.protocol import SessionConfig, run_session
 
 REPO = Path(__file__).resolve().parents[1]
@@ -340,6 +340,46 @@ def test_run_lists_source_detector_session_and_attack_problems(capsys):
     err = capsys.readouterr().err
     for field in ("gain_G", "noise_equivalent_number", "num_pulses", "tap_fraction"):
         assert field in err, field
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (
+            "fig1 --gain -1 --detector-nen -5 --loss 2 --grid 0:inf:3",
+            ("gain_G", "--detector-nen", "noise_equivalent_number", "channel_loss", "--grid"),
+        ),
+        (
+            "fig2 --gain -1 --detector-nen -5 --grid 0:2:3",
+            ("gain_G", "--detector-nen", "noise_equivalent_number", "--grid"),
+        ),
+        ("fig3 --gain -1 --grid 0:2:3", ("gain_G", "--grid")),
+        (
+            "run --gain -1 --detector-nen -5 --pulses 0 --loss 2",
+            ("gain_G", "noise_equivalent_number", "num_pulses", "channel_loss"),
+        ),
+    ],
+    ids=["fig1", "fig2", "fig3", "run"],
+)
+def test_every_subcommand_lists_every_problem(argv, fields, capsys):
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    for field in fields:
+        assert field in err, field
+
+
+def test_eta_grids_take_their_curves_range(tmp_path, capsys):
+    # fig2's grid stops short of 1 exactly where bob_error_curve does
+    out = tmp_path / "fig2.csv"
+    assert main(["fig2", "--grid", "0:0.9999999999995:3", "--out", str(out)]) == 0
+    _, data = read_csv(out)
+    design = SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0)
+    expected = bob_error_curve(design, [0.9999999999995], DetectorModel(noise_equivalent_number=0.0))
+    assert data[-1, 0] == 0.9999999999995
+    assert data[-1, 1] == expected[0]
+    for argv in (["fig2", "--grid", "0:1:3"], ["fig3", "--grid", "0:1.5:3"]):
+        assert main(argv) == 1, argv
+        assert "--grid: eta must be in" in capsys.readouterr().err, argv
 
 
 def test_config_from_dict_names_every_missing_field():

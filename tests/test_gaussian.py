@@ -265,6 +265,38 @@ def test_tap_split_coherent_stays_product():
     assert total_mean_photons(joint.marginal(("V_E", "H_E"))) == pytest.approx(2.0)
 
 
+def _loop_built_tap_split(state: GaussianState, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    # the beamsplitter symplectic written out entry by entry, on (V, H) plus
+    # vacuum ancillas (anc_V, anc_H): out_B = t*in + e*anc, out_E = e*in - t*anc
+    t, e = math.sqrt(1.0 - eta), math.sqrt(eta)
+    s = np.zeros((8, 8))
+    for mode in range(2):
+        for q in range(2):
+            i_in = 2 * mode + q
+            i_anc = 4 + 2 * mode + q
+            s[2 * mode + q, i_in] = t
+            s[2 * mode + q, i_anc] = e
+            s[4 + 2 * mode + q, i_in] = e
+            s[4 + 2 * mode + q, i_anc] = -t
+    mean_in = np.concatenate([state.mean, np.zeros(4)])
+    cov_in = np.block([[state.cov, np.zeros((4, 4))], [np.zeros((4, 4)), 0.5 * np.eye(4)]])
+    return s @ mean_in, 0.5 * (s @ cov_in @ s.T + (s @ cov_in @ s.T).T)
+
+
+def test_tap_split_matches_loop_built_beamsplitter_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        av, ah = rng.normal(0.0, 30.0, 2) + 1j * rng.normal(0.0, 30.0, 2)
+        r, theta, phi = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, math.pi)
+        pulse = apply_rotation(apply_two_mode_squeeze(make_coherent_seed(av, ah), r, theta), phi)
+        eta = rng.uniform(0.0, 1.0)
+        joint = tap_split(pulse, eta)
+        mean, cov = _loop_built_tap_split(pulse, eta)
+        assert joint.mode_labels == ("V_B", "H_B", "V_E", "H_E")
+        assert np.array_equal(joint.mean.view(np.int64), mean.view(np.int64))
+        assert np.array_equal(joint.cov.view(np.int64), cov.view(np.int64))
+
+
 def test_tap_split_range_check():
     s = make_coherent_seed(1, 0)
     for eta in (0.0, 1.0, -0.2, 1.3):
