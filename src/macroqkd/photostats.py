@@ -119,8 +119,10 @@ def _quadratic_moments(
 def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
     """Exact mean and variance of the difference number for a two-mode state.
 
-    Memoized on (state identity, basis): a protocol session measures the
-    same handful of immutable pulses over and over.
+    Memoized on (state identity, basis): states are immutable. A session
+    measures at most 16 states, so the cache serves the single-pulse
+    reference and its tests, which measure the same pulses per draw; the
+    benchmark's ``CACHED`` list reads its hit ratio.
     """
     if state.num_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.num_modes} modes")

@@ -20,14 +20,14 @@ words on LANE_PULSE is laid out as
     word 2  Eve's uniform
     word 3  unused
 
-where word w is the uniform u = ((w >> 11) + 0.5) 2^-53. Each bit is the
-sign of one normal outcome Phi^-1(u), so it is one compare of w >> 11 with
-its state's threshold; dual-basis Eve's (basis, bit) is one categorical
-draw, the number of her cell's cumulative thresholds at or below w >> 11.
-A pulse reduces to a 6-bit cell code: from bit 5 down, Alice's bit and
-basis, Bob's basis and bit, and Eve's basis and bit (0 without an attack).
-A session's counts are sums over one 64-bin histogram of the codes; the
-disclosed sample's errors are one hypergeometric draw on LANE_SESSION.
+where word w is the uniform u = ((w >> 11) + 0.5) 2^-53. Each outcome is
+the number of its cell's thresholds that w >> 11 reaches: one for a bit,
+the sign of a normal outcome Phi^-1(u), and three cumulative ones for
+dual-basis Eve's (basis, bit). A pulse reduces to a 6-bit cell code: from
+bit 5 down, Alice's bit and basis, Bob's basis and bit, and Eve's basis
+and bit (0 without an attack). A session's counts are masked sums over
+one 64-bin histogram of the codes; the disclosed sample's errors are one
+hypergeometric draw on LANE_SESSION.
 
 ``alice_prepare``, ``bob_measure`` and the attack functions in
 macroqkd.attacks are the single-pulse reference for the same physics:
@@ -196,26 +196,30 @@ def detect_eavesdropping(
 @dataclass(frozen=True)
 class MomentTable:
     """Outcome laws of every state one session can measure, read noise
-    included, as uint64 thresholds on w >> 11; basis codes are 0 = V/H and
-    1 = +45/-45. ``bob[bit, basis, bob_basis]`` is Bob's sign threshold on
-    the pulse launched toward him as (bit, basis): Alice's, or Eve's
+    included, as uint64 thresholds on w >> 11, and the session's draw plan.
+    Basis codes are 0 = V/H and 1 = +45/-45. ``bob[bit, basis, bob_basis]``
+    is Bob's sign threshold on the pulse sent to him: Alice's, or Eve's
     re-prepared one under intercept-resend and dual-basis. ``eve`` holds
-    Eve's sign thresholds per [bit, basis, eve_basis] for intercept-resend,
-    the tap and the superior channel (read at eve_basis = basis), the three
-    cumulative thresholds per [bit, basis] of ``_dual_basis_law`` for
-    dual-basis, and None without an attack. ``_pulse_cells`` takes each
-    threshold by a pulse's cell code (from bit 5 down: Alice's bit and
-    basis, Bob's basis and bit, Eve's basis and bit).
+    Eve's sign thresholds per [bit, basis, eve_basis], dual-basis Eve's
+    three cumulative ones of ``_dual_basis_law`` per [bit, basis], or None
+    without an attack. The plan reads cell codes: ``head[nibble]`` holds the
+    code bits of the head word's top nibble, ``draws`` the ordered steps
+    (word, shift, thresholds[k, 64]), Eve's into bits 1-0 if she attacks,
+    then Bob's into bit 2, and ``eve_seen`` the cells Eve's accuracy counts.
     """
 
     bob: np.ndarray
     eve: np.ndarray | None
+    head: np.ndarray
+    draws: tuple[tuple[int, int, np.ndarray], ...]
+    eve_seen: np.ndarray
 
 
 _BASES = (Basis.VH, Basis.DIAG)
 _CHUNK = 1 << 16  # pulses drawn per array pass; results do not depend on it
 # the fields of all 64 cell codes
-_ALICE_BIT, _ALICE_BASIS, _BOB_BASIS, _, _EVE_BASIS, _EVE_BIT = np.indices((2,) * 6).reshape(6, 64)
+_ALICE_BIT, _ALICE_BASIS, _BOB_BASIS, _BOB_BIT, _EVE_BASIS, _EVE_BIT = np.indices((2,) * 6).reshape(6, 64)
+_SIFTED = _ALICE_BASIS == _BOB_BASIS
 
 
 def _sign_thresholds(laws: np.ndarray) -> np.ndarray:
@@ -283,69 +287,67 @@ def _dual_basis_law(arms: np.ndarray, nodes: int = 80) -> np.ndarray:
 
 
 def _moment_table(config: SessionConfig) -> MomentTable:
+    """The session's outcome laws and draw plan: every attack's rules."""
     kind = config.attack.kind
-    bob, eve = np.empty((2, 2, 2, 2)), np.empty((2, 2, 2, 2))
+    superior = kind is AttackKind.SUPERIOR_CHANNEL
+    bob, eve = np.empty((2, 2, 2, 2)), None if kind is AttackKind.NONE else np.empty((2, 2, 2, 2))
     for bit in (0, 1):
         for b, basis in enumerate(_BASES):
-            state = alice_source(config.source, bit, basis)
-            sent = kept = state
+            sent = kept = state = alice_source(config.source, bit, basis)
             if kind is AttackKind.BEAMSPLITTER_TAP:
                 sent, kept = tap_arms(state, config.attack.tap_fraction)
-            elif kind is AttackKind.SUPERIOR_CHANNEL:
+            elif superior:
                 sent, kept = tap_arms(state, 0.5)
             elif kind is AttackKind.DUAL_BASIS:
                 kept = tap_arms(state, 0.5)[1]
             # the superior channel's lossless substitute bypasses the loss
-            if kind is not AttackKind.SUPERIOR_CHANNEL and config.channel_loss > 0.0:
+            if not superior and config.channel_loss > 0.0:
                 sent = apply_loss(sent, config.channel_loss)
             for m, other in enumerate(_BASES):
                 bob[bit, b, m] = outcome_law(sent, other, config.detector)
-                if kind is not AttackKind.NONE:
+                if eve is not None:
                     eve[bit, b, m] = outcome_law(kept, other, config.attack.eve_detector)
+    nibble = np.arange(16, dtype=np.uint8)  # Alice's bit and basis, Eve's basis, Bob's basis
+    head = (nibble & 12) << 2 | (nibble & 1) << 3  # Alice's bits to bits 5 and 4, Bob's basis to 3
+    # superior-channel Eve measures her stored half in Alice's basis, once the bases are revealed
+    eve_seen, draws = _SIFTED if superior else np.full(64, eve is not None), ()
     if kind is AttackKind.DUAL_BASIS:
         cumulative = np.clip(np.cumsum(_dual_basis_law(eve)[..., :3], -1), 0.0, 1.0)
-        return MomentTable(_sign_thresholds(bob), np.rint(cumulative * 2.0**53).astype(np.uint64))
-    return MomentTable(_sign_thresholds(bob), None if kind is AttackKind.NONE else _sign_thresholds(eve))
-
-
-def _pulse_cells(config: SessionConfig, table: MomentTable, lo: int, hi: int) -> np.ndarray:
-    """uint8 cell codes of pulses [lo, hi): each bit is a head-word bit or a
-    uniform's compare with a threshold taken by the code's earlier bits."""
-    words = pulse_block(config.seed, LANE_PULSE, lo, hi)
-    nibble = (words[:, 0] >> 60).astype(np.uint8)  # Alice's bit and basis, Eve's basis, Bob's basis
-    # Bob's and Eve's uniforms in place: copies lift a chunk's peak near twice the
-    # word block, where glibc's malloc trims the heap and every chunk refaults it
-    for w in (1, 2):
-        words[:, w] >>= 11
-    cells = (nibble & 12) << 2 | (nibble & 1) << 3  # Alice's bits to bits 5 and 4, Bob's basis to 3
-    kind = config.attack.kind
-    if kind is AttackKind.DUAL_BASIS:
-        cells |= sum((words[:, 2] >= t.take(nibble >> 2)).view(np.uint8) for t in table.eve.reshape(4, 3).T)
-    elif kind is not AttackKind.NONE:
-        # superior-channel Eve measures her stored half in Alice's basis
-        cells |= (nibble >> (2 if kind is AttackKind.SUPERIOR_CHANNEL else 1) & 1) << 1
-        cells |= (words[:, 2] >= table.eve[_ALICE_BIT, _ALICE_BASIS, _EVE_BASIS].take(cells)).view(np.uint8)
+        eve = np.rint(cumulative * 2.0**53).astype(np.uint64)
+        draws = ((2, 0, eve[_ALICE_BIT, _ALICE_BASIS].T),)
+    elif eve is not None:
+        eve = _sign_thresholds(eve)
+        head |= nibble >> 1 & 2 if superior else nibble & 2  # Eve's basis to bit 1
+        draws = ((2, 0, eve[_ALICE_BIT, _ALICE_BASIS, _EVE_BASIS][None]),)
+    bob = _sign_thresholds(bob)
     # Bob measures the pulse Alice launched, or the one Eve re-prepares
     resent = kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS)
     sent = (_EVE_BIT, _EVE_BASIS) if resent else (_ALICE_BIT, _ALICE_BASIS)
-    cells |= (words[:, 1] >= table.bob[(*sent, _BOB_BASIS)].take(cells)).view(np.uint8) << 2
+    return MomentTable(bob, eve, head, draws + ((1, 2, bob[(*sent, _BOB_BASIS)][None]),), eve_seen)
+
+
+def _pulse_cells(config: SessionConfig, table: MomentTable, lo: int, hi: int) -> np.ndarray:
+    """uint8 cell codes of pulses [lo, hi): the head bits, then per draw the
+    number of its thresholds, taken by the code so far, its uniform reaches."""
+    words = pulse_block(config.seed, LANE_PULSE, lo, hi)
+    cells = table.head.take((words[:, 0] >> 60).astype(np.uint8))  # take is 2x slower on uint64 indices
+    for w, shift, thresholds in table.draws:
+        # the uniform in place: copies lift a chunk's peak near twice the
+        # word block, where glibc's malloc trims the heap and every chunk refaults it
+        words[:, w] >>= 11
+        cells |= sum((words[:, w] >= t.take(cells)).view(np.uint8) for t in thresholds) << shift
     return cells
 
 
 def run_session(config: SessionConfig) -> RunReport:
     """Execute a full QKD session and summarize it from one cell histogram."""
-    kind = config.attack.kind
     n = config.num_pulses
     table = _moment_table(config)
     chunks = (_pulse_cells(config, table, lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
-    cells = sum(np.bincount(c, minlength=64) for c in chunks).reshape((2,) * 6)
-    # cells is indexed [Alice bit, Alice basis, Bob basis, Bob bit, Eve basis, Eve bit]
-    sifted = cells.diagonal(0, 1, 2)  # [Alice bit, Bob bit, Eve basis, Eve bit, basis]
-    n_sifted, agree = int(sifted.sum()), int(sifted.diagonal(0, 0, 1).sum())
-    # Eve measures her stored halves only once the bases are revealed
-    seen = sifted.sum((1, 4)) if kind is AttackKind.SUPERIOR_CHANNEL else cells.sum((1, 2, 3))
-    eve_hits = int(seen.diagonal(0, 0, 2).sum())  # [Alice bit, Eve basis, Eve bit] with Eve's bit right
-    eve_seen = 0 if kind is AttackKind.NONE else int(seen.sum())
+    cells = sum(np.bincount(c, minlength=64) for c in chunks)
+    n_sifted, agree = int(cells[_SIFTED].sum()), int(cells[_SIFTED & (_ALICE_BIT == _BOB_BIT)].sum())
+    eve_seen = int(cells[table.eve_seen].sum())
+    eve_hits = int(cells[table.eve_seen & (_ALICE_BIT == _EVE_BIT)].sum())
 
     sampled_count = round(config.sample_fraction * n_sifted)
     if sampled_count > 0:
@@ -364,9 +366,7 @@ def run_session(config: SessionConfig) -> RunReport:
         sifted_count=n_sifted,
         sampled_count=sampled_count,
         estimated_error_rate=estimated,
-        expected_systematic_error=bob_error_vs_loss(
-            config.source, config.channel_loss, config.detector
-        ),
+        expected_systematic_error=bob_error_vs_loss(config.source, config.channel_loss, config.detector),
         detection_verdict=verdict,
         eve_bit_accuracy=eve_hits / eve_seen if eve_seen else None,
         bob_bit_accuracy=agree / n_sifted if n_sifted else None,

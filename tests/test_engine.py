@@ -117,8 +117,8 @@ def test_advanced_block_equals_slice_of_whole_range():
 
 
 def test_derived_stream_is_philox_keyed_by_seed_lane_index():
-    # derive_stream and pulse_block skip Philox(key=...)'s entropy pull; the
-    # words must not change
+    # derive_stream and pulse_block are Philox(key=...) under the documented
+    # (seed, lane, index) key layout, word for word
     for seed, lane, index in ((0, 0, 0), (31, LANE_PULSE, 7), (-5, LANE_SESSION, 2**48 - 1),
                               (2**64 + 9, LANE_DEFERRED, 12345)):
         np.testing.assert_array_equal(
@@ -401,6 +401,47 @@ def test_cell_counts_match_the_table_law(kind):
         assert possible.sum() == 16
     elif kind is AttackKind.SUPERIOR_CHANNEL:
         assert possible.sum() == 32
+
+
+def _plan_law(table):
+    """Exact probability of every cell code read off the table's draw plan
+    alone: 1/16 for each head nibble, then for each draw the share of the
+    uniforms between consecutive thresholds of the code so far."""
+    law, codes = np.zeros(64), np.arange(64)
+    np.add.at(law, table.head, 1.0 / 16.0)
+    for _, shift, thresholds in table.draws:
+        edges = np.concatenate((np.zeros((1, 64)), thresholds / 2.0**53, np.ones((1, 64))))
+        drawn = np.zeros(64)
+        for reached, share in enumerate(np.diff(edges, axis=0)):
+            np.add.at(drawn, codes | reached << shift, law * share)
+        law = drawn
+    return law
+
+
+@pytest.mark.parametrize(
+    "kind, channel_loss, tap_fraction",
+    [
+        (kind, loss, tap)
+        for kind in AttackKind
+        for loss in (0.0, 0.3)
+        for tap in ((0.2, 0.7) if kind is AttackKind.BEAMSPLITTER_TAP else (None,))
+    ],
+)
+def test_draw_plan_law_equals_each_attacks_rules(kind, channel_loss, tap_fraction):
+    """The plan _pulse_cells follows, read without the attack kind, gives
+    exactly the law _cell_law states per attack."""
+    config = SessionConfig(
+        source=DESIGN_POINT,
+        channel_loss=channel_loss,
+        detector=DetectorModel(noise_equivalent_number=250.0, quantum_efficiency=0.9),
+        attack=AttackConfig(
+            kind=kind,
+            tap_fraction=tap_fraction,
+            eve_detector=DetectorModel(noise_equivalent_number=80.0, quantum_efficiency=0.8),
+        ),
+    )
+    table = _moment_table(config)
+    np.testing.assert_array_equal(_plan_law(table), _cell_law(config, table))
 
 
 # ------------------------------------------------------ dual-basis Eve's law
