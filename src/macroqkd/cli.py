@@ -115,10 +115,11 @@ def _csv(header: str, *columns: np.ndarray) -> str:
     return header + "\n" + format_rows(np.column_stack(columns))
 
 
-def _add_source_flags(p: argparse.ArgumentParser, nen_default: float | None) -> None:
+def _add_source_flags(p: argparse.ArgumentParser, nen_default: float | str | None) -> None:
     """Source design and output flags; ``--detector-nen`` too unless
-    ``nen_default`` is None (fig3's noiseless curve has no detector). Each
-    design flag's ``dest`` is the SourceParams or DetectorModel field it sets."""
+    ``nen_default`` is None (fig3's noiseless curve has no detector), where
+    argparse.SUPPRESS leaves the DetectorModel default. Each design flag's
+    ``dest`` is the SourceParams or DetectorModel field it sets."""
     p.add_argument("--gain", dest="gain_G", type=float, default=10.0, help="amplifier photon-number gain G")
     p.add_argument("--n-total", dest="n_total_amp", type=float, default=2e6, help="mean total photons after amplification")
     p.add_argument("--bit-amplitude", dest="bit_amplitude_N", type=float, default=2460.0, help="mean difference number N per bit")
@@ -329,9 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="macroqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("fig1", help="outcome distributions at fixed loss")
+    # fig1 and run leave an unset flag that has no default of its own out of
+    # the namespace, so its config field keeps its value in _DEFAULTS
+    p1 = sub.add_parser("fig1", help="outcome distributions at fixed loss", argument_default=argparse.SUPPRESS)
     _add_source_flags(p1, nen_default=0.0)
-    p1.add_argument("--loss", dest="channel_loss", type=float, default=0.0, help="channel loss fraction eta")
+    p1.add_argument("--loss", dest="channel_loss", type=float, help="channel loss fraction eta")
     p1.add_argument("--grid", default=None, help="n grid as start:stop:steps (default auto); write a negative start as --grid=-5000:5000:101")
     p1.set_defaults(func=cmd_fig1)
 
@@ -345,16 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--grid", default="0:1:101", help="eta grid as start:stop:steps")
     p3.set_defaults(func=cmd_fig3)
 
-    pr = sub.add_parser("run", help="run a full QKD session")
-    _add_source_flags(pr, nen_default=250.0)
+    pr = sub.add_parser("run", help="run a full QKD session", argument_default=argparse.SUPPRESS)
+    _add_source_flags(pr, nen_default=argparse.SUPPRESS)
     # each flag's dest is the config field it sets
-    pr.add_argument("--loss", dest="channel_loss", type=float, default=0.0, help="channel loss fraction eta")
-    pr.add_argument("--attack", dest="kind", default="none", help="none, intercept_resend, beamsplitter_tap, dual_basis or superior_channel")
-    pr.add_argument("--tap-fraction", type=float, default=None, help="Eve's sampled fraction (beamsplitter_tap)")
-    pr.add_argument("--pulses", dest="num_pulses", type=_pulse_count, default=10_000, help="number of pulses to send (100000 or 1e5)")
-    pr.add_argument("--sample-fraction", type=float, default=0.1, help="fraction of sifted bits disclosed")
-    pr.add_argument("--detect-k", dest="detection_sigma_k", type=float, default=5.0, help="detection threshold in sigmas")
-    pr.add_argument("--seed", type=int, default=0, help="session seed")
+    pr.add_argument("--loss", dest="channel_loss", type=float, help="channel loss fraction eta")
+    pr.add_argument("--attack", dest="kind", help=", ".join(k.value for k in AttackKind))
+    pr.add_argument("--tap-fraction", type=float, help="Eve's sampled fraction (beamsplitter_tap)")
+    pr.add_argument("--pulses", dest="num_pulses", type=_pulse_count, help="number of pulses to send (100000 or 1e5)")
+    pr.add_argument("--sample-fraction", type=float, help="fraction of sifted bits disclosed")
+    pr.add_argument("--detect-k", dest="detection_sigma_k", type=float, help="detection threshold in sigmas")
+    pr.add_argument("--seed", type=int, help="session seed")
     pr.add_argument("--format", choices=("csv", "report"), default="report")
     pr.set_defaults(func=cmd_run)
 

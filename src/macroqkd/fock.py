@@ -178,14 +178,9 @@ def _two_mode_amplitudes(
 
 
 def _lower_toeplitz(x: np.ndarray) -> np.ndarray:
-    """Read-only view T[n, k] = x[n - k], zero for k > n."""
-    size = x.shape[0]
-    padded = np.concatenate((np.zeros(size - 1, dtype=x.dtype), x))
-    step = padded.strides[0]
-    # T[n, k] = padded[size - 1 + n - k]: a row steps forward, a column back
-    return np.lib.stride_tricks.as_strided(
-        padded[size - 1 :], (size, size), (step, -step), writeable=False
-    )
+    """T[n, k] = x[n - k], zero for k > n: a negative n - k reads the zero padding."""
+    n = np.arange(x.shape[0])
+    return np.concatenate((x, np.zeros(n.size - 1, dtype=x.dtype)))[np.subtract.outer(n, n)]
 
 
 def _squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: int) -> np.ndarray:
@@ -312,28 +307,16 @@ def rotate_exact(amplitudes: np.ndarray, phi: float) -> np.ndarray:
     """Polarization rotation of a two-mode Fock state (matches the Gaussian
     engine's convention: coherent (alpha, 0) -> (alpha cos phi, -alpha sin phi)).
 
-    The rotation conserves total photon number N, so each N-block is
-    rotated exactly on its own. The output spans twice the cutoff, which
-    holds every block that carries weight in full; amplitudes beyond the
-    input cutoff count as zero, so the result is exact up to the build's
-    own deficit.
+    Total photon number N is conserved, so each N-block of the output (twice
+    the cutoff wide, which holds every block in full) is one product with the
+    cached Wigner-d block, exact up to the build's own deficit.
     """
     cut = amplitudes.shape[0] - 1
-    if cut == 0:  # the vacuum block is unchanged, and a zero stride is no slice
-        return np.array(amplitudes, dtype=complex)
-    size = 2 * cut + 1
-    out = np.zeros((size, size), dtype=complex)
-    # (len, 2) real views: the real blocks act on re and im without an upcast
-    src = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
-    dst = out.reshape(-1).view(float).reshape(-1, 2)
-    # In the raveled arrays, the N-block's (n_V, N - n_V) entries sit a row
-    # stride minus one apart: n_V * cut + N in the input, n_V * (size - 1) + N
-    # in the output.
-    for total in range(size):
+    out = np.zeros((2 * cut + 1, 2 * cut + 1), dtype=complex)
+    for total in range(2 * cut + 1):
         lo, hi = max(0, total - cut), min(total, cut)
-        block = _rotation_block(total, phi)[:, lo : hi + 1]
-        block_in = src[lo * cut + total : hi * cut + total + 1 : cut]
-        dst[total : total * size + 1 : size - 1] = block @ block_in
+        k, n_v = np.arange(total + 1), np.arange(lo, hi + 1)
+        out[k, total - k] = _rotation_block(total, phi)[:, lo : hi + 1] @ amplitudes[n_v, total - n_v]
     return out
 
 

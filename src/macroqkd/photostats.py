@@ -184,7 +184,9 @@ def outcome_normal(moments: DiffMoments, detector: DetectorModel) -> tuple[float
 
     The outcome is Normal(mean, variance + detector read-noise variance);
     at the macroscopic photon numbers simulated here the discreteness of n
-    is negligible, so no integer rounding is applied.
+    is negligible, so no integer rounding is applied. Only the detector's
+    read noise is applied: ``moments`` must already include its efficiency
+    loss (``detected_state``, as ``outcome_law`` does), or qe is ignored.
     """
     if not moments.variance >= 0:  # NaN included
         raise ValueError(f"variance must be >= 0 (got {moments.variance!r})")
@@ -205,7 +207,8 @@ def outcome_law(
 def sample_outcome(
     moments: DiffMoments, detector: DetectorModel, rng: np.random.Generator
 ) -> float:
-    """Draw one detected difference-number value (see ``outcome_normal``)."""
+    """Draw one detected difference-number value (see ``outcome_normal``):
+    ``moments`` must already include the detector's efficiency loss."""
     mean, sigma = outcome_normal(moments, detector)
     return mean + sigma * rng.standard_normal()
 
@@ -227,7 +230,9 @@ def _flip_probabilities(mean: np.ndarray, total_var: np.ndarray) -> np.ndarray:
 
 
 def error_probability(moments: DiffMoments, detector: DetectorModel) -> float:
-    """Probability that the sign of the outcome flips the encoded bit."""
+    """Probability that the sign of the outcome flips the encoded bit. Only
+    the detector's read noise is applied: ``moments`` must already include
+    its efficiency loss (``detected_state``), or qe is ignored."""
     if not moments.variance >= 0:  # NaN included
         raise ValueError(f"variance must be >= 0 (got {moments.variance!r})")
     total_var = moments.variance + detector.difference_noise_variance

@@ -261,6 +261,23 @@ def test_every_run_flag_reaches_its_config_field(tmp_path):
     }
 
 
+def test_unset_flags_take_the_config_defaults(tmp_path, monkeypatch):
+    # each default is stated once, in the dataclasses: an unset flag leaves
+    # its field to cli._DEFAULTS, so changing an entry there reaches the config
+    monkeypatch.setitem(cli._DEFAULTS, "num_pulses", 1234)
+    monkeypatch.setitem(cli._DEFAULTS, "seed", 77)
+    monkeypatch.setitem(cli._DEFAULTS, "channel_loss", 0.35)
+    monkeypatch.setitem(cli._DEFAULTS["detector"], "noise_equivalent_number", 90.0)
+    out = tmp_path / "report.json"
+    assert main(["run", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["num_pulses"], config["seed"], config["channel_loss"]) == (1234, 77, 0.35)
+    assert config["detector"]["noise_equivalent_number"] == 90.0
+    bare, flagged = tmp_path / "bare.csv", tmp_path / "flagged.csv"
+    assert main(["fig1", "--grid=-3000:3000:7", "--out", str(bare)]) == 0
+    assert main(["fig1", "--grid=-3000:3000:7", "--loss", "0.35", "--out", str(flagged)]) == 0
+    assert bare.read_bytes() == flagged.read_bytes()
+
 def test_config_roundtrip_keeps_detector_efficiencies():
     config = SessionConfig(
         source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0),

@@ -12,6 +12,7 @@ from macroqkd.fock import (
     MAX_CUTOFF,
     FockState,
     _coherent_amplitudes,
+    _lower_toeplitz,
     _rotation_block,
     _squeezed_coherent_amplitudes,
     _thinning_kernel,
@@ -22,6 +23,7 @@ from macroqkd.fock import (
     exact_diff_distribution,
     exact_loss_distribution,
     product_loss_distribution,
+    rotate_exact,
 )
 from macroqkd.gaussian import PUMP_PHASE
 from macroqkd.photostats import Basis
@@ -163,6 +165,17 @@ def test_factorized_build_matches_direct_sum(alpha_v, alpha_h, r, theta, cutoff)
     assert mass[0] == pytest.approx(mass[1], rel=0, abs=1e-15)
 
 
+def test_lower_toeplitz_reads_x_on_and_below_the_diagonal_and_zero_above():
+    rng = np.random.default_rng(11)
+    for size in range(1, MAX_CUTOFF + 2):  # every build size, 1..cutoff + 1
+        x = rng.normal(size=size) + 1j * rng.normal(size=size)
+        expected = np.zeros((size, size), dtype=complex)
+        for n in range(size):
+            expected[n, : n + 1] = x[n::-1]  # T[n, k] = x[n - k] for k = 0..n
+        toeplitz = _lower_toeplitz(x)
+        assert toeplitz.dtype == expected.dtype and toeplitz.shape == expected.shape
+        assert np.ascontiguousarray(toeplitz).tobytes() == expected.tobytes(), f"size={size}"
+
 def test_rotation_sign_matches_engine_convention():
     # coherent (1, 0.5): DIAG mean must be +1 (cross term), not -1
     state = build_state_exact(1.0, 0.5, 0.0, 0.0)
@@ -207,6 +220,26 @@ def test_rotation_block_orthogonal_and_composes_at_full_size():
         m @ _rotation_block(total, b), _rotation_block(total, a + b), rtol=0, atol=1e-13
     )
 
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 4])
+def test_rotation_leaves_a_vacuum_only_array_unchanged(phi):
+    amps = np.array([[0.6 - 0.8j]])
+    rotated = rotate_exact(amps, phi)
+    assert rotated.shape == (1, 1)
+    np.testing.assert_array_equal(rotated, amps)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 20])
+def test_rotation_round_trip_restores_the_amplitudes(cutoff):
+    # the first rotation holds every N-block of the input in full, so rotating
+    # back by -phi returns the input in the top-left block and zero elsewhere
+    rng = np.random.default_rng(cutoff)
+    amps = rng.normal(size=(cutoff + 1,) * 2) + 1j * rng.normal(size=(cutoff + 1,) * 2)
+    back = rotate_exact(rotate_exact(amps, 0.3), -0.3)
+    expected = np.zeros_like(back)
+    expected[: cutoff + 1, : cutoff + 1] = amps
+    assert back.shape == (4 * cutoff + 1,) * 2
+    np.testing.assert_allclose(back, expected, rtol=0, atol=1e-13)
 
 @pytest.mark.parametrize("alpha_v, alpha_h, r, theta", COMPLEX_POINTS)
 def test_factorized_diag_distribution_matches_rotation(alpha_v, alpha_h, r, theta):
