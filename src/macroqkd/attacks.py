@@ -4,9 +4,11 @@ Each interceptor consumes the pulse Alice launched into the channel and
 returns what travels on toward Bob together with Eve's basis and raw
 outcomes; her bit is ``decode_bit`` of the outcome she trusts. These
 single-pulse functions are the reference that the session engine's moment
-table and array draws are tested against. Re-preparing attacks give Eve an
-ideal source: she forwards a perfect fresh pulse encoding her inference, so
-all induced errors stem from wrong inferences rather than sloppy state
+table and array draws are tested against. Eve's devices are ideal, as in
+the paper's security analysis. She measures through noiseless detectors of
+unit efficiency (``NOISELESS``). Re-preparing attacks give her an ideal
+source: she forwards a perfect fresh pulse encoding her inference, so all
+induced errors stem from wrong inferences rather than sloppy state
 preparation.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianState, SourceParams, alice_source, apply_loss, is_number
-from .photostats import Basis, DetectorModel, NOISELESS, decode_bit, outcome_law
+from .photostats import Basis, NOISELESS, decode_bit, outcome_law
 from .streams import LANE_DEFERRED, derive_stream
 
 
@@ -36,7 +38,6 @@ class AttackConfig:
 
     kind: AttackKind = AttackKind.NONE
     tap_fraction: float | None = None
-    eve_detector: DetectorModel = NOISELESS
 
     def __post_init__(self) -> None:
         problems = attack_config_violations(self.kind, self.tap_fraction)
@@ -76,7 +77,6 @@ def intercept_resend(
     state: GaussianState,
     rng: np.random.Generator,
     source_params: SourceParams,
-    detector: DetectorModel = NOISELESS,
 ) -> tuple[GaussianState, Basis, float]:
     """Attack one: capture the whole pulse, measure in a random basis,
     forward a fresh pulse encoding the inferred bit in that basis.
@@ -84,7 +84,7 @@ def intercept_resend(
     Returns (resent pulse, Eve's basis, Eve's raw outcome).
     """
     basis = _draw_basis(rng)
-    mean, sigma = outcome_law(state, basis, detector)
+    mean, sigma = outcome_law(state, basis, NOISELESS)
     raw = mean + sigma * rng.standard_normal()
     return alice_source(source_params, decode_bit(raw), basis), basis, raw
 
@@ -93,7 +93,6 @@ def beamsplitter_tap(
     state: GaussianState,
     eta_e: float,
     rng: np.random.Generator,
-    detector: DetectorModel = NOISELESS,
 ) -> tuple[GaussianState, Basis, float]:
     """Attack two: divert a fraction eta_e of the pulse and measure it in a
     random basis.
@@ -104,7 +103,7 @@ def beamsplitter_tap(
     """
     bob, eve = tap_arms(state, eta_e)
     basis = _draw_basis(rng)
-    mean, sigma = outcome_law(eve, basis, detector)
+    mean, sigma = outcome_law(eve, basis, NOISELESS)
     return bob, basis, mean + sigma * rng.standard_normal()
 
 
@@ -112,7 +111,6 @@ def dual_basis_measure(
     state: GaussianState,
     rng: np.random.Generator,
     source_params: SourceParams,
-    detector: DetectorModel = NOISELESS,
 ) -> tuple[GaussianState, float, float]:
     """Attack three: split 50/50, measure one arm in each basis, forward a
     fresh pulse encoding the inferred (basis, bit).
@@ -128,8 +126,8 @@ def dual_basis_measure(
     ``protocol._dual_basis_law``).
     """
     eve = tap_arms(state, 0.5)[1]
-    mean_vh, sigma_vh = outcome_law(eve, Basis.VH, detector)
-    mean_dg, sigma_dg = outcome_law(eve, Basis.DIAG, detector)
+    mean_vh, sigma_vh = outcome_law(eve, Basis.VH, NOISELESS)
+    mean_dg, sigma_dg = outcome_law(eve, Basis.DIAG, NOISELESS)
     z_vh, z_dg = rng.standard_normal(2)
     raw_vh = mean_vh + sigma_vh * z_vh
     raw_dg = mean_dg + sigma_dg * z_dg
@@ -153,7 +151,6 @@ def eve_deferred_measure(
     basis: Basis,
     seed: int,
     index: int,
-    detector: DetectorModel = NOISELESS,
 ) -> float:
     """Eve's raw outcome on stored pulse ``index``, measured in the publicly
     revealed basis.
@@ -162,5 +159,5 @@ def eve_deferred_measure(
     LANE_DEFERRED, index)``, so outcomes do not depend on the order in which
     Eve measures her stored pulses.
     """
-    mean, sigma = outcome_law(stored_state, basis, detector)
+    mean, sigma = outcome_law(stored_state, basis, NOISELESS)
     return mean + sigma * derive_stream(seed, LANE_DEFERRED, index).standard_normal()

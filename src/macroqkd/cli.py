@@ -182,23 +182,13 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _attack_dict(attack: AttackConfig) -> dict:
-    """The attack section: Eve's detector is flattened into two fields."""
-    return {
-        "kind": attack.kind.value,
-        "tap_fraction": attack.tap_fraction,
-        "eve_detector_nen": attack.eve_detector.noise_equivalent_number,
-        "eve_detector_qe": attack.eve_detector.quantum_efficiency,
-    }
-
-
 # SessionConfig's defaults in the config dict's layout and field order: each
 # section maps its field names to their defaults. SourceParams has none (None
 # here); every subcommand that builds a config sets them by flag.
 _SECTIONS = {
     "source": dict.fromkeys(f.name for f in dataclasses.fields(SourceParams)),
     "detector": dataclasses.asdict(DetectorModel()),
-    "attack": _attack_dict(AttackConfig()),
+    "attack": {**dataclasses.asdict(AttackConfig()), "kind": AttackConfig().kind.value},
 }
 _DEFAULTS = {f.name: _SECTIONS.get(f.name, f.default) for f in dataclasses.fields(SessionConfig)}
 _SCALARS = tuple(name for name in _DEFAULTS if name not in _SECTIONS)
@@ -215,12 +205,9 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def config_to_dict(config: SessionConfig) -> dict:
-    return {
-        "source": dataclasses.asdict(config.source),
-        "detector": dataclasses.asdict(config.detector),
-        "attack": _attack_dict(config.attack),
-        **{name: getattr(config, name) for name in _SCALARS},
-    }
+    data = dataclasses.asdict(config)
+    data["attack"]["kind"] = config.attack.kind.value
+    return data
 
 
 def config_violations(data: dict) -> list[str]:
@@ -255,10 +242,6 @@ def config_violations(data: dict) -> list[str]:
         )
     else:
         problems += attack_config_violations(kind, att["tap_fraction"])
-    problems += [
-        f"Eve's detector {p}"
-        for p in detector_violations(att["eve_detector_nen"], att["eve_detector_qe"])
-    ]
     return problems
 
 
@@ -273,11 +256,7 @@ def config_from_dict(data: dict, more_problems: list[str] = ()) -> SessionConfig
     return SessionConfig(
         source=SourceParams(**data["source"]),
         detector=DetectorModel(**data["detector"]),
-        attack=AttackConfig(
-            kind=AttackKind(att["kind"]),
-            tap_fraction=att["tap_fraction"],
-            eve_detector=DetectorModel(att["eve_detector_nen"], att["eve_detector_qe"]),
-        ),
+        attack=AttackConfig(AttackKind(att["kind"]), att["tap_fraction"]),
         **{name: data[name] for name in _SCALARS},
     )
 

@@ -90,15 +90,14 @@ class GaussianState:
         nus = np.sort(np.abs(ev))
         return nus[::2]  # each value appears twice as +/- i nu
 
-    def validate_physical(self, tol: float | None = None) -> None:
+    def validate_physical(self) -> None:
         """Check the uncertainty principle cov + (i/2) Omega >= 0.
 
-        The default tolerance is 1e-9 widened by the eigensolver's own
-        accuracy limit for large covariance scales.
+        The tolerance is 1e-9 widened by the eigensolver's own accuracy
+        limit for large covariance scales.
         """
-        if tol is None:
-            scale = max(1.0, float(np.max(np.abs(self.cov))))
-            tol = max(1e-9, 32 * np.finfo(float).eps * scale)
+        scale = max(1.0, float(np.max(np.abs(self.cov))))
+        tol = max(1e-9, 32 * np.finfo(float).eps * scale)
         nu_min = float(np.min(self.symplectic_eigenvalues()))
         if nu_min < 0.5 - tol:
             raise ValueError(f"state is unphysical: min symplectic eigenvalue {nu_min}")

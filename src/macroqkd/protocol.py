@@ -46,6 +46,7 @@ import numpy as np
 from .attacks import AttackConfig, AttackKind, tap_arms
 from .gaussian import GaussianState, SourceParams, alice_source, apply_loss, is_number
 from .photostats import (
+    NOISELESS,
     Basis,
     DetectorModel,
     _erfc,
@@ -306,7 +307,7 @@ def _moment_table(config: SessionConfig) -> MomentTable:
             for m, other in enumerate(_BASES):
                 bob[bit, b, m] = outcome_law(sent, other, config.detector)
                 if eve is not None:
-                    eve[bit, b, m] = outcome_law(kept, other, config.attack.eve_detector)
+                    eve[bit, b, m] = outcome_law(kept, other, NOISELESS)
     nibble = np.arange(16, dtype=np.uint8)  # Alice's bit and basis, Eve's basis, Bob's basis
     head = (nibble & 12) << 2 | (nibble & 1) << 3  # Alice's bits to bits 5 and 4, Bob's basis to 3
     # superior-channel Eve measures her stored half in Alice's basis, once the bases are revealed

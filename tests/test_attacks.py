@@ -125,20 +125,6 @@ def test_tap_keeps_bob_equivalent_to_extra_loss():
     np.testing.assert_allclose(chained.cov, combined.cov, atol=1e-10)
 
 
-def test_tap_eve_quantum_efficiency_acts_as_smaller_tap():
-    # Eve detecting a 50% tap at qe = 0.5 sees what a 25% tap shows a perfect detector
-    state = alice_source(DESIGN_POINT, 1, Basis.VH)
-    half_qe = DetectorModel(noise_equivalent_number=0.0, quantum_efficiency=0.5)
-    for i in range(20):
-        # both taps draw Eve's basis and outcome from the same stream
-        _, basis, raw = beamsplitter_tap(state, 0.5, derive_stream(35, LANE_PULSE, i), half_qe)
-        _, ref_basis, ref_raw = beamsplitter_tap(
-            state, 0.25, derive_stream(35, LANE_PULSE, i), NOISELESS
-        )
-        assert basis is ref_basis
-        assert raw == pytest.approx(ref_raw, rel=1e-9)
-
-
 def test_tap_vanishing_fraction_gives_eve_nothing():
     rep = run_session(_config(AttackKind.BEAMSPLITTER_TAP, tap_fraction=1e-4, seed=5))
     assert abs(rep.eve_bit_accuracy - 0.5) < 0.02

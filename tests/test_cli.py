@@ -248,12 +248,7 @@ def test_every_run_flag_reaches_its_config_field(tmp_path):
         "source": {"gain_G": 12.0, "n_total_amp": 3e6, "bit_amplitude_N": 2000.0},
         "channel_loss": 0.25,
         "detector": {"noise_equivalent_number": 100.0, "quantum_efficiency": 1.0},
-        "attack": {
-            "kind": "beamsplitter_tap",
-            "tap_fraction": 0.3,
-            "eve_detector_nen": 0.0,
-            "eve_detector_qe": 1.0,
-        },
+        "attack": {"kind": "beamsplitter_tap", "tap_fraction": 0.3},
         "num_pulses": 1500,
         "sample_fraction": 0.2,
         "detection_sigma_k": 4.0,
@@ -282,10 +277,7 @@ def test_config_roundtrip_keeps_detector_efficiencies():
     config = SessionConfig(
         source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0),
         detector=DetectorModel(noise_equivalent_number=100.0, quantum_efficiency=0.9),
-        attack=AttackConfig(
-            kind=AttackKind.INTERCEPT_RESEND,
-            eve_detector=DetectorModel(noise_equivalent_number=50.0, quantum_efficiency=0.7),
-        ),
+        attack=AttackConfig(kind=AttackKind.INTERCEPT_RESEND),
     )
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
@@ -406,8 +398,7 @@ def test_config_from_dict_names_every_missing_field():
     for field in (
         "source.n_total_amp", "source.bit_amplitude_N",
         "channel_loss", "detector.noise_equivalent_number", "detector.quantum_efficiency",
-        "attack.kind", "attack.tap_fraction", "attack.eve_detector_nen",
-        "attack.eve_detector_qe", "num_pulses", "sample_fraction", "detection_sigma_k",
+        "attack.kind", "attack.tap_fraction", "num_pulses", "sample_fraction", "detection_sigma_k",
     ):
         assert field in message, field
     assert "gain_G" not in message and "seed" not in message
@@ -421,6 +412,13 @@ def test_config_from_dict_names_every_missing_field():
     with pytest.raises(ConfigError) as info:
         config_from_dict(data)
     assert str(info.value) == "unknown config fields: source.squeeze_phase_theta"
+    # Eve's detectors are ideal, so a report of an older release that still
+    # echoes her detector is refused, never run with those fields ignored
+    del data["source"]["squeeze_phase_theta"]
+    data["attack"].update(eve_detector_nen=0.0, eve_detector_qe=1.0)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == "unknown config fields: attack.eve_detector_nen, attack.eve_detector_qe"
     # a config that is not an object is refused as one, never a crash
     for data, name in (([1, 2], "list"), ("x", "str"), (None, "NoneType"), (5, "int")):
         with pytest.raises(ConfigError) as info:
@@ -435,12 +433,11 @@ def test_config_from_dict_lists_every_invalid_value():
     data["source"]["gain_G"] = 0.5
     data["detector"]["quantum_efficiency"] = 0.0
     data["attack"]["kind"] = "nonsense"
-    data["attack"]["eve_detector_nen"] = -1.0
     data["num_pulses"] = 0
     with pytest.raises(ValueError) as info:
         config_from_dict(data)
     message = str(info.value)
-    for field in ("gain_G", "quantum_efficiency", "attack kind", "Eve's detector", "num_pulses"):
+    for field in ("gain_G", "quantum_efficiency", "attack kind", "num_pulses"):
         assert field in message, field
     # infinities pass the bare inequalities but are just as invalid
     data = config_to_dict(

@@ -32,9 +32,11 @@ from macroqkd.photostats import (
     NOISELESS,
     Basis,
     DetectorModel,
+    bob_error_vs_loss,
     decode_bit,
     detected_state,
     diff_number_moments,
+    eve_tap_probability,
     outcome_normal,
 )
 from macroqkd.protocol import (
@@ -62,17 +64,13 @@ BASES = (Basis.VH, Basis.DIAG)
 
 
 def make_config(kind: AttackKind, num_pulses: int = 1500, seed: int = 4242) -> SessionConfig:
-    """Lossy channel, noisy detectors below unit efficiency on both sides,
-    so every step of the physics enters the table."""
+    """Lossy channel and Bob's noisy detector below unit efficiency, so
+    every step of the physics enters the table; Eve's detector is ideal."""
     return SessionConfig(
         source=DESIGN_POINT,
         channel_loss=0.3,
         detector=DetectorModel(noise_equivalent_number=250.0, quantum_efficiency=0.9),
-        attack=AttackConfig(
-            kind=kind,
-            tap_fraction=0.4 if kind is AttackKind.BEAMSPLITTER_TAP else None,
-            eve_detector=DetectorModel(noise_equivalent_number=100.0, quantum_efficiency=0.8),
-        ),
+        attack=AttackConfig(kind=kind, tap_fraction=0.4 if kind is AttackKind.BEAMSPLITTER_TAP else None),
         num_pulses=num_pulses,
         seed=seed,
     )
@@ -217,11 +215,11 @@ def _engine_codes(config, table, monkeypatch, bit, basis, tops):
     return (cells & 3).tolist()  # Eve's basis and bit, the cell's two low bits
 
 
-def _reference_arms(alice, detector):
+def _reference_arms(alice):
     """(mean, sigma) of the V/H and diagonal arms dual_basis_measure samples
     from, read off its outcomes at the normals 0 and 1."""
-    at_zero = dual_basis_measure(alice, ScriptedRng([], [0.0, 0.0]), DESIGN_POINT, detector)
-    at_one = dual_basis_measure(alice, ScriptedRng([], [1.0, 1.0]), DESIGN_POINT, detector)
+    at_zero = dual_basis_measure(alice, ScriptedRng([], [0.0, 0.0]), DESIGN_POINT)
+    at_one = dual_basis_measure(alice, ScriptedRng([], [1.0, 1.0]), DESIGN_POINT)
     return [(at_zero[a], at_one[a] - at_zero[a]) for a in (1, 2)]
 
 
@@ -234,7 +232,6 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
     it."""
     config = make_config(kind)
     table = _moment_table(config)
-    eve_det = config.attack.eve_detector
 
     def assert_splits(threshold, measure):
         for top53 in _probes(int(threshold)):
@@ -253,19 +250,19 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
                 for e in (0, 1):
                     assert_splits(
                         table.eve[bit, b, e],
-                        lambda z: intercept_resend(alice, ScriptedRng([e], [z]), config.source, eve_det)[2],
+                        lambda z: intercept_resend(alice, ScriptedRng([e], [z]), config.source)[2],
                     )
             elif kind is AttackKind.BEAMSPLITTER_TAP:
                 eta_e = config.attack.tap_fraction
                 for e in (0, 1):
                     assert_splits(
                         table.eve[bit, b, e],
-                        lambda z: beamsplitter_tap(alice, eta_e, ScriptedRng([e], [z]), eve_det)[2],
+                        lambda z: beamsplitter_tap(alice, eta_e, ScriptedRng([e], [z]))[2],
                     )
             elif kind is AttackKind.DUAL_BASIS:
                 cumulative = table.eve[bit, b].astype(int)
                 assert 0 < cumulative[0] < cumulative[1] < cumulative[2] < 1 << 53
-                law = _dual_basis_law(np.array(_reference_arms(alice, eve_det)))
+                law = _dual_basis_law(np.array(_reference_arms(alice)))
                 expected = np.cumsum(law[:3]) * 2.0**53
                 assert np.all(np.abs(cumulative - expected) <= 2), (cumulative, expected)
                 for k, c in enumerate(cumulative, start=1):
@@ -278,7 +275,7 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
 
                 def deferred(z):
                     monkeypatch.setattr(attacks, "derive_stream", lambda *_: ScriptedRng([], [z]))
-                    return eve_deferred_measure(stored, basis, config.seed, 0, eve_det)
+                    return eve_deferred_measure(stored, basis, config.seed, 0)
 
                 # she measures in Alice's basis; the other eve_basis cell is never read
                 assert_splits(table.eve[bit, b, b], deferred)
@@ -299,14 +296,13 @@ def _reference_pulse(config, i, words, cols, monkeypatch):
         rng = ScriptedRng([bit, basis, eve_basis, bob_basis], [z_eve, z_bob])
     else:
         rng = ScriptedRng([bit, basis, bob_basis], [z_bob])
-    eve_det = config.attack.eve_detector
     bit, basis, state = alice_prepare(config, rng)
     eve = None
     if kind is AttackKind.INTERCEPT_RESEND:
-        state, eve_basis, raw = intercept_resend(state, rng, config.source, eve_det)
+        state, eve_basis, raw = intercept_resend(state, rng, config.source)
         eve = (eve_basis, decode_bit(raw))
     elif kind is AttackKind.BEAMSPLITTER_TAP:
-        state, eve_basis, raw = beamsplitter_tap(state, config.attack.tap_fraction, rng, eve_det)
+        state, eve_basis, raw = beamsplitter_tap(state, config.attack.tap_fraction, rng)
         eve = (eve_basis, decode_bit(raw))
     elif kind is AttackKind.DUAL_BASIS:
         eve = (BASES[cols["eve_basis"][i]], int(cols["eve_bit"][i]))
@@ -324,7 +320,7 @@ def _reference_pulse(config, i, words, cols, monkeypatch):
             return ScriptedRng([], [z_eve])
 
         monkeypatch.setattr(attacks, "derive_stream", deferred_stream)
-        eve = (basis, decode_bit(eve_deferred_measure(stored, basis, config.seed, i, eve_det)))
+        eve = (basis, decode_bit(eve_deferred_measure(stored, basis, config.seed, i)))
     return (bit, basis), bob, eve
 
 
@@ -434,14 +430,48 @@ def test_draw_plan_law_equals_each_attacks_rules(kind, channel_loss, tap_fractio
         source=DESIGN_POINT,
         channel_loss=channel_loss,
         detector=DetectorModel(noise_equivalent_number=250.0, quantum_efficiency=0.9),
-        attack=AttackConfig(
-            kind=kind,
-            tap_fraction=tap_fraction,
-            eve_detector=DetectorModel(noise_equivalent_number=80.0, quantum_efficiency=0.8),
-        ),
+        attack=AttackConfig(kind=kind, tap_fraction=tap_fraction),
     )
     table = _moment_table(config)
     np.testing.assert_array_equal(_plan_law(table), _cell_law(config, table))
+
+
+def _matching_basis_errors(thresholds):
+    """Error rates [bit, basis] of the sign cells whose measurement basis is
+    the launch basis: a sent 1 errs below its threshold, a sent 0 at or above."""
+    zero = np.diagonal(thresholds, axis1=1, axis2=2) / 2.0**53
+    return np.stack((1.0 - zero[0], zero[1]))
+
+
+@pytest.mark.parametrize(
+    "kind, tap_fraction",
+    [(kind, None) for kind in AttackKind if kind is not AttackKind.BEAMSPLITTER_TAP]
+    + [(AttackKind.BEAMSPLITTER_TAP, tap) for tap in (0.4, 0.7)],
+)
+def test_matching_basis_cells_equal_the_closed_form_curves(kind, tap_fraction):
+    """Bob's matching-basis cells give the fig2 error rate at the loss his
+    pulse has seen, and ideal Eve's give the fig3 accuracy at the fraction
+    she holds: the whole pulse under intercept-resend, the tap, or half."""
+    for channel_loss in (0.0, 0.3, 0.5):
+        for detector in (NOISELESS, DetectorModel(250.0, 0.9), DetectorModel(120.0, 0.7)):
+            config = SessionConfig(
+                source=DESIGN_POINT,
+                channel_loss=channel_loss,
+                detector=detector,
+                attack=AttackConfig(kind=kind, tap_fraction=tap_fraction),
+            )
+            table = _moment_table(config)
+            if kind is AttackKind.SUPERIOR_CHANNEL:
+                bob_loss, eve_share = 0.5, 0.5
+            elif kind is AttackKind.BEAMSPLITTER_TAP:
+                bob_loss, eve_share = 1.0 - (1.0 - channel_loss) * (1.0 - tap_fraction), tap_fraction
+            else:
+                bob_loss, eve_share = channel_loss, 1.0 if kind is AttackKind.INTERCEPT_RESEND else None
+            expected = bob_error_vs_loss(DESIGN_POINT, bob_loss, detector)
+            assert np.max(np.abs(_matching_basis_errors(table.bob) - expected)) <= 1e-12
+            if eve_share is not None:
+                accuracy = 1.0 - _matching_basis_errors(table.eve)
+                assert np.max(np.abs(accuracy - eve_tap_probability(DESIGN_POINT, eve_share))) <= 1e-12
 
 
 # ------------------------------------------------------ dual-basis Eve's law
