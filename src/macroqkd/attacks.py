@@ -60,9 +60,8 @@ def tap_arms(state: GaussianState, eta_e: float) -> tuple[GaussianState, Gaussia
     eta_e of the pulse is diverted on a non-polarizing beamsplitter: the
     pulse after losses eta_e and 1 - eta_e (``tap_split``'s marginals).
 
-    Each arm comes from ``apply_loss``' cache. A session taps each of its
-    four pulses once; the single-pulse reference taps a pulse per draw and
-    gets back the same arm states, whose moments stay cached.
+    Each arm comes from ``apply_loss``' cache: the single-pulse reference
+    taps a pulse per draw and gets back the same arm states.
     """
     if not 0.0 < eta_e < 1.0:
         raise ValueError(f"tap fraction eta must be in (0, 1) (got {eta_e})")

@@ -8,8 +8,10 @@ Conventions used throughout the package:
   ``alpha`` has mean components (sqrt(2) Re alpha, sqrt(2) Im alpha) and
   covariance I/2.
 * The photon number of mode j is n_j = (x_j^2 + p_j^2 - 1) / 2.
-* ``eta`` always denotes the *lost* fraction of a pulse; transmission is
-  1 - eta.
+* Transmission t is the fraction of a pulse that goes on. ``eta`` is the
+  *lost* fraction (t = 1 - eta) in ``apply_loss`` and Bob's error curve,
+  Eve's diverted fraction in ``tap_split`` and ``attacks.tap_arms``, and
+  Eve's transmission in ``photostats.eve_tap_curve`` (fig3's column).
 
 All states are immutable; every operation returns a new state.
 """
@@ -227,10 +229,9 @@ def apply_rotation(state: GaussianState, phi: float) -> GaussianState:
 def apply_loss(state: GaussianState, eta: float) -> GaussianState:
     """Non-polarizing loss of a fraction eta of the pulse (all modes).
 
-    Memoized on (state identity, eta): states are immutable. A session
-    builds at most 16 states, so the cache serves the single-pulse
-    reference and its tests, which send the same pulses through the same
-    loss per pulse; the benchmark's ``CACHED`` list reads its hit ratio.
+    Memoized on (state identity, eta): states are immutable, and the
+    single-pulse reference and its tests send the same pulses through the
+    same loss per pulse; the benchmark's ``CACHED`` list reads its hit ratio.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"loss fraction eta must be in [0, 1] (got {eta})")
@@ -311,9 +312,8 @@ def alice_source(params: SourceParams, bit: int, basis: Basis | str) -> Gaussian
     amplifies the total photon number to ``n_total_amp`` while preserving
     the difference number statistics; basis DIAG applies the polarization
     rotation that moves the signal onto the +45/-45 difference observable.
-    Results are memoized: states are immutable. A session builds each of
-    its four pulses once; the cache serves the single-pulse reference and
-    its tests, which rebuild a pulse for every draw.
+    Results are memoized: states are immutable. The cache serves the
+    single-pulse reference and its tests, which rebuild a pulse per draw.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1 (got {bit})")

@@ -119,10 +119,9 @@ def _quadratic_moments(
 def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
     """Exact mean and variance of the difference number for a two-mode state.
 
-    Memoized on (state identity, basis): states are immutable. A session
-    measures at most 16 states, so the cache serves the single-pulse
-    reference and its tests, which measure the same pulses per draw; the
-    benchmark's ``CACHED`` list reads its hit ratio.
+    Memoized on (state identity, basis): states are immutable. The cache
+    serves the single-pulse reference and its tests, which measure the same
+    pulses per draw; the benchmark's ``CACHED`` list reads its hit ratio.
     """
     if state.num_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.num_modes} modes")
@@ -130,20 +129,32 @@ def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
     return DiffMoments(mu, var)
 
 
-def _thinned_moments(
-    state: GaussianState, basis: Basis, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of the difference number after transmissions t in
-    [0, 1].
+def source_law(params: SourceParams) -> tuple[float, float, float, float]:
+    """(N, V_match, V_mis, N_T): Alice's pulse has difference mean +-N and
+    variance V_match = N_T / G in its basis, 0 and V_mis in the other, and
+    N_T photons. Every pulse measured is one of hers ``_thinned`` to some t."""
+    pulse = alice_source(params, 1, Basis.VH)
+    match, mismatch = diff_number_moments(pulse, Basis.VH), diff_number_moments(pulse, Basis.DIAG)
+    n_total = _quadratic_moments(pulse.mean, pulse.cov, _F_TOTAL, _OMEGA4)[0] - 1.0
+    return match.mean, match.variance, mismatch.variance, n_total
 
-    Loss thins both photon counts binomially, so a difference observable
-    with moments (mu, V) on a pulse of mean total photon number <N> has mean
-    t mu and variance t^2 V + t (1 - t) <N> after it; each is exact, with no
-    state built per transmission.
-    """
-    mom = diff_number_moments(state, basis)
-    n_total = _quadratic_moments(state.mean, state.cov, _F_TOTAL, _OMEGA4)[0] - 1.0
-    return t * mom.mean, t * t * mom.variance + t * (1.0 - t) * n_total
+
+def _thinned(mean, variance, n_total, t):
+    """Moments of a difference number on a pulse of n_total photons after
+    transmission t: binomial thinning of both counts makes them exactly
+    t mean and t^2 variance + t (1 - t) n_total. Arrays broadcast."""
+    return t * mean, t * t * variance + t * (1.0 - t) * n_total
+
+
+def _thinned_laws(params: SourceParams, t: float, noise_variance: float = 0.0) -> np.ndarray:
+    """Normal laws [bit, basis, measured basis, (mean, sigma)] of Alice's
+    pulses thinned to transmission t, plus read-noise variance: mean +-t N
+    in the launch basis and exactly 0 in the other."""
+    n, v_match, v_mismatch, n_total = source_law(params)
+    match = np.eye(2, dtype=bool)  # [basis, measured basis]
+    signed = np.where(match, n, 0.0) * np.array([-1.0, 1.0])[:, None, None]
+    mean, var = _thinned(signed, np.where(match, v_match, v_mismatch), n_total, t)
+    return np.stack(np.broadcast_arrays(mean, np.sqrt(var + noise_variance)), -1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -198,9 +209,9 @@ def outcome_law(
 ) -> tuple[float, float]:
     """Mean and standard deviation of what ``detector`` reads from ``state``
     in ``basis``: the pulse after the efficiency loss of ``detected_state``,
-    then read noise as in ``outcome_normal``. This is the one place a
-    detector acts on a pulse; ``bob_error_curve`` applies the same rule to
-    the thinned moments of the lossless pulse."""
+    then read noise as in ``outcome_normal``. The session table and
+    ``bob_error_curve`` apply the same rule to the thinned source law: qe
+    multiplies Bob's transmission, and 2 nen^2 adds to the variance."""
     return outcome_normal(diff_number_moments(detected_state(state, detector), basis), detector)
 
 
@@ -257,20 +268,20 @@ def bob_error_curve(
 
     The detector's quantum efficiency qe composes with the channel in
     transmission space: Bob's pulse is the lossless one thinned to
-    t = (1 - eta) qe (see ``_thinned_moments``).
+    t = (1 - eta) qe; by symmetry its bit-1 cell stands for both bits.
     """
     etas = _loss_fractions(etas, closed=False)
-    t = (1.0 - etas) * detector.quantum_efficiency
-    mean, var = _thinned_moments(alice_source(params, 1, Basis.VH), Basis.VH, t)
+    n, v_match, _, n_total = source_law(params)
+    mean, var = _thinned(n, v_match, n_total, (1.0 - etas) * detector.quantum_efficiency)
     return _flip_probabilities(mean, var + detector.difference_noise_variance)
 
 
 def eve_tap_curve(params: SourceParams, etas: np.ndarray) -> np.ndarray:
-    """Probability that Eve, sampling the fractions etas of the pulse and
-    knowing the basis, infers the correct bit (noiseless detector)."""
+    """Probability that Eve, holding the fractions etas of the pulse (her
+    transmission) and knowing the basis, infers the correct bit (ideal detector)."""
     etas = _loss_fractions(etas, closed=True)
-    mean, var = _thinned_moments(alice_source(params, 1, Basis.VH), Basis.VH, etas)
-    return 1.0 - _flip_probabilities(mean, var)
+    n, v_match, _, n_total = source_law(params)
+    return 1.0 - _flip_probabilities(*_thinned(n, v_match, n_total, etas))
 
 
 def bob_error_vs_loss(

@@ -1,12 +1,12 @@
 """Columnar QKD session: preparation, channel, measurement, sifting,
 error estimation and eavesdropper detection.
 
-Alice sends one of two bits in one of two bases, so under any attack Bob
-and Eve only ever measure a handful of distinct Gaussian states. A session
-builds their outcome laws once into a moment table, then draws whole
-chunks of pulses as arrays. The table and the single-pulse reference both
-read each law from ``photostats.outcome_law``, the one place a detector
-acts on a pulse.
+Every pulse Bob or Eve measures is Alice's thinned by loss, a tap or a
+split to some transmission t, so its outcome law is fixed by four source
+scalars (``photostats.source_law``), t and the read noise. A session builds
+these laws into a moment table, then draws chunks of pulses as arrays; the
+single-pulse reference reads the same laws off the states it builds
+(``photostats.outcome_law``).
 
 Determinism contract: pulse i's draws are a pure function of (seed, lane,
 i) (see macroqkd.streams), so a session is reproducible bit-for-bit from
@@ -43,14 +43,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackConfig, AttackKind, tap_arms
-from .gaussian import GaussianState, SourceParams, alice_source, apply_loss, is_number
+from .attacks import AttackConfig, AttackKind
+from .gaussian import GaussianState, SourceParams, alice_source, is_number
 from .photostats import (
-    NOISELESS,
     Basis,
     DetectorModel,
     _erfc,
     _flip_probabilities,
+    _thinned_laws,
     bob_error_vs_loss,
     outcome_law,
 )
@@ -216,7 +216,6 @@ class MomentTable:
     eve_seen: np.ndarray
 
 
-_BASES = (Basis.VH, Basis.DIAG)
 _CHUNK = 1 << 16  # pulses drawn per array pass; results do not depend on it
 # the fields of all 64 cell codes
 _ALICE_BIT, _ALICE_BASIS, _BOB_BASIS, _BOB_BIT, _EVE_BASIS, _EVE_BIT = np.indices((2,) * 6).reshape(6, 64)
@@ -289,25 +288,16 @@ def _dual_basis_law(arms: np.ndarray, nodes: int = 80) -> np.ndarray:
 
 def _moment_table(config: SessionConfig) -> MomentTable:
     """The session's outcome laws and draw plan: every attack's rules."""
-    kind = config.attack.kind
+    kind, detector = config.attack.kind, config.detector
     superior = kind is AttackKind.SUPERIOR_CHANNEL
-    bob, eve = np.empty((2, 2, 2, 2)), None if kind is AttackKind.NONE else np.empty((2, 2, 2, 2))
-    for bit in (0, 1):
-        for b, basis in enumerate(_BASES):
-            sent = kept = state = alice_source(config.source, bit, basis)
-            if kind is AttackKind.BEAMSPLITTER_TAP:
-                sent, kept = tap_arms(state, config.attack.tap_fraction)
-            elif superior:
-                sent, kept = tap_arms(state, 0.5)
-            elif kind is AttackKind.DUAL_BASIS:
-                kept = tap_arms(state, 0.5)[1]
-            # the superior channel's lossless substitute bypasses the loss
-            if not superior and config.channel_loss > 0.0:
-                sent = apply_loss(sent, config.channel_loss)
-            for m, other in enumerate(_BASES):
-                bob[bit, b, m] = outcome_law(sent, other, config.detector)
-                if eve is not None:
-                    eve[bit, b, m] = outcome_law(kept, other, NOISELESS)
+    tap = config.attack.tap_fraction if kind is AttackKind.BEAMSPLITTER_TAP else 0.0
+    # Bob's pulse passes the tap, the channel and his detector's efficiency; the
+    # superior channel's lossless substitute bypasses the loss with half the pulse
+    bob_t = (0.5 if superior else (1.0 - config.channel_loss) * (1.0 - tap)) * detector.quantum_efficiency
+    bob = _thinned_laws(config.source, bob_t, detector.difference_noise_variance)
+    # Eve holds the whole pulse, her tap, or half of it, through ideal detectors
+    eve_t = {AttackKind.INTERCEPT_RESEND: 1.0, AttackKind.BEAMSPLITTER_TAP: tap}.get(kind, 0.5)
+    eve = None if kind is AttackKind.NONE else _thinned_laws(config.source, eve_t)
     nibble = np.arange(16, dtype=np.uint8)  # Alice's bit and basis, Eve's basis, Bob's basis
     head = (nibble & 12) << 2 | (nibble & 1) << 3  # Alice's bits to bits 5 and 4, Bob's basis to 3
     # superior-channel Eve measures her stored half in Alice's basis, once the bases are revealed

@@ -4,6 +4,7 @@ the per-pulse cell codes with the single-pulse reference functions, the
 cell frequencies against the table's exact law, dual-basis Eve's
 categorical law, the disclosure draw, and memory bounded by one chunk."""
 
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_attacks import DUAL_BASIS_INFERENCE_ACCURACY
 
-from macroqkd import attacks, protocol
+from macroqkd import attacks, gaussian, protocol
 from macroqkd.attacks import (
     AttackConfig,
     AttackKind,
@@ -38,6 +39,7 @@ from macroqkd.photostats import (
     diff_number_moments,
     eve_tap_probability,
     outcome_normal,
+    source_law,
 )
 from macroqkd.protocol import (
     SessionConfig,
@@ -196,10 +198,13 @@ def _probes(threshold: int) -> list[int]:
     """53-bit uniforms near both ends of the range, in its middle and 2^20
     (a 1.2e-10 share) either side of a threshold. The top one is 2^53 - 2:
     (2^53 - 1) + 0.5 rounds to 2^53 in floating point, where Phi^-1 is
-    infinite."""
+    infinite. A fixed point closer than 2^20 to the threshold is left out:
+    a zero-mean cell's threshold is 2^52 exactly, and there the
+    reference's outcome has the sign of its mean's rounding residue."""
     points = (0, 1 << 51, 1 << 52, 3 << 51, (1 << 53) - 2)
     near = (threshold - (1 << 20), threshold + (1 << 20))
-    return list(points) + [p for p in near if 0 <= p < (1 << 53) - 1]
+    far = [p for p in points if abs(p - threshold) >= 1 << 20]
+    return far + [p for p in near if 0 <= p < (1 << 53) - 1]
 
 
 def _engine_codes(config, table, monkeypatch, bit, basis, tops):
@@ -221,6 +226,19 @@ def _reference_arms(alice):
     at_zero = dual_basis_measure(alice, ScriptedRng([], [0.0, 0.0]), DESIGN_POINT)
     at_one = dual_basis_measure(alice, ScriptedRng([], [1.0, 1.0]), DESIGN_POINT)
     return [(at_zero[a], at_one[a] - at_zero[a]) for a in (1, 2)]
+
+
+def _thinned_arms(source, t: float) -> np.ndarray:
+    """(mean, sigma) [bit, basis, arm basis] of Alice's pulses thinned to
+    transmission t, from the four source scalars: mean +-t N in the launch
+    basis and 0 in the other, variance t^2 V + t (1 - t) N_T."""
+    n, v_match, v_mis, n_total = source_law(source)
+    arms = np.empty((2, 2, 2, 2))
+    for bit, b, a in np.ndindex(2, 2, 2):
+        mean = t * n * (2 * bit - 1) if a == b else 0.0
+        var = t * t * (v_match if a == b else v_mis) + t * (1.0 - t) * n_total
+        arms[bit, b, a] = mean, math.sqrt(var)
+    return arms
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
@@ -262,8 +280,12 @@ def test_table_entries_equal_reference_sampling(kind, monkeypatch):
             elif kind is AttackKind.DUAL_BASIS:
                 cumulative = table.eve[bit, b].astype(int)
                 assert 0 < cumulative[0] < cumulative[1] < cumulative[2] < 1 << 53
-                law = _dual_basis_law(np.array(_reference_arms(alice)))
-                expected = np.cumsum(law[:3]) * 2.0**53
+                # the table's arms are the source law at t = 0.5; the reference
+                # builds the split pulse, whose zero means are rounding residues
+                arms = _thinned_arms(config.source, 0.5)[bit, b]
+                floor = 1e-12 * (0.5 * config.source.n_total_amp + 1.0)
+                np.testing.assert_allclose(arms, _reference_arms(alice), rtol=1e-12, atol=floor)
+                expected = np.cumsum(_dual_basis_law(arms)[:3]) * 2.0**53
                 assert np.all(np.abs(cumulative - expected) <= 2), (cumulative, expected)
                 for k, c in enumerate(cumulative, start=1):
                     assert _engine_codes(config, table, monkeypatch, bit, b, [c - 1, c]) == [k - 1, k]
@@ -472,6 +494,82 @@ def test_matching_basis_cells_equal_the_closed_form_curves(kind, tap_fraction):
             if eve_share is not None:
                 accuracy = 1.0 - _matching_basis_errors(table.eve)
                 assert np.max(np.abs(accuracy - eve_tap_probability(DESIGN_POINT, eve_share))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(AttackKind))
+def test_table_depends_only_on_bit_basis_match_and_transmission(kind, monkeypatch):
+    """Every pulse Bob or Eve measures is Alice's thinned to a transmission,
+    so a sign cell is fixed by its bit, whether the measured basis is the
+    launch basis, and that transmission: a mismatched cell has mean 0 and
+    threshold 2^52 exactly, the two matching cells are equal, and Eve's
+    cells are those of a no-attack session with an ideal detector behind a
+    channel that transmits her share. Only Alice's source is built."""
+    config = make_config(kind)
+    table = _moment_table(config)
+    sign_tables = [table.bob] if kind in (AttackKind.NONE, AttackKind.DUAL_BASIS) else [table.bob, table.eve]
+    for thresholds in sign_tables:
+        assert np.all(thresholds[:, 0, 1] == 1 << 52) and np.all(thresholds[:, 1, 0] == 1 << 52), thresholds
+        np.testing.assert_array_equal(thresholds[:, 0, 0], thresholds[:, 1, 1])
+    tap = config.attack.tap_fraction
+    eve_share = {AttackKind.INTERCEPT_RESEND: 1.0, AttackKind.BEAMSPLITTER_TAP: tap, AttackKind.SUPERIOR_CHANNEL: 0.5}
+    if kind in eve_share:
+        ideal = SessionConfig(source=config.source, channel_loss=1.0 - eve_share[kind], detector=NOISELESS)
+        np.testing.assert_array_equal(table.eve, _moment_table(ideal).bob)
+
+    built = []
+    post_init = gaussian.GaussianState.__post_init__
+
+    def counting_post_init(state):
+        built.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting_post_init)
+    counts = []
+    for build in (lambda: alice_source(config.source, 1, Basis.VH), lambda: _moment_table(config)):
+        gaussian._alice_source_cached.cache_clear()  # start from a cold source
+        built.clear()
+        build()
+        counts.append(len(built))
+    assert counts == [2, 2], counts
+
+
+def _histogram_grid(kind):
+    """The 48 sessions of one attack kind on the replay grid: losses 0, 0.3
+    and 0.5, four seeds across the 64-bit range, and 1 to 200 000 pulses;
+    Bob's detector is noisy and below unit efficiency, and the tap is 0.4."""
+    for channel_loss in (0.0, 0.3, 0.5):
+        for seed in (0, 7, 12345, 2**64 - 1):
+            for num_pulses in (1, 1000, 2**16 + 1, 200_000):
+                yield SessionConfig(
+                    source=DESIGN_POINT,
+                    channel_loss=channel_loss,
+                    detector=DetectorModel(noise_equivalent_number=120.0, quantum_efficiency=0.7),
+                    attack=AttackConfig(kind, 0.4 if kind is AttackKind.BEAMSPLITTER_TAP else None),
+                    num_pulses=num_pulses,
+                    seed=seed,
+                )
+
+
+# sha256 of the little-endian int64 64-bin cell histograms of _histogram_grid
+CELL_HISTOGRAM_SHA256 = {
+    AttackKind.NONE: "53c5df58e9622b11642f7cac1bba983ed2535ff24515f6e5a65c8dc14f60b97d",
+    AttackKind.INTERCEPT_RESEND: "c4b20fb5165c7567b83d7b6651e004e22c6396e082cc9944f98688f24386cc93",
+    AttackKind.BEAMSPLITTER_TAP: "cb3dbf2092c6907d3b8e107bce972ba6e63726cebe204f39bf4d83331e9c2c61",
+    AttackKind.DUAL_BASIS: "914cef6534839ce880c9d01a0d692ccfb0049887b9ee6e7a38cfdd1624b594d3",
+    AttackKind.SUPERIOR_CHANNEL: "228b940710774cd44994488a225c4ff0b7b1b214815881b9af7eef8172a6151e",
+}
+
+
+@pytest.mark.parametrize("kind", list(AttackKind))
+def test_cell_histograms_reproduce_their_digests(kind):
+    """The cell histograms of the replay grid are frozen: they read only the
+    Philox raw words and the table's thresholds, so a change to either
+    shows here, while a threshold moving by a few units of 2^-53 does not."""
+    digest = hashlib.sha256()
+    for config in _histogram_grid(kind):
+        cells = _pulse_cells(config, _moment_table(config), 0, config.num_pulses)
+        digest.update(np.bincount(cells, minlength=64).astype("<i8").tobytes())
+    assert digest.hexdigest() == CELL_HISTOGRAM_SHA256[kind]
 
 
 # ------------------------------------------------------ dual-basis Eve's law

@@ -33,10 +33,10 @@ from macroqkd.photostats import (
     eve_tap_curve,
     eve_tap_probability,
     joint_diff_moments,
-    _thinned_moments,
     outcome_law,
     outcome_normal,
     sample_outcome,
+    source_law,
 )
 from macroqkd.streams import derive_stream
 
@@ -436,12 +436,18 @@ def test_thinned_moments_match_apply_loss(gain, n_total, sigmas, bit, prepared, 
     # number t <N> + 1: a mean that is zero in exact arithmetic is a rounding
     # residue on both paths, and as t -> 0 the state path's variance is the
     # difference of vacuum-sized terms.
+    # Each (bit, prepared basis, measured basis) cell follows from the four
+    # source scalars: mean +-t N in the prepared basis and 0 in the other,
+    # variance t^2 V + t (1 - t) N_T with V = V_match or V_mis.
     params = _design(gain, n_total, sigmas)
+    n, v_match, v_mis, n_total_photons = source_law(params)
     pulse = alice_source(params, bit, prepared)
     t = 1.0 - eta
     floor = 1e-12 * (t * params.n_total_amp + 1.0)
     for basis in Basis:
         want = diff_number_moments(apply_loss(pulse, eta), basis)
-        mean, var = _thinned_moments(pulse, basis, np.array([t]))
-        assert mean[0] == pytest.approx(want.mean, rel=1e-12, abs=floor)
-        assert var[0] == pytest.approx(want.variance, rel=1e-12, abs=floor)
+        match = basis is prepared
+        mean = t * n * (1.0 if bit == 1 else -1.0) if match else 0.0
+        var = t * t * (v_match if match else v_mis) + t * (1.0 - t) * n_total_photons
+        assert mean == pytest.approx(want.mean, rel=1e-12, abs=floor)
+        assert var == pytest.approx(want.variance, rel=1e-12, abs=floor)
