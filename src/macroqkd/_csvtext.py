@@ -158,9 +158,10 @@ def _block(x: np.ndarray, separators: np.ndarray) -> bytes:
     return words.T.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
-def format_rows(values: np.ndarray) -> str:
-    """The CSV lines of a 2-D float64 array: a row per line, values joined
-    by commas, each as ``'%.17g' % v`` writes it, every line ending in LF."""
+def format_rows(values: np.ndarray) -> bytes:
+    """The ASCII CSV lines of a 2-D float64 array: a row per line, values
+    joined by commas, each as ``'%.17g' % v`` writes it, every line ending
+    in LF."""
     n_rows, n_cols = values.shape
     step = max(1, _BLOCK // n_cols)
     separators = np.full(n_cols, ord(","), np.uint64)
@@ -170,4 +171,4 @@ def format_rows(values: np.ndarray) -> str:
         _block(block, separators[: block.size])
         for block in (values[i : i + step].ravel() for i in range(0, n_rows, step))
     ]
-    return b"".join(parts).decode("ascii")
+    return b"".join(parts)

@@ -93,12 +93,12 @@ def _parse_grid(text: str, closed: bool | None) -> np.ndarray:
         raise ConfigError(f"--grid: {exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_bytes(path: str | None, data: bytes) -> None:
     try:
         if path is None or path == "-":
-            sys.stdout.write(text)
+            sys.stdout.write(data.decode())
         else:
-            Path(path).write_text(text, newline="")
+            Path(path).write_bytes(data)
     except OSError as exc:
         raise _IOFailure(f"cannot write {path}: {exc}") from exc
 
@@ -107,12 +107,12 @@ class _IOFailure(RuntimeError):
     pass
 
 
-def _csv(header: str, *columns: np.ndarray) -> str:
+def _csv(header: str, *columns: np.ndarray) -> bytes:
     """A CSV table of float columns, each value as C's ``%.17g`` writes it."""
     # imported on first use: only the figure commands write float tables
     from ._csvtext import format_rows
 
-    return header + "\n" + format_rows(np.column_stack(columns))
+    return header.encode() + b"\n" + format_rows(np.column_stack(columns))
 
 
 def _add_source_flags(p: argparse.ArgumentParser, nen_default: float | str | None) -> None:
@@ -164,21 +164,21 @@ def cmd_fig1(args: argparse.Namespace) -> int:
         distribution_curve(pulse0, Basis.VH, detector, grid),
         distribution_curve(pulse1, Basis.DIAG, detector, grid),
     )
-    _write_text(args.out, table)
+    _write_bytes(args.out, table)
     return EXIT_OK
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     """Bob's error rate versus channel loss."""
     config, grid = _figure_config(args, closed=False)
-    _write_text(args.out, _csv("eta,p_err", grid, bob_error_curve(config.source, grid, config.detector)))
+    _write_bytes(args.out, _csv("eta,p_err", grid, bob_error_curve(config.source, grid, config.detector)))
     return EXIT_OK
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     """Eve's correct-bit probability versus sampled fraction."""
     config, grid = _figure_config(args, closed=True)
-    _write_text(args.out, _csv("eta,p_eta", grid, eve_tap_curve(config.source, grid)))
+    _write_bytes(args.out, _csv("eta,p_eta", grid, eve_tap_curve(config.source, grid)))
     return EXIT_OK
 
 
@@ -286,7 +286,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Run a full session and write the replayable report."""
     config = config_from_dict(_config_dict(args))
     report = run_session(config)
-    _write_text(args.out, report_text(config, report, args.format))
+    _write_bytes(args.out, report_text(config, report, args.format).encode())
     return EXIT_OK
 
 
@@ -295,7 +295,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not 0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and > 0 (got {args.tol})")
     rows = validate_mod.run_ladder(tolerance=args.tol)
-    _write_text(args.out, validate_mod.rows_to_csv(rows))
+    _write_bytes(args.out, validate_mod.rows_to_csv(rows).encode())
     if not validate_mod.ladder_passed(rows):
         failed = sum(1 for r in rows if not r.passed)
         print(f"validation FAILED: {failed}/{len(rows)} comparisons out of tolerance", file=sys.stderr)

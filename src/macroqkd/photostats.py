@@ -226,7 +226,7 @@ def sample_outcome(
 
 def _erfc(x: np.ndarray) -> np.ndarray:
     """``math.erfc`` elementwise: NumPy has none, and SciPy is not loaded."""
-    return np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _flip_probabilities(mean: np.ndarray, total_var: np.ndarray) -> np.ndarray:

@@ -100,6 +100,13 @@ def test_fig_csv_byte_identical(tmp_path):
     assert b"\r" not in a.read_bytes()  # LF endings
 
 
+def test_stdout_gets_the_bytes_written_to_a_file(tmp_path, capsysbinary):
+    path = tmp_path / "a.csv"
+    main(["fig2", "--grid", "0:0.8:17", "--out", str(path)])
+    main(["fig2", "--grid", "0:0.8:17"])
+    assert capsysbinary.readouterr().out == path.read_bytes()
+
+
 def test_fig2_fig3_build_few_states_whatever_the_grid(tmp_path, monkeypatch):
     # the curves are thinned from one lossless pulse, not built per point
     built = []
@@ -143,7 +150,9 @@ def assert_rows_are_percent_g(values: np.ndarray) -> None:
     every value but NaN parses back to the same bits."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = format_rows(values)
+        data = format_rows(values)
+    assert isinstance(data, bytes)
+    text = data.decode("ascii")
     reference = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
     assert text == reference
     parsed = np.array([float(v) for line in text.splitlines() for v in line.split(",")])

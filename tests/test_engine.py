@@ -161,7 +161,7 @@ def test_columns_do_not_depend_on_chunk_size(kind):
     n = config.num_pulses
     table = _moment_table(config)
     runs = []
-    for chunk in (1, 7, 1 << 16):
+    for chunk in (1, 7, protocol._CHUNK, 1 << 16):
         parts = [_pulse_cells(config, table, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         runs.append(np.concatenate(parts))
     for other in runs[1:]:
@@ -172,10 +172,10 @@ def test_columns_do_not_depend_on_chunk_size(kind):
 def test_report_does_not_depend_on_chunk_size(kind, monkeypatch):
     config = make_config(kind, num_pulses=700)
     reports = []
-    for chunk in (1, 7, 1 << 16):
+    for chunk in (1, 7, protocol._CHUNK, 1 << 16):
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
         reports.append(run_session(config))
-    assert reports[0] == reports[1] == reports[2]
+    assert all(report == reports[0] for report in reports[1:])
 
 
 # ------------------------------------------------- agreement with reference
@@ -642,6 +642,36 @@ def test_dual_basis_law_equals_adaptive_quadrature(arms):
     assert np.max(np.abs(law - expected)) <= 1e-13, (law, expected)
 
 
+# the 80-point rule's smallest and largest half-weights, from a 40-digit
+# mpmath Newton solve of P_80
+GAUSS_LEGENDRE_80_EXTREME_WEIGHTS = (5.72475001593470767272086e-4, 1.95089068281533274056402e-2)
+
+
+@pytest.mark.parametrize("nodes", [80, 320])
+def test_gauss_legendre_rule_is_symmetric_and_exact(nodes):
+    x, weights = protocol._gauss_legendre(nodes)
+    assert not (x.flags.writeable or weights.flags.writeable)
+    assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1])
+    # exact for polynomials of degree 2 nodes - 1: the half-weights integrate
+    # x^2k over [-1, 1] to 1 / (2k + 1)
+    for k in range(nodes):
+        assert abs(weights @ x ** (2 * k) - 1.0 / (2 * k + 1)) <= 1e-15 * nodes, k
+    if nodes == 80:
+        np.testing.assert_allclose((weights.min(), weights.max()), GAUSS_LEGENDRE_80_EXTREME_WEIGHTS, rtol=2e-14)
+
+
+def test_dual_basis_session_calls_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the session path called an eigensolver")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    protocol._gauss_legendre.cache_clear()  # build the rule under the patch
+    config = make_config(AttackKind.DUAL_BASIS)
+    _moment_table(config)
+    run_session(config)
+
+
 def test_dual_basis_table_holds_frozen_basis_accuracy():
     # lossless, noiseless Eve at the design point: she trusts the right arm
     # (codes 0, 1 for V/H pulses, 2, 3 for diagonal ones) with the
@@ -733,9 +763,9 @@ def test_session_faults_no_heap_pages_back_in(kind):
     """A chunk's arrays peak below glibc's heap-trim threshold, so the heap
     a chunk frees is still mapped for the next one, and a repeated
     2**22-pulse session takes no minor page faults (0 for every kind).
-    Past the threshold, glibc returns the heap top after each of its 64
-    chunks and the next one faults pages back in: one more 1 MiB temporary
-    per chunk costs 16 to 520 faults a chunk, 1 024 to 33 248 a session."""
+    Past the threshold, glibc returns the heap top after each of its 512
+    chunks and the next one faults pages back in: one more copy of a
+    chunk's 256 KiB word block costs 96 faults a chunk, 49 152 a session."""
     import resource
 
     config = make_config(kind, num_pulses=1 << 22)
@@ -743,4 +773,4 @@ def test_session_faults_no_heap_pages_back_in(kind):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run_session(config)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < config.num_pulses // protocol._CHUNK, faults
+    assert faults < config.num_pulses >> 16, faults  # under one per 2**16 pulses
