@@ -37,7 +37,7 @@ _SPLIT = 134217729.0  # 2**27 + 1
 
 def _slots(text: str, at: int = 0) -> int:
     """The word whose bytes from ``at`` on hold ``text``."""
-    return sum(c << 8 * (at + i) for i, c in enumerate(text.encode()))
+    return int.from_bytes(text.encode(), "little") << 8 * at
 
 
 @functools.cache

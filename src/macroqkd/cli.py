@@ -27,16 +27,16 @@ import numpy as np
 
 from . import validate as validate_mod
 from .attacks import AttackConfig, AttackKind, attack_config_violations
-from .gaussian import SourceParams, alice_source, apply_loss, source_param_violations
+from .gaussian import SourceParams, source_param_violations
 from .photostats import (
-    Basis,
     DetectorModel,
     _loss_fractions,
+    _normal_density,
+    _thinned_law,
     bob_error_curve,
     detector_violations,
-    distribution_curve,
     eve_tap_curve,
-    outcome_law,
+    source_law,
 )
 from .protocol import RunReport, SessionConfig, run_session, session_violations
 
@@ -149,20 +149,18 @@ def _figure_config(args: argparse.Namespace, closed: bool | None) -> tuple[Sessi
 def cmd_fig1(args: argparse.Namespace) -> int:
     """Outcome distributions for both bit values and the incorrect basis."""
     config, grid = _figure_config(args, closed=None)
-    detector = config.detector
-    pulse1 = apply_loss(alice_source(config.source, 1, Basis.VH), config.channel_loss)
-    pulse0 = apply_loss(alice_source(config.source, 0, Basis.VH), config.channel_loss)
+    t = (1.0 - config.channel_loss) * config.detector.quantum_efficiency
+    mean, launch, other = _thinned_law(source_law(config.source), t, config.detector.difference_noise_variance)
+    sigma_correct, sigma_wrong = math.sqrt(launch), math.sqrt(other)
     if grid is None:
-        mean, sigma_correct = outcome_law(pulse1, Basis.VH, detector)
-        sigma_wrong = outcome_law(pulse1, Basis.DIAG, detector)[1]
-        span = abs(mean) + 8.0 * max(sigma_correct, sigma_wrong)
+        span = mean + 8.0 * max(sigma_correct, sigma_wrong)
         grid = np.linspace(-span, span, 2001)
     table = _csv(
         "n,pdf_correct_bit1,pdf_correct_bit0,pdf_incorrect",
         grid,
-        distribution_curve(pulse1, Basis.VH, detector, grid),
-        distribution_curve(pulse0, Basis.VH, detector, grid),
-        distribution_curve(pulse1, Basis.DIAG, detector, grid),
+        _normal_density(grid, mean, sigma_correct),
+        _normal_density(grid, -mean, sigma_correct),
+        _normal_density(grid, 0.0, sigma_wrong),
     )
     _write_bytes(args.out, table)
     return EXIT_OK

@@ -14,6 +14,9 @@ m the mean vector and Omega the symplectic form. The commutator term
 (1/2) tr(F Omega F Omega) makes var(n) vanish for the vacuum. These
 closed forms are validated against the exact Fock-space oracle before use
 (see macroqkd.validate).
+
+Every pulse a session or a figure measures is Alice's thinned to some
+transmission t, so its law is ``_thinned_law`` of ``source_law``'s scalars.
 """
 
 from __future__ import annotations
@@ -132,29 +135,21 @@ def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
 def source_law(params: SourceParams) -> tuple[float, float, float, float]:
     """(N, V_match, V_mis, N_T): Alice's pulse has difference mean +-N and
     variance V_match = N_T / G in its basis, 0 and V_mis in the other, and
-    N_T photons. Every pulse measured is one of hers ``_thinned`` to some t."""
+    N_T photons. Every pulse measured is one of hers ``_thinned_law`` to t."""
     pulse = alice_source(params, 1, Basis.VH)
     match, mismatch = diff_number_moments(pulse, Basis.VH), diff_number_moments(pulse, Basis.DIAG)
     n_total = _quadratic_moments(pulse.mean, pulse.cov, _F_TOTAL, _OMEGA4)[0] - 1.0
     return match.mean, match.variance, mismatch.variance, n_total
 
 
-def _thinned(mean, variance, n_total, t):
-    """Moments of a difference number on a pulse of n_total photons after
-    transmission t: binomial thinning of both counts makes them exactly
-    t mean and t^2 variance + t (1 - t) n_total. Arrays broadcast."""
-    return t * mean, t * t * variance + t * (1.0 - t) * n_total
-
-
-def _thinned_laws(params: SourceParams, t: float, noise_variance: float = 0.0) -> np.ndarray:
-    """Normal laws [bit, basis, measured basis, (mean, sigma)] of Alice's
-    pulses thinned to transmission t, plus read-noise variance: mean +-t N
-    in the launch basis and exactly 0 in the other."""
-    n, v_match, v_mismatch, n_total = source_law(params)
-    match = np.eye(2, dtype=bool)  # [basis, measured basis]
-    signed = np.where(match, n, 0.0) * np.array([-1.0, 1.0])[:, None, None]
-    mean, var = _thinned(signed, np.where(match, v_match, v_mismatch), n_total, t)
-    return np.stack(np.broadcast_arrays(mean, np.sqrt(var + noise_variance)), -1)
+def _thinned_law(law, t, noise_variance=0.0):
+    """(t N, launch-basis variance, other-basis variance) of Alice's pulse
+    of ``source_law`` ``law`` after transmission t, read noise added: binomial
+    thinning of both counts makes the mean +-t N in the launch basis (0 in the
+    other) and the variance t^2 V + t (1 - t) N_T. Arrays of t broadcast."""
+    n, v_match, v_mis, n_total = law
+    shot = t * (1.0 - t) * n_total
+    return t * n, t * t * v_match + shot + noise_variance, t * t * v_mis + shot + noise_variance
 
 
 @functools.lru_cache(maxsize=256)
@@ -209,9 +204,9 @@ def outcome_law(
 ) -> tuple[float, float]:
     """Mean and standard deviation of what ``detector`` reads from ``state``
     in ``basis``: the pulse after the efficiency loss of ``detected_state``,
-    then read noise as in ``outcome_normal``. The session table and
-    ``bob_error_curve`` apply the same rule to the thinned source law: qe
-    multiplies Bob's transmission, and 2 nen^2 adds to the variance."""
+    then read noise as in ``outcome_normal``. The session table, ``fig1``
+    and ``bob_error_curve`` apply the same rule in ``_thinned_law``: qe
+    multiplies the transmission, and 2 nen^2 adds to the variance."""
     return outcome_normal(diff_number_moments(detected_state(state, detector), basis), detector)
 
 
@@ -264,24 +259,19 @@ def _loss_fractions(etas: np.ndarray, closed: bool) -> np.ndarray:
 def bob_error_curve(
     params: SourceParams, etas: np.ndarray, detector: DetectorModel
 ) -> np.ndarray:
-    """Bob's bit-flip probability after channels losing the fractions etas.
-
-    The detector's quantum efficiency qe composes with the channel in
-    transmission space: Bob's pulse is the lossless one thinned to
-    t = (1 - eta) qe; by symmetry its bit-1 cell stands for both bits.
-    """
+    """Bob's bit-flip probability after channels losing the fractions etas:
+    his pulse is the lossless one thinned to t = (1 - eta) qe, and by
+    symmetry its bit-1 cell stands for both bits."""
     etas = _loss_fractions(etas, closed=False)
-    n, v_match, _, n_total = source_law(params)
-    mean, var = _thinned(n, v_match, n_total, (1.0 - etas) * detector.quantum_efficiency)
-    return _flip_probabilities(mean, var + detector.difference_noise_variance)
+    t = (1.0 - etas) * detector.quantum_efficiency
+    return _flip_probabilities(*_thinned_law(source_law(params), t, detector.difference_noise_variance)[:2])
 
 
 def eve_tap_curve(params: SourceParams, etas: np.ndarray) -> np.ndarray:
     """Probability that Eve, holding the fractions etas of the pulse (her
     transmission) and knowing the basis, infers the correct bit (ideal detector)."""
     etas = _loss_fractions(etas, closed=True)
-    n, v_match, _, n_total = source_law(params)
-    return 1.0 - _flip_probabilities(*_thinned(n, v_match, n_total, etas))
+    return 1.0 - _flip_probabilities(*_thinned_law(source_law(params), etas)[:2])
 
 
 def bob_error_vs_loss(
@@ -298,16 +288,20 @@ def eve_tap_probability(params: SourceParams, eta: float) -> float:
     return float(eve_tap_curve(params, [eta])[0])
 
 
+def _normal_density(grid: np.ndarray, mean: float, sigma: float) -> np.ndarray:
+    """Normal(mean, sigma^2) probability density at each grid value."""
+    return np.exp(-0.5 * ((grid - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+
+
 def distribution_curve(
     state: GaussianState,
     basis: Basis,
     detector: DetectorModel,
     n_grid: np.ndarray,
 ) -> np.ndarray:
-    """Gaussian probability density of the detected difference number,
-    evaluated on a grid of n values (one density per grid value)."""
+    """Gaussian probability density of the detected difference number of a
+    state, one per grid value of n (``fig1`` takes it from the source law)."""
     grid = np.asarray(n_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("n_grid must be non-empty")
-    mean, sigma = outcome_law(state, basis, detector)
-    return np.exp(-0.5 * ((grid - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    return _normal_density(grid, *outcome_law(state, basis, detector))

@@ -1,12 +1,10 @@
 """Columnar QKD session: preparation, channel, measurement, sifting,
 error estimation and eavesdropper detection.
 
-Every pulse Bob or Eve measures is Alice's thinned by loss, a tap or a
-split to some transmission t, so its outcome law is fixed by four source
-scalars (``photostats.source_law``), t and the read noise. A session builds
-these laws into a moment table, then draws chunks of pulses as arrays; the
-single-pulse reference reads the same laws off the states it builds
-(``photostats.outcome_law``).
+A session builds the outcome law of every pulse Bob or Eve measures, Alice's
+thinned to its transmission (``photostats._thinned_law``), into a moment
+table, then draws chunks of pulses as arrays; the single-pulse reference
+reads the same laws off the states it builds (``photostats.outcome_law``).
 
 Determinism contract: pulse i's draws are a pure function of (seed, lane,
 i) (see macroqkd.streams), so a session is reproducible bit-for-bit from
@@ -50,9 +48,10 @@ from .photostats import (
     DetectorModel,
     _erfc,
     _flip_probabilities,
-    _thinned_laws,
+    _thinned_law,
     bob_error_vs_loss,
     outcome_law,
+    source_law,
 )
 from .streams import LANE_PULSE, LANE_SESSION, derive_stream, pulse_block
 
@@ -225,13 +224,20 @@ _ALICE_BIT, _ALICE_BASIS, _BOB_BASIS, _BOB_BIT, _EVE_BASIS, _EVE_BIT = np.indice
 _SIFTED = _ALICE_BASIS == _BOB_BASIS
 
 
-def _sign_thresholds(laws: np.ndarray) -> np.ndarray:
-    """53-bit thresholds of normal laws (mean, sigma) on the last axis: the
-    outcome mean + sigma Phi^-1(((w >> 11) + 0.5) 2^-53) of a raw word w is
-    >= 0 exactly when w >> 11 >= threshold."""
-    mean, sigma = laws[..., 0], laws[..., 1]
+def _cell_laws(law: tuple, t: float, noise_variance: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Normal laws (mean, variance) [bit, basis, measured basis] of Alice's
+    pulses thinned to transmission t (``_thinned_law``), read noise added."""
+    magnitude, launch, other = _thinned_law(law, t, noise_variance)
+    match = np.eye(2, dtype=bool)[None].repeat(2, 0)  # the measured basis is the launch basis
+    return np.where(match, magnitude, 0.0) * [[[-1.0]], [[1.0]]], np.where(match, launch, other)
+
+
+def _sign_thresholds(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """53-bit thresholds of normal laws: the outcome mean + sqrt(variance)
+    Phi^-1(((w >> 11) + 0.5) 2^-53) of a raw word w is >= 0 exactly when
+    w >> 11 >= threshold."""
     # the lowest `opposed` uniforms read 0 when mean >= 0, else the top ones read 1
-    opposed = _flip_probabilities(mean, sigma * sigma) * 2.0**53
+    opposed = _flip_probabilities(mean, variance) * 2.0**53
     thresholds = np.where(mean >= 0.0, np.ceil(opposed - 0.5), 2.0**53 - np.floor(opposed + 0.5))
     return thresholds.astype(np.uint64)
 
@@ -309,23 +315,24 @@ def _moment_table(config: SessionConfig) -> MomentTable:
     # Bob's pulse passes the tap, the channel and his detector's efficiency; the
     # superior channel's lossless substitute bypasses the loss with half the pulse
     bob_t = (0.5 if superior else (1.0 - config.channel_loss) * (1.0 - tap)) * detector.quantum_efficiency
-    bob = _thinned_laws(config.source, bob_t, detector.difference_noise_variance)
+    law = source_law(config.source)
+    bob = _sign_thresholds(*_cell_laws(law, bob_t, detector.difference_noise_variance))
     # Eve holds the whole pulse, her tap, or half of it, through ideal detectors
     eve_t = {AttackKind.INTERCEPT_RESEND: 1.0, AttackKind.BEAMSPLITTER_TAP: tap}.get(kind, 0.5)
-    eve = None if kind is AttackKind.NONE else _thinned_laws(config.source, eve_t)
+    eve = None if kind is AttackKind.NONE else _cell_laws(law, eve_t)
     nibble = np.arange(16, dtype=np.uint8)  # Alice's bit and basis, Eve's basis, Bob's basis
     head = (nibble & 12) << 2 | (nibble & 1) << 3  # Alice's bits to bits 5 and 4, Bob's basis to 3
     # superior-channel Eve measures her stored half in Alice's basis, once the bases are revealed
     eve_seen, draws = _SIFTED if superior else np.full(64, eve is not None), ()
     if kind is AttackKind.DUAL_BASIS:
-        cumulative = np.clip(np.cumsum(_dual_basis_law(eve)[..., :3], -1), 0.0, 1.0)
+        arms = np.stack((eve[0], np.sqrt(eve[1])), -1)  # (mean, sigma) of each arm
+        cumulative = np.clip(np.cumsum(_dual_basis_law(arms)[..., :3], -1), 0.0, 1.0)
         eve = np.rint(cumulative * 2.0**53).astype(np.uint64)
         draws = ((2, 0, eve[_ALICE_BIT, _ALICE_BASIS].T),)
     elif eve is not None:
-        eve = _sign_thresholds(eve)
+        eve = _sign_thresholds(*eve)
         head |= nibble >> 1 & 2 if superior else nibble & 2  # Eve's basis to bit 1
         draws = ((2, 0, eve[_ALICE_BIT, _ALICE_BASIS, _EVE_BASIS][None]),)
-    bob = _sign_thresholds(bob)
     # Bob measures the pulse Alice launched, or the one Eve re-prepares
     resent = kind in (AttackKind.INTERCEPT_RESEND, AttackKind.DUAL_BASIS)
     sent = (_EVE_BIT, _EVE_BASIS) if resent else (_ALICE_BIT, _ALICE_BASIS)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import macroqkd
 from macroqkd import gaussian, photostats
+from macroqkd.cli import build_parser, cmd_fig1
 from macroqkd.gaussian import (
     SourceParams,
     alice_source,
@@ -451,3 +452,89 @@ def test_thinned_moments_match_apply_loss(gain, n_total, sigmas, bit, prepared, 
         var = t * t * (v_match if match else v_mis) + t * (1.0 - t) * n_total_photons
         assert mean == pytest.approx(want.mean, rel=1e-12, abs=floor)
         assert var == pytest.approx(want.variance, rel=1e-12, abs=floor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gain=st.floats(1.5, 30.0),
+    n_total=st.floats(1e4, 1e7),
+    sigmas=st.floats(0.5, 8.0),
+    loss=st.floats(0.0, 1.0, exclude_max=True),
+    qe=st.floats(0.05, 1.0),
+    nen=st.floats(0.0, 1000.0),
+)
+@example(gain=10.0, n_total=2e6, sigmas=2460.0 / math.sqrt(2e5), loss=0.4, qe=1.0, nen=250.0)
+@example(gain=10.0, n_total=2e6, sigmas=5.5, loss=0.0, qe=1.0, nen=0.0)
+@example(gain=10.0, n_total=2e6, sigmas=5.5, loss=1.0 - 1e-12, qe=0.8, nen=0.0)
+def test_fig1_densities_match_state_path(tmp_path_factory, gain, n_total, sigmas, loss, qe, nen):
+    # fig1 reads the thinned source law; the state path builds the lossy
+    # pulse, and distribution_curve applies the detector. The tolerance is
+    # derived from test_thinned_moments_match_apply_loss: each of the state
+    # path's two losses (the channel's, then qe's) moves the mean and the
+    # variance by at most 1e-12 relative, with a floor of 1e-12 (t <N> + 1),
+    # so the laws differ by dm and dv at most twice that. At z standard
+    # deviations from the mean, these move ln(density) by at most
+    # |z| dm / sigma + (z^2 + 1) dv / (2 sigma^2), and evaluating exp(-z^2 / 2)
+    # on each path rounds its exponent by under 1e-15 (z^2 + 1). Densities
+    # below the smallest normal double may differ by that much outright.
+    # Near total loss the floor dominates (the state path's variance is the
+    # difference of vacuum-sized terms); on 300 drawn designs away from it, no
+    # normal density changed by more than 3.7e-11 relative.
+    params = _design(gain, n_total, sigmas)
+    detector = DetectorModel(noise_equivalent_number=nen, quantum_efficiency=qe)
+    out = tmp_path_factory.mktemp("fig1") / "fig1.csv"
+    flags = ["--gain", repr(gain), "--n-total", repr(n_total), "--bit-amplitude", repr(params.bit_amplitude_N)]
+    args = build_parser().parse_args(["fig1", *flags, "--detector-nen", repr(nen), "--loss", repr(loss), "--out", str(out)])
+    args.quantum_efficiency = qe  # fig1 has no flag for it; the config reads the namespace
+    assert cmd_fig1(args) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    grid = table[:, 0]
+    floor = 2e-12 * ((1.0 - loss) * params.n_total_amp + 1.0)
+    for column, (bit, basis) in enumerate(((1, Basis.VH), (0, Basis.VH), (1, Basis.DIAG)), start=1):
+        pulse = apply_loss(alice_source(params, bit, Basis.VH), loss)
+        mean, sigma = outcome_law(pulse, basis, detector)
+        dm = max(2e-12 * abs(mean), floor)
+        dv = max(2e-12 * (sigma * sigma - detector.difference_noise_variance), floor)
+        z = (grid - mean) / sigma
+        log_change = np.abs(z) * dm / sigma + (z * z + 1.0) * dv / (2.0 * sigma * sigma) + 1e-15 * (z * z + 1.0)
+        want = distribution_curve(pulse, basis, detector, grid)
+        assert np.all(np.abs(table[:, column] - want) <= np.expm1(log_change) * want + np.finfo(float).tiny), column
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gain=st.floats(1.5, 30.0),
+    n_total=st.floats(1e4, 1e7),
+    sigmas=st.floats(0.5, 8.0),
+    bit=st.sampled_from((0, 1)),
+    prepared=st.sampled_from(list(Basis)),
+    f=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(gain=10.0, n_total=2e6, sigmas=5.5, bit=1, prepared=Basis.VH, f=0.5)
+@example(gain=10.0, n_total=2e6, sigmas=5.5, bit=0, prepared=Basis.DIAG, f=1e-9)
+def test_tap_cross_covariance_is_the_thinned_law(gain, n_total, sigmas, bit, prepared, f):
+    # A tap thins Alice's pulse to 1 - f for Bob and f for Eve. In the
+    # launch basis their difference numbers covary by f (1 - f) (V_match -
+    # N_T); in mixed bases not at all (the symmetry in
+    # protocol._dual_basis_law). The mixed zero is a rounding residue of
+    # sums of anti-squeezed terms, so it is bounded relative to V_mis: 1e-16
+    # V_mis, twice the largest residue seen on sources up to N_T = 1e7.
+    params = _design(gain, n_total, sigmas)
+    _, v_match, v_mis, n_total_photons = source_law(params)
+    joint = tap_split(alice_source(params, bit, prepared), f)
+    other = Basis.DIAG if prepared is Basis.VH else Basis.VH
+    same = joint_diff_moments(joint, prepared, prepared)[4]
+    assert same == pytest.approx(f * (1.0 - f) * (v_match - n_total_photons), rel=1e-12)
+    for basis_b, basis_e in ((prepared, other), (other, prepared)):
+        assert abs(joint_diff_moments(joint, basis_b, basis_e)[4]) <= 1e-16 * v_mis
+
+
+@pytest.mark.parametrize("f, cov", [(0.3, -3.78e5), (0.5, -4.5e5), (0.7, -3.78e5)])
+def test_tap_cross_covariance_at_the_design_point(f, cov):
+    for bit in (0, 1):
+        for prepared in Basis:
+            joint = tap_split(alice_source(DESIGN_POINT, bit, prepared), f)
+            other = Basis.DIAG if prepared is Basis.VH else Basis.VH
+            assert joint_diff_moments(joint, prepared, prepared)[4] == pytest.approx(cov, rel=1e-12)
+            assert abs(joint_diff_moments(joint, prepared, other)[4]) <= 1e-9
+            assert abs(joint_diff_moments(joint, other, prepared)[4]) <= 1e-9
