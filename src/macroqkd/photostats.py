@@ -135,7 +135,7 @@ def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
 def source_law(params: SourceParams) -> tuple[float, float, float, float]:
     """(N, V_match, V_mis, N_T): Alice's pulse has difference mean +-N and
     variance V_match = N_T / G in its basis, 0 and V_mis in the other, and
-    N_T photons. Every pulse measured is one of hers ``_thinned_law`` to t."""
+    N_T photons; ``_thinned_law`` gives every pulse measured from them."""
     pulse = alice_source(params, 1, Basis.VH)
     match, mismatch = diff_number_moments(pulse, Basis.VH), diff_number_moments(pulse, Basis.DIAG)
     n_total = _quadratic_moments(pulse.mean, pulse.cov, _F_TOTAL, _OMEGA4)[0] - 1.0
