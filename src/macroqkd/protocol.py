@@ -9,14 +9,13 @@ reads the same laws off the states it builds (``photostats.outcome_law``).
 Determinism contract: pulse i's draws are a pure function of (seed, lane,
 i) (see macroqkd.streams), so a session is reproducible bit-for-bit from
 (config, seed) and its per-pulse cell codes do not depend on how the pulses
-are chunked or in what order the chunks run. Pulse i's block of four raw
+are chunked or in what order the chunks run. Pulse i's block of three
 words on LANE_PULSE is laid out as
 
     word 0  bit 63 Alice's bit, bit 62 Alice's basis (0 = V/H,
             1 = +45/-45), bit 61 Eve's basis, bit 60 Bob's basis
     word 1  Bob's uniform
     word 2  Eve's uniform
-    word 3  unused
 
 where word w is the uniform u = ((w >> 11) + 0.5) 2^-53. Each outcome is
 the number of its cell's thresholds that w >> 11 reaches: one for a bit,
@@ -25,7 +24,8 @@ dual-basis Eve's (basis, bit). A pulse reduces to a 6-bit cell code: from
 bit 5 down, Alice's bit and basis, Bob's basis and bit, and Eve's basis
 and bit (0 without an attack). A session's counts are masked sums over
 one 64-bin histogram of the codes; the disclosed sample's errors are one
-hypergeometric draw on LANE_SESSION.
+hypergeometric draw (``_hypergeometric``) by inversion of the uniform of
+word 0 of pulse 0 on LANE_SESSION.
 
 ``alice_prepare``, ``bob_measure`` and the attack functions in
 macroqkd.attacks are the single-pulse reference for the same physics:
@@ -36,8 +36,10 @@ sampling from exactly the law the table holds for its state.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -53,13 +55,13 @@ from .photostats import (
     outcome_law,
     source_law,
 )
-from .streams import LANE_PULSE, LANE_SESSION, derive_stream, pulse_block
+from .streams import LANE_PULSE, LANE_SESSION, pulse_block
 
 VERDICT_CLEAN = "clean"
 VERDICT_DETECTED = "eavesdropper_detected"
 
-# Generator.hypergeometric, which draws the disclosed errors, takes counts
-# below 1e9 only; about half the pulses sift, so 1e9 pulses stay far below.
+# a session reads at most 3e9 words on LANE_PULSE, the window that the
+# stream-overlap bound in macroqkd.streams is stated for
 _MAX_PULSES = 10**9
 
 
@@ -352,6 +354,47 @@ def _pulse_cells(config: SessionConfig, table: MomentTable, lo: int, hi: int) ->
     return cells
 
 
+def _hypergeometric(good: int, bad: int, k: int, u: float) -> int:
+    """Hypergeometric(good, bad, k), the good items in a uniform k-subset of
+    good + bad, by inversion of a uniform u in [0, 1).
+
+    The pmf-ratio recurrence p(x + 1) / p(x) = (good - x)(k - x) /
+    ((x + 1)(bad - k + x + 1)) gives every weight relative to the mode
+    m = floor((k + 1)(good + 1) / (good + bad + 2)), out to each end of the
+    support or to where the rest of that tail, which falls off faster than
+    a geometric series (the law is log-concave), is below 2^-64 of the
+    mode's weight. Their sum S normalizes them. u S is then spent on m and
+    on its neighbours outward in order of weight, so each outcome takes an
+    interval of u of length p(x), exactly up to rounding.
+    """
+    lo, hi = max(0, k - bad), min(k, good)
+    mode = (k + 1) * (good + 1) // (good + bad + 2)
+    down, x, w = [], mode, 1.0  # p(mode - 1 - j) / p(mode)
+    while x > lo:
+        r = x * (bad - k + x) / ((good - x + 1) * (k - x + 1))  # p(x - 1) / p(x)
+        w *= r
+        x -= 1
+        down.append(w)
+        if w < 2.0**-64 * (1.0 - r):
+            break
+    up, x, w = [], mode, 1.0  # p(mode + 1 + j) / p(mode)
+    while x < hi:
+        r = (good - x) * (k - x) / ((x + 1) * (bad - k + x + 1))  # p(x + 1) / p(x)
+        w *= r
+        x += 1
+        up.append(w)
+        if w < 2.0**-64 * (1.0 - r):
+            break
+    t = u * math.fsum([1.0, *down, *up]) - 1.0  # the mode weighs 1
+    x = mode
+    for w, outcome in heapq.merge(zip(down, count(mode - 1, -1)), zip(up, count(mode + 1)), reverse=True):
+        if t < 0.0:
+            break
+        t -= w
+        x = outcome
+    return x
+
+
 def run_session(config: SessionConfig) -> RunReport:
     """Execute a full QKD session and summarize it from one cell histogram."""
     n = config.num_pulses
@@ -366,10 +409,9 @@ def run_session(config: SessionConfig) -> RunReport:
     if sampled_count > 0:
         # the disagreements in a uniform k-subset of the sifted key are
         # Hypergeometric(disagreements, agreements, k)
-        errors = derive_stream(config.seed, LANE_SESSION, 0).hypergeometric(
-            n_sifted - agree, agree, sampled_count
-        )
-        estimated = int(errors) / sampled_count
+        word = int(pulse_block(config.seed, LANE_SESSION, 0, 1)[0, 0])
+        errors = _hypergeometric(n_sifted - agree, agree, sampled_count, ((word >> 11) + 0.5) * 2.0**-53)
+        estimated = errors / sampled_count
         verdict = detect_eavesdropping(estimated, sampled_count, config)
     else:
         estimated, verdict = 0.0, VERDICT_CLEAN

@@ -514,8 +514,10 @@ def test_exit_code_validation(tmp_path):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # numpy.random loads with a session's first draw; the import, the oracle
-    # ladder and the figures draw nothing, so they need not load it
+    # nothing outside the single-pulse reference and the tests draws from
+    # numpy.random: sessions hash their counters with plain NumPy integer
+    # arithmetic, and the import, the oracle ladder and the figures draw
+    # nothing, so none of them loads it
     code = f"""
 import sys
 def loaded(name):
@@ -527,6 +529,14 @@ validate.run_ladder()
 print(loaded("numpy.random"))
 cli.main(["fig2", "--out", {str(tmp_path / "fig2.csv")!r}])
 print(loaded("numpy.random"))
+from macroqkd import AttackConfig, AttackKind, SourceParams
+from macroqkd.protocol import SessionConfig, run_session
+for kind in AttackKind:
+    tap = 0.4 if kind is AttackKind.BEAMSPLITTER_TAP else None
+    run_session(SessionConfig(SourceParams(10.0, 2e6, 2460.0), 0.3, attack=AttackConfig(kind, tap), num_pulses=3000))
+print(loaded("numpy.random"))
+cli.main(["run", "--pulses", "1000", "--out", {str(tmp_path / "run.json")!r}])
+print(loaded("numpy.random"))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -534,7 +544,8 @@ print(loaded("numpy.random"))
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[] []", "[]", "[]"]
+    assert proc.stdout.splitlines() == ["[] []", "[]", "[]", "[]", "[]"]
+    assert (tmp_path / "run.json").stat().st_size > 0
 
 
 def test_every_exported_name_resolves():

@@ -44,6 +44,7 @@ from macroqkd.photostats import (
 from macroqkd.protocol import (
     SessionConfig,
     _dual_basis_law,
+    _hypergeometric,
     _moment_table,
     _pulse_cells,
     alice_prepare,
@@ -55,7 +56,6 @@ from macroqkd.streams import (
     LANE_DEFERRED,
     LANE_PULSE,
     LANE_SESSION,
-    _BLOCK_KEY,
     _key,
     derive_stream,
     pulse_block,
@@ -117,20 +117,39 @@ def test_advanced_block_equals_slice_of_whole_range():
 
 
 def test_derived_stream_is_philox_keyed_by_seed_lane_index():
-    # derive_stream and pulse_block are Philox(key=...) under the documented
-    # (seed, lane, index) key layout, word for word
+    # derive_stream is Philox(key=...) under the documented (seed, lane,
+    # index) key layout, word for word
     for seed, lane, index in ((0, 0, 0), (31, LANE_PULSE, 7), (-5, LANE_SESSION, 2**48 - 1),
                               (2**64 + 9, LANE_DEFERRED, 12345)):
         np.testing.assert_array_equal(
             derive_stream(seed, lane, index).bit_generator.random_raw(12),
             np.random.Philox(key=_key(seed, lane, index)).random_raw(12),
         )
+
+
+def _splitmix_word(seed: int, lane: int, pulse: int, word: int) -> int:
+    """The streams docstring's word, in Python ints: SplitMix64's output
+    function of key(seed, lane) + (3 pulse + word + 1) gamma mod 2^64, with
+    key(seed, lane) = gamma (mix64(seed mod 2^64) + lane 2^61)."""
+    mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix64(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    key = gamma * (mix64(seed % 2**64) + lane * 2**61) % 2**64
+    return mix64((key + (3 * pulse + word + 1) * gamma) & mask)
+
+
+def test_pulse_block_is_the_documented_counter_hash():
     for seed, lane, lo, hi in ((0, LANE_PULSE, 0, 1), (31, LANE_PULSE, 3, 9),
-                               (-5, LANE_SESSION, 40, 41), (2**64 + 9, LANE_DEFERRED, 17, 50)):
-        words = np.random.Philox(key=_key(seed, lane, 0) | _BLOCK_KEY).random_raw(hi * BLOCK_WORDS)
-        np.testing.assert_array_equal(
-            pulse_block(seed, lane, lo, hi), words.reshape(hi, BLOCK_WORDS)[lo:]
-        )
+                               (-5, LANE_SESSION, 40, 41), (2**64 + 9, LANE_DEFERRED, 17, 50),
+                               (7, 7, 2**48 - 3, 2**48)):
+        expected = [[_splitmix_word(seed, lane, i, w) for w in range(BLOCK_WORDS)] for i in range(lo, hi)]
+        assert pulse_block(seed, lane, lo, hi).tolist() == expected
+    # seed 0's lane-0 stream is the SplitMix64 sequence seeded with 0
+    assert pulse_block(0, LANE_PULSE, 0, 1)[0, 0] == 0xE220A8397B1DCDAF
 
 
 def test_block_rejects_bad_range():
@@ -150,6 +169,32 @@ def test_block_bits_balanced_and_normals_standard():
         u = ((words[:, w] >> 11) + 0.5) * 2.0**-53
         assert abs(float(np.mean(u)) - 0.5) < 5 * math.sqrt(1 / 12 / pulses), w
         assert abs(float(np.mean(u < 0.1)) - 0.1) < 5 * math.sqrt(0.09 / pulses), w
+    # derandomized checks of the counter hash: the words are fixed, and each
+    # bound sits where a uniform stream exceeds it with probability 1e-6
+    from scipy.stats import chi2
+
+    def chi_square(counts):
+        expected = counts.sum() / len(counts)
+        return float(((counts - expected) ** 2).sum() / expected)
+
+    def uniforms(block):
+        return ((block >> 11) + 0.5) * 2.0**-53
+
+    nibbles = np.bincount((words[:, 0] >> 60).astype(np.intp), minlength=16)
+    assert chi_square(nibbles) < chi2.isf(1e-6, 15), nibbles
+    u = uniforms(words)
+    for w in range(BLOCK_WORDS):
+        deciles = np.bincount((u[:, w] * 10).astype(np.intp), minlength=10)
+        assert chi_square(deciles) < chi2.isf(1e-6, 9), (w, deciles)
+    # correlation of pairs of uniforms, each |r| sqrt(n) against a two-sided 1e-6 normal bound
+    pairs = {f"lag 1, word {w}": (u[:-1, w], u[1:, w]) for w in range(BLOCK_WORDS)}
+    pairs |= {f"words {a} and {b}": (u[:, a], u[:, b]) for a, b in ((0, 1), (0, 2), (1, 2))}
+    for name, seed, lane in (("seed", 2719, LANE_PULSE), ("lane", 2718, LANE_SESSION)):
+        other = uniforms(pulse_block(seed, lane, 0, pulses))
+        pairs |= {f"{name}, word {w}": (u[:, w], other[:, w]) for w in range(BLOCK_WORDS)}
+    bound = NormalDist().inv_cdf(1.0 - 0.5e-6)
+    for name, (a, b) in pairs.items():
+        assert abs(np.corrcoef(a, b)[0, 1]) * math.sqrt(len(a)) < bound, name
 
 
 # ---------------------------------------------------------------- chunking
@@ -552,18 +597,18 @@ def _histogram_grid(kind):
 
 # sha256 of the little-endian int64 64-bin cell histograms of _histogram_grid
 CELL_HISTOGRAM_SHA256 = {
-    AttackKind.NONE: "53c5df58e9622b11642f7cac1bba983ed2535ff24515f6e5a65c8dc14f60b97d",
-    AttackKind.INTERCEPT_RESEND: "c4b20fb5165c7567b83d7b6651e004e22c6396e082cc9944f98688f24386cc93",
-    AttackKind.BEAMSPLITTER_TAP: "cb3dbf2092c6907d3b8e107bce972ba6e63726cebe204f39bf4d83331e9c2c61",
-    AttackKind.DUAL_BASIS: "914cef6534839ce880c9d01a0d692ccfb0049887b9ee6e7a38cfdd1624b594d3",
-    AttackKind.SUPERIOR_CHANNEL: "228b940710774cd44994488a225c4ff0b7b1b214815881b9af7eef8172a6151e",
+    AttackKind.NONE: "a464396c6c473a549bcf315d4eb85cb9a3f214073f3c420308090c20dd124b7e",
+    AttackKind.INTERCEPT_RESEND: "d6f17376f50898d131dbf4eb665ac0c1c37f95a4299b5de105c145c894112329",
+    AttackKind.BEAMSPLITTER_TAP: "d5d651c1defa42bf18c94d2a7d62051b78962afb27c009a522d61ad8f5aa05c4",
+    AttackKind.DUAL_BASIS: "7fda2910768355c5d055c566d4df798f37bdaac88dc17fce00d0664e40d66b09",
+    AttackKind.SUPERIOR_CHANNEL: "9e6b2097dab6797224c39def9bcb1b0208cdee1c0169c6eae264ac307ec7fef4",
 }
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
 def test_cell_histograms_reproduce_their_digests(kind):
     """The cell histograms of the replay grid are frozen: they read only the
-    Philox raw words and the table's thresholds, so a change to either
+    pulse words and the table's thresholds, so a change to either
     shows here, while a threshold moving by a few units of 2^-53 does not."""
     digest = hashlib.sha256()
     for config in _histogram_grid(kind):
@@ -715,6 +760,43 @@ def test_dual_basis_law_matches_monte_carlo(make_arms):
 # ------------------------------------------------------------- disclosure
 
 
+def _grid_counts(good: int, bad: int, k: int, points: int) -> np.ndarray:
+    """How many of the uniforms (j + 0.5) / points, j < points, the sampler
+    sends to each outcome 0..k."""
+    counts = np.zeros(k + 1, dtype=np.int64)
+    for j in range(points):
+        counts[_hypergeometric(good, bad, k, (j + 0.5) / points)] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "good, bad, k",
+    [(0, 0, 0), (5, 7, 0), (5, 7, 12), (0, 9, 4), (9, 0, 4), (1, 1, 1), (5, 7, 4), (3, 900, 800),
+     (40, 2000, 300), (700, 300, 999), (2, 1, 2)],
+)
+def test_hypergeometric_sampler_inverts_the_exact_law(good, bad, k):
+    """Each outcome x takes an interval of u of length p(x), so a grid of G
+    uniforms sends G p(x) +- 1 of them to x, and none off the support; k = 0,
+    k = good + bad, good = 0 and bad = 0 included."""
+    points = 10_000
+    counts = _grid_counts(good, bad, k, points)
+    total = math.comb(good + bad, k)
+    exact = np.array([math.comb(good, x) * math.comb(bad, k - x) / total for x in range(k + 1)])
+    assert counts.sum() == points
+    assert np.all(counts[exact == 0.0] == 0), counts
+    assert np.all(np.abs(counts - points * exact) <= 1.0), (counts, points * exact)
+
+
+@pytest.mark.parametrize("good, bad, k, points", [(3_000, 97_000, 3_000, 4_000), (60_000, 40_000, 500, 4_000)])
+def test_hypergeometric_sampler_matches_scipy_at_scale(good, bad, k, points):
+    from scipy.stats import hypergeom
+
+    counts = _grid_counts(good, bad, k, points)
+    exact = hypergeom(good + bad, good, k).pmf(np.arange(k + 1))
+    assert counts.sum() == points
+    assert np.all(np.abs(counts - points * exact) <= 1.0)
+
+
 @pytest.mark.parametrize("kind", list(AttackKind))
 def test_session_discloses_hypergeometric_errors_of_its_counts(kind):
     config = make_config(kind, num_pulses=5000)
@@ -723,7 +805,8 @@ def test_session_discloses_hypergeometric_errors_of_its_counts(kind):
     n_sifted = int(np.count_nonzero(kept))
     agree = int(np.count_nonzero(kept & (cols["alice_bit"] == cols["bob_bit"])))
     k = round(config.sample_fraction * n_sifted)
-    errors = derive_stream(config.seed, LANE_SESSION, 0).hypergeometric(n_sifted - agree, agree, k)
+    word = int(pulse_block(config.seed, LANE_SESSION, 0, 1)[0, 0])  # the documented uniform
+    errors = _hypergeometric(n_sifted - agree, agree, k, ((word >> 11) + 0.5) * 2.0**-53)
     report = run_session(config)
     assert (report.sifted_count, report.sampled_count) == (n_sifted, k)
     assert report.bob_bit_accuracy == agree / n_sifted

@@ -287,7 +287,7 @@ def test_session_config_validation_lists_problems():
 
 
 def test_pulse_bound_is_one_billion():
-    # Generator.hypergeometric takes counts below 1e9 only
+    # the stream-overlap bound of macroqkd.streams is stated for at most 3e9 words a lane
     assert session_violations(0.0, 10**9, 0.1, 5.0, 0) == []
     (problem,) = session_violations(0.0, 10**9 + 1, 0.1, 5.0, 0)
     assert "num_pulses" in problem
