@@ -797,6 +797,25 @@ def test_hypergeometric_sampler_matches_scipy_at_scale(good, bad, k, points):
     assert np.all(np.abs(counts - points * exact) <= 1.0)
 
 
+@pytest.mark.parametrize(
+    "good, bad, k, p_mode",
+    [
+        (2_500, 7_500, 1_000, math.comb(2_500, 250) * math.comb(7_500, 750) / math.comb(10_000, 1_000)),
+        (10**6, 4 * 10**8, 5 * 10**7, 0.0012090883420707274793),  # mpmath loggamma at x = 124688, 50 digits
+    ],
+)
+def test_hypergeometric_mode_takes_its_probability(good, bad, k, p_mode):
+    """The mode is spent first, so exactly the uniforms below p(mode) return
+    it; bisection finds that edge to 2^-53 and checks the normalization at
+    the scale of a 10^9-pulse session's disclosure, which no u-grid resolves."""
+    mode = (k + 1) * (good + 1) // (good + bad + 2)
+    below, above = 0.0, 1.0
+    while above - below > 2.0**-53:
+        middle = (below + above) / 2.0
+        below, above = (middle, above) if _hypergeometric(good, bad, k, middle) == mode else (below, middle)
+    assert abs(below / p_mode - 1.0) < 1e-13, below
+
+
 @pytest.mark.parametrize("kind", list(AttackKind))
 def test_session_discloses_hypergeometric_errors_of_its_counts(kind):
     config = make_config(kind, num_pulses=5000)
