@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--format", choices=("csv", "report"), default="report")
     pr.set_defaults(func=cmd_run)
 
-    pv = sub.add_parser("validate", help="Gaussian engine vs exact Fock oracle")
+    pv = sub.add_parser("validate", help="closed-form pulse law vs exact Fock oracle")
     pv.add_argument("--tol", type=float, default=validate_mod.DEFAULT_TOLERANCE, help="relative tolerance")
     pv.add_argument("--out", default=None, help="output path for the CSV table")
     pv.set_defaults(func=cmd_validate)

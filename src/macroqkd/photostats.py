@@ -12,11 +12,11 @@ quadratic observables follow from the Gaussian moment formulas
 where F is the observable's quadratic form, Sigma the covariance matrix,
 m the mean vector and Omega the symplectic form. The commutator term
 (1/2) tr(F Omega F Omega) makes var(n) vanish for the vacuum. These
-closed forms are validated against the exact Fock-space oracle before use
-(see macroqkd.validate).
+closed forms are held to the exact Fock-space oracle by the tests.
 
 Every pulse a session or a figure measures is Alice's thinned to some
-transmission t, so its law is ``_thinned_law`` of ``source_law``'s scalars.
+transmission t, so its law is ``_thinned_law`` of ``source_law``'s
+closed-form scalars, which ``macroqkd.validate`` certifies.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .gaussian import (
     Basis,
     GaussianState,
     SourceParams,
-    alice_source,
     apply_loss,
     is_number,
     rotation_symplectic,
+    solve_gain_squeeze,
     symplectic_form,
 )
 
@@ -97,7 +97,6 @@ def detected_state(state: GaussianState, detector: DetectorModel) -> GaussianSta
 _F_VH = 0.5 * np.diag([1.0, 1.0, -1.0, -1.0])
 _S_DIAG = rotation_symplectic(math.pi / 4)
 _F_DIAG = _S_DIAG.T @ _F_VH @ _S_DIAG
-_F_TOTAL = 0.5 * np.eye(4)  # form of n_V + n_H + 1 (1/2 vacuum offset per mode)
 _OMEGA4 = symplectic_form(2)
 _OMEGA8 = symplectic_form(4)
 
@@ -132,14 +131,23 @@ def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
     return DiffMoments(mu, var)
 
 
+def _pulse_law(n_s, n, r):
+    """(N, V_match, V_mis, N_T) of the seed of n_s photons and difference N
+    squeezed by r. V_match = n_s (squeezing conserves n_V - n_H); V_mis =
+    ((2 n_s + 1) cosh 4r + 2 b sinh 4r - 1) / 2 is summed in terms below it,
+    so it reads inf only past the float range."""
+    b = math.sqrt(n_s - n) * math.sqrt(n_s + n)
+    h, s, a = math.cosh(2.0 * r), math.sinh(2.0 * r), n_s + 0.5
+    return n, n_s, a * h * h + a * s * s + 2.0 * b * h * s - 0.5, (n_s + 1.0) * h + b * s - 1.0
+
+
 def source_law(params: SourceParams) -> tuple[float, float, float, float]:
     """(N, V_match, V_mis, N_T): Alice's pulse has difference mean +-N and
     variance V_match = N_T / G in its basis, 0 and V_mis in the other, and
-    N_T photons; ``_thinned_law`` gives every pulse measured from them."""
-    pulse = alice_source(params, 1, Basis.VH)
-    match, mismatch = diff_number_moments(pulse, Basis.VH), diff_number_moments(pulse, Basis.DIAG)
-    n_total = _quadratic_moments(pulse.mean, pulse.cov, _F_TOTAL, _OMEGA4)[0] - 1.0
-    return match.mean, match.variance, mismatch.variance, n_total
+    N_T = n_total_amp photons, the gain equation's target; ``_thinned_law``
+    gives every pulse measured from them."""
+    n, v_match, v_mis, _ = _pulse_law(params.n_total_seed, params.bit_amplitude_N, solve_gain_squeeze(params))
+    return n, v_match, v_mis, params.n_total_amp
 
 
 def _thinned_law(law, t, noise_variance=0.0):

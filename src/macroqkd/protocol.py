@@ -217,9 +217,9 @@ class MomentTable:
     eve_seen: np.ndarray
 
 
-# pulses drawn per array pass; results do not depend on it. 2^13 pulses are
-# 256 KiB of raw words, about one L2 cache, and keep a pass's arrays far
-# below glibc's heap-trim threshold; 2^14 ran no faster and peaked 0.4 MiB higher
+# pulses drawn per array pass; results do not depend on it. 2^13 pulses are 192 KiB
+# of raw words (3 x 8 B each), about one L2 cache, and keep a pass's arrays far below
+# glibc's heap-trim threshold; 2^14 ran no faster and peaked 0.4 MiB higher
 _CHUNK = 1 << 13
 # the fields of all 64 cell codes
 _ALICE_BIT, _ALICE_BASIS, _BOB_BASIS, _BOB_BIT, _EVE_BASIS, _EVE_BIT = np.indices((2,) * 6).reshape(6, 64)

@@ -1,11 +1,13 @@
-"""Oracle gate: compare Gaussian-engine moments against the exact Fock oracle.
+"""Oracle gate: compare the closed-form pulse law against the exact Fock oracle.
 
 The ladder sweeps squeeze strength, seed amplitudes, loss and both
 measurement bases at photon numbers small enough for the exact oracle,
-and checks that the engine's difference-number mean and variance agree to
-a relative tolerance. Agreement here certifies the moment formulas at any
-scale: they are polynomial identities in the mean vector and covariance
-matrix, so correctness does not depend on the photon number.
+and checks that the difference-number mean and variance that sessions and
+figures read (``photostats._thinned_law`` of ``photostats._pulse_law``)
+agree to a relative tolerance. Agreement here certifies that law at any
+scale: it is an identity in the seed's photon numbers and r, so
+correctness does not depend on the photon number. The Gaussian engine is
+held to the same oracle rows by the tests.
 
 The oracle side of a V/H row is ``fock.exact_loss_distribution`` of the
 two-mode Fock state, and of a DIAG row ``fock.product_loss_distribution``
@@ -19,13 +21,8 @@ import math
 from dataclasses import astuple, dataclass, fields
 
 from . import fock
-from .gaussian import (
-    PUMP_PHASE,
-    apply_loss,
-    apply_two_mode_squeeze,
-    make_coherent_seed,
-)
-from .photostats import Basis, diff_number_moments
+from .gaussian import PUMP_PHASE
+from .photostats import Basis, _pulse_law, _thinned_law
 
 LADDER_R = (0.2, 0.5, 0.8)
 LADDER_ALPHA_SQ = (1.0, 2.0, 4.0)
@@ -63,44 +60,32 @@ def _point_rows(
     tolerance: float,
 ) -> list[ComparisonRow]:
     """Rows of one ladder point for each loss in ``etas`` and, within it,
-    each basis in ``bases``. The point's Gaussian state, V/H Fock state and
-    +45/-45 number marginals are built once, and each lossy engine state
-    serves every basis."""
+    each basis in ``bases``. The point's V/H Fock state and +45/-45 number
+    marginals are built once; the engine column is the closed-form law of
+    its seed squeezed by r, thinned to 1 - eta (mean 0 in the DIAG basis)."""
     alpha_v = math.sqrt(alpha_v_sq)
     alpha_h = 1j * math.sqrt(alpha_h_sq)
     vh = fock.build_state_exact(alpha_v, alpha_h, r, PUMP_PHASE)
     diag, diag_deficit = fock.diag_number_marginals(alpha_v, alpha_h, r, PUMP_PHASE)
-    state = apply_two_mode_squeeze(make_coherent_seed(alpha_v, alpha_h), r, PUMP_PHASE)
+    # _pulse_law is looked up through this module's name at every point, so
+    # a fault injected there reaches every row
+    law = _pulse_law(alpha_v_sq + alpha_h_sq, alpha_v_sq - alpha_h_sq, r)
     rows = []
     for eta in etas:
-        lossy = apply_loss(state, eta)
+        mean, var_vh, var_diag = _thinned_law(law, 1.0 - eta)
         for basis in bases:
-            # engine moments are read through this module's name at every call, so a
-            # fault injected there reaches every row
-            mom = diff_number_moments(lossy, basis)
             if basis is Basis.VH:
+                engine = mean, var_vh
                 deficit, probs = vh.norm_deficit, fock.exact_loss_distribution(vh, eta, basis)
             else:
+                engine = 0.0, var_diag
                 deficit, probs = diag_deficit, fock.product_loss_distribution(diag, eta)
-            oracle_mean, oracle_var = fock.difference_moments(probs)
-            for quantity, engine_value, oracle_value in (
-                ("mean", mom.mean, oracle_mean),
-                ("variance", mom.variance, oracle_var),
-            ):
+            for quantity, engine_value, oracle_value in zip(("mean", "variance"), engine, fock.difference_moments(probs)):
                 rel = abs(engine_value - oracle_value) / max(abs(oracle_value), MEAN_FLOOR)
                 rows.append(
                     ComparisonRow(
-                        r=r,
-                        alpha_v_sq=alpha_v_sq,
-                        alpha_h_sq=alpha_h_sq,
-                        eta=eta,
-                        basis=basis.value,
-                        quantity=quantity,
-                        engine_value=engine_value,
-                        oracle_value=oracle_value,
-                        relative_error=rel,
-                        truncation_deficit=deficit,
-                        passed=rel <= tolerance,
+                        r, alpha_v_sq, alpha_h_sq, eta, basis.value, quantity,
+                        engine_value, oracle_value, rel, deficit, rel <= tolerance,
                     )
                 )
     return rows

@@ -1,10 +1,12 @@
 """Shared test plumbing: single-threaded BLAS, a deterministic Hypothesis
-profile, the decoding of session cell codes, and the acceptance suite's
-per-criterion lines, which this hook prints after the run, capture or
-not."""
+profile, the decoding of session cell codes, a count of the Gaussian states
+a test builds, and the acceptance suite's per-criterion lines, which this
+hook prints after the run, capture or not."""
 
 import os
 from pathlib import Path
+
+import pytest
 
 # The suite's BLAS calls are small (the oracle's block products, the
 # few-mode symplectic algebra) and gain nothing from threads, which only
@@ -20,6 +22,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 from hypothesis import settings  # noqa: E402
 
+from macroqkd import gaussian  # noqa: E402
+
 # Same examples on every run, with no reliance on a local example database.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -31,6 +35,20 @@ CELL_FIELDS = ("alice_bit", "alice_basis", "bob_basis", "bob_bit", "eve_basis", 
 def cell_columns(cells):
     """Per-pulse uint8 columns, one per field, of an array of cell codes."""
     return {name: cells >> (5 - k) & 1 for k, name in enumerate(CELL_FIELDS)}
+
+
+@pytest.fixture
+def built_states(monkeypatch):
+    """A list that every GaussianState built from here on is appended to."""
+    built = []
+    post_init = gaussian.GaussianState.__post_init__
+
+    def counting_post_init(state):
+        built.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting_post_init)
+    return built
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -67,7 +67,7 @@ def test_criterion_2_oracle_gate():
     ok = validate.ladder_passed(rows) and elapsed < 60.0
     record_criterion(
         2,
-        "engine vs Fock oracle to 1e-6 relative across the full ladder",
+        "closed-form law vs Fock oracle to 1e-6 relative across the full ladder",
         ok,
         f"{len(rows)} comparisons, worst rel err {worst.relative_error:.2e}, {elapsed:.1f}s",
     )

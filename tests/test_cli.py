@@ -107,25 +107,40 @@ def test_stdout_gets_the_bytes_written_to_a_file(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == path.read_bytes()
 
 
-def test_fig2_fig3_build_few_states_whatever_the_grid(tmp_path, monkeypatch):
-    # the curves are thinned from one lossless pulse, not built per point
-    built = []
-    post_init = gaussian.GaussianState.__post_init__
-
-    def counting_post_init(state):
-        built.append(state)
-        post_init(state)
-
-    monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting_post_init)
+def test_fig2_fig3_build_few_states_whatever_the_grid(tmp_path, built_states):
+    # the curves are thinned from the closed-form source law: no point, and
+    # not the lossless pulse either, builds a state
     out = str(tmp_path / "curve.csv")
     for argv, grid in ((["fig2", "--detector-nen", "250"], "0:0.9:{}"), (["fig3"], "0:1:{}")):
         counts = []
         for steps in (3, 2501):
             gaussian._alice_source_cached.cache_clear()  # start from a cold source
-            built.clear()
+            built_states.clear()
             assert main([*argv, "--grid", grid.format(steps), "--out", out]) == 0
-            counts.append(len(built))
-        assert 1 <= counts[0] == counts[1] <= 8, (argv[0], counts)
+            counts.append(len(built_states))
+        assert counts == [0, 0], (argv[0], counts)
+
+
+def test_fig1_builds_no_state(tmp_path, built_states):
+    gaussian._alice_source_cached.cache_clear()
+    assert main(["fig1", "--loss", "0.3", "--detector-nen", "250", "--out", str(tmp_path / "fig1.csv")]) == 0
+    assert built_states == []
+
+
+def test_figures_at_high_gain(tmp_path):
+    # At G = 1e12 the seed holds n_s = 10 photons in an N_T = 1e13 pulse: a
+    # covariance route loses V_match = n_s to rounding (it read -0.49, and
+    # fig1 took a square root of it), while the closed form is exact. At
+    # eta = 0 Bob errs with probability 0.5 erfc(N / sqrt(2 n_s)).
+    flags = ["--gain", "1e12", "--n-total", "1e13", "--bit-amplitude", "0.5"]
+    assert main(["fig1", *flags, "--out", str(tmp_path / "fig1.csv")]) == 0
+    _, data = read_csv(tmp_path / "fig1.csv")
+    assert np.all(np.isfinite(data)) and data[:, 0].max() == pytest.approx(0.5 + 8.0 * math.sqrt(9.30245765686193e24))
+    assert main(["fig2", *flags, "--grid", "0:0.5:3", "--out", str(tmp_path / "fig2.csv")]) == 0
+    _, data = read_csv(tmp_path / "fig2.csv")
+    assert data[0, 0] == 0.0
+    assert data[0, 1] == pytest.approx(0.43718353058144593, rel=1e-12)
+    assert 0.5 * math.erfc(0.5 / math.sqrt(20.0)) == pytest.approx(0.43718353058144593, rel=1e-15)
 
 
 def test_reproduce_figures_matches_tracked_csvs(tmp_path, monkeypatch):

@@ -542,13 +542,14 @@ def test_matching_basis_cells_equal_the_closed_form_curves(kind, tap_fraction):
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
-def test_table_depends_only_on_bit_basis_match_and_transmission(kind, monkeypatch):
+def test_table_depends_only_on_bit_basis_match_and_transmission(kind, built_states):
     """Every pulse Bob or Eve measures is Alice's thinned to a transmission,
     so a sign cell is fixed by its bit, whether the measured basis is the
     launch basis, and that transmission: a mismatched cell has mean 0 and
     threshold 2^52 exactly, the two matching cells are equal, and Eve's
     cells are those of a no-attack session with an ideal detector behind a
-    channel that transmits her share. Only Alice's source is built."""
+    channel that transmits her share. The table builds no state: it reads
+    the closed-form source law (building Alice's pulse takes two)."""
     config = make_config(kind)
     table = _moment_table(config)
     sign_tables = [table.bob] if kind in (AttackKind.NONE, AttackKind.DUAL_BASIS) else [table.bob, table.eve]
@@ -561,21 +562,13 @@ def test_table_depends_only_on_bit_basis_match_and_transmission(kind, monkeypatc
         ideal = SessionConfig(source=config.source, channel_loss=1.0 - eve_share[kind], detector=NOISELESS)
         np.testing.assert_array_equal(table.eve, _moment_table(ideal).bob)
 
-    built = []
-    post_init = gaussian.GaussianState.__post_init__
-
-    def counting_post_init(state):
-        built.append(state)
-        post_init(state)
-
-    monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting_post_init)
     counts = []
     for build in (lambda: alice_source(config.source, 1, Basis.VH), lambda: _moment_table(config)):
         gaussian._alice_source_cached.cache_clear()  # start from a cold source
-        built.clear()
+        built_states.clear()
         build()
-        counts.append(len(built))
-    assert counts == [2, 2], counts
+        counts.append(len(built_states))
+    assert counts == [2, 0], counts
 
 
 def _histogram_grid(kind):
@@ -866,8 +859,10 @@ def test_session_faults_no_heap_pages_back_in(kind):
     a chunk frees is still mapped for the next one, and a repeated
     2**22-pulse session takes no minor page faults (0 for every kind).
     Past the threshold, glibc returns the heap top after each of its 512
-    chunks and the next one faults pages back in: one more copy of a
-    chunk's 256 KiB word block costs 96 faults a chunk, 49 152 a session."""
+    chunks and the next one faults pages back in: with three more copies
+    of a chunk's 192 KiB word block (3 words of 8 B for each of 2**13
+    pulses) held through the chunk, every kind took 160 faults a chunk,
+    81 920 a session; with two more it still took none."""
     import resource
 
     config = make_config(kind, num_pulses=1 << 22)

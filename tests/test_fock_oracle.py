@@ -1,7 +1,7 @@
 """Exact Fock oracle: self-consistency on known states, then the
-engine-vs-oracle agreement gate."""
+closed-form-law-vs-oracle agreement gate and the Gaussian engine held to the
+same oracle rows."""
 
-import dataclasses
 import math
 import re
 
@@ -25,8 +25,8 @@ from macroqkd.fock import (
     product_loss_distribution,
     rotate_exact,
 )
-from macroqkd.gaussian import PUMP_PHASE
-from macroqkd.photostats import Basis
+from macroqkd.gaussian import PUMP_PHASE, apply_loss, apply_two_mode_squeeze, make_coherent_seed
+from macroqkd.photostats import Basis, diff_number_moments
 from macroqkd import fock, validate
 
 # (alpha_V, alpha_H, r, theta) off the ladder's real/imaginary seeds and pi/2
@@ -484,14 +484,31 @@ def test_cold_ladder_builds_one_thinning_kernel():
     assert _thinning_kernel.cache_info().misses == 1
 
 
+def test_cold_ladder_builds_no_state(built_states):
+    assert validate.ladder_passed(validate.run_ladder())
+    assert built_states == []
+
+
+def test_gaussian_engine_agrees_with_the_oracle_on_the_ladder():
+    # the gate's engine column is the closed-form law; the Gaussian engine,
+    # the single-pulse reference's, is held to the same 216 oracle values
+    rows = validate.run_ladder()
+    assert len(rows) == 216
+    for row in rows:
+        seed = make_coherent_seed(math.sqrt(row.alpha_v_sq), 1j * math.sqrt(row.alpha_h_sq))
+        lossy = apply_loss(apply_two_mode_squeeze(seed, row.r, PUMP_PHASE), row.eta)
+        value = getattr(diff_number_moments(lossy, Basis(row.basis)), row.quantity)
+        assert abs(value - row.oracle_value) <= 1e-6 * max(abs(row.oracle_value), validate.MEAN_FLOOR), row
+
+
 def test_injected_variance_fault_is_caught(monkeypatch):
-    engine_moments = validate.diff_number_moments
+    pulse_law = validate._pulse_law
 
-    def broken_moments(state, basis):
-        mom = engine_moments(state, basis)
-        return dataclasses.replace(mom, variance=mom.variance * (1 + 1e-4))
+    def broken_law(n_s, n, r):
+        n, v_match, v_mis, n_total = pulse_law(n_s, n, r)
+        return n, v_match * (1 + 1e-4), v_mis * (1 + 1e-4), n_total
 
-    monkeypatch.setattr(validate, "diff_number_moments", broken_moments)
+    monkeypatch.setattr(validate, "_pulse_law", broken_law)
     rows = validate.run_ladder()
     assert not validate.ladder_passed(rows)
     bad = [r for r in rows if not r.passed]

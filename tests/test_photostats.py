@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import macroqkd
@@ -17,6 +17,7 @@ from macroqkd.gaussian import (
     apply_loss,
     apply_rotation,
     make_coherent_seed,
+    solve_gain_squeeze,
     tap_split,
 )
 from macroqkd.photostats import (
@@ -386,6 +387,70 @@ def _design(gain: float, n_total: float, sigmas: float) -> SourceParams:
     encoding-basis noise, the regime the paper designs for; the error rate
     then stays above the double-precision underflow range at every loss."""
     return SourceParams(gain, n_total, sigmas * math.sqrt(n_total / gain))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gain=st.floats(1.5, 1e3), n_total=st.floats(1e4, 1e7), sigmas=st.floats(0.5, 8.0))
+@example(gain=10.0, n_total=2e6, sigmas=5.5)
+@example(gain=1e3, n_total=1e4, sigmas=3.0)
+def test_source_law_matches_the_gaussian_engine(gain, n_total, sigmas):
+    # Both bits and both bases of Alice's pulse against the closed form,
+    # within 1e-12 relative, except where the engine is the inexact side:
+    # its launch-basis mean N and variance V_match are differences of
+    # covariance terms G times larger. On 4000 drawn sources of this grid
+    # they drifted up to 3.6e-11 and 1.3e-10, past 1e-12 from G = 4.2 and
+    # G = 107 on (the variance's drift grows as G^2), so those two are held
+    # to 1e-9. The other basis's mean is 0 in the closed form and a residue
+    # below 2e-16 N_T in the engine. N_T's formula meets the gain equation's
+    # target.
+    assume(sigmas * sigmas < n_total / gain)
+    params = _design(gain, n_total, sigmas)
+    n, v_match, v_mis, n_total_photons = source_law(params)
+    assert (n, v_match, n_total_photons) == (params.bit_amplitude_N, params.n_total_seed, params.n_total_amp)
+    r = solve_gain_squeeze(params)
+    assert photostats._pulse_law(params.n_total_seed, n, r)[3] == pytest.approx(n_total, rel=1e-12)
+    for bit in (0, 1):
+        for prepared in Basis:
+            pulse = alice_source(params, bit, prepared)
+            for basis in Basis:
+                got = diff_number_moments(pulse, basis)
+                if basis is prepared:
+                    assert got.mean == pytest.approx(n if bit == 1 else -n, rel=1e-9)
+                    assert got.variance == pytest.approx(v_match, rel=1e-9)
+                else:
+                    assert got.mean == pytest.approx(0.0, abs=1e-12 * n_total)
+                    assert got.variance == pytest.approx(v_mis, rel=1e-12)
+
+
+# V_mis of the source whose r solves the gain equation exactly, from mpmath at
+# 50 digits: e^(2r) is the larger root y of (a + b) y^2 - 2 c y + (a - b) = 0
+# (see solve_gain_squeeze), and cosh 4r, sinh 4r = (y^2 +- y^-2) / 2
+FROZEN_V_MIS = [
+    ((10.0, 2e6, 2460.0), 20000684.951076665700786428832184312117146131346765),
+    ((1.5, 1e4, 50.0), 14999.988716323959155672460149276137094799041362913),
+    ((1e12, 1e13, 0.5), 9302457656861911118687319.3787561433024474932961117),
+]
+
+
+@pytest.mark.parametrize("design, v_mis", FROZEN_V_MIS)
+def test_mismatched_variance_matches_frozen_mpmath_values(design, v_mis):
+    assert source_law(SourceParams(*design))[2] == pytest.approx(v_mis, rel=1e-14)
+
+
+def test_source_law_is_exact_at_high_gain():
+    # n_s = 10 photons amplified 1e12 times: the seed's scalars come back as
+    # given, where a covariance route read V_match = -0.49 and N = 0.49986
+    params = SourceParams(1e12, 1e13, 0.5)
+    assert source_law(params)[:2] == (0.5, 10.0)
+
+
+def test_source_law_saturates_past_the_float_range():
+    # V_mis grows as G^2 n_s: at G = 1e150 it still fits (the value is
+    # exact at solve_gain_squeeze's r), at G = 1e160 it reads inf, and
+    # neither raises; N, n_s and N_T stay exact
+    assert source_law(SourceParams(1e150, 1e151, 1.0))[2] == pytest.approx(9.318752858790282e300, rel=1e-15)
+    params = SourceParams(1e160, 1e161, 1.0)
+    assert source_law(params) == (1.0, params.n_total_seed, math.inf, 1e161)
 
 
 _CURVE_POINT = dict(gain=10.0, n_total=2e6, sigmas=5.5, eta=0.3, qe=1.0, nen=250.0, eve_eta=0.5)
