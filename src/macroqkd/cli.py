@@ -153,8 +153,9 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     mean, launch, other = _thinned_law(source_law(config.source), t, config.detector.difference_noise_variance)
     sigma_correct, sigma_wrong = math.sqrt(launch), math.sqrt(other)
     if grid is None:
-        span = mean + 8.0 * max(sigma_correct, sigma_wrong)
-        grid = np.linspace(-span, span, 2001)
+        # at half scale, which changes no rounding, so stop - start stays finite
+        span = 0.5 * mean + 4.0 * max(sigma_correct, sigma_wrong)
+        grid = 2.0 * np.linspace(-span, span, 2001)
     table = _csv(
         "n,pdf_correct_bit1,pdf_correct_bit0,pdf_incorrect",
         grid,
@@ -259,40 +260,23 @@ def config_from_dict(data: dict, more_problems: list[str] = ()) -> SessionConfig
     )
 
 
-def report_text(config: SessionConfig, report: RunReport, fmt: str) -> str:
-    payload = {
-        "config": config_to_dict(config),
-        "report": dataclasses.asdict(report),
-    }
-    if fmt == "report":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    lines = ["key,value"]
-
-    def flatten(prefix: str, obj: object) -> None:
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                flatten(f"{prefix}.{k}" if prefix else str(k), obj[k])
-        else:
-            val = f"{obj:.17g}" if isinstance(obj, float) else str(obj)
-            lines.append(f"{prefix},{val}")
-
-    flatten("", payload)
-    return "\n".join(lines) + "\n"
+def report_text(config: SessionConfig, report: RunReport) -> str:
+    """The replayable JSON report of one session: its config and its report."""
+    payload = {"config": config_to_dict(config), "report": dataclasses.asdict(report)}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a full session and write the replayable report."""
     config = config_from_dict(_config_dict(args))
     report = run_session(config)
-    _write_bytes(args.out, report_text(config, report, args.format).encode())
+    _write_bytes(args.out, report_text(config, report).encode())
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Run the Fock-oracle comparison ladder; non-zero exit on any failure."""
-    if not 0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be finite and > 0 (got {args.tol})")
-    rows = validate_mod.run_ladder(tolerance=args.tol)
+    rows = validate_mod.run_ladder()
     _write_bytes(args.out, validate_mod.rows_to_csv(rows).encode())
     if not validate_mod.ladder_passed(rows):
         failed = sum(1 for r in rows if not r.passed)
@@ -335,11 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sample-fraction", type=float, help="fraction of sifted bits disclosed")
     pr.add_argument("--detect-k", dest="detection_sigma_k", type=float, help="detection threshold in sigmas")
     pr.add_argument("--seed", type=int, help="session seed")
-    pr.add_argument("--format", choices=("csv", "report"), default="report")
     pr.set_defaults(func=cmd_run)
 
     pv = sub.add_parser("validate", help="closed-form pulse law vs exact Fock oracle")
-    pv.add_argument("--tol", type=float, default=validate_mod.DEFAULT_TOLERANCE, help="relative tolerance")
     pv.add_argument("--out", default=None, help="output path for the CSV table")
     pv.set_defaults(func=cmd_validate)
     return parser

@@ -279,13 +279,15 @@ def solve_gain_squeeze(params: SourceParams) -> float:
     the gain equation a cosh x + b sinh x = c for c = n_total_amp + 1 is
     the quadratic (a + b) y^2 - 2c y + (a - b) = 0 in y = e^x, where
     a^2 - b^2 = 2 n_s + 1 + N^2. Its larger root is written in ratios to c,
-    so no square overflows.
+    so no square overflows, and the sums that can pass the float range
+    (2 n_s, n_s + N, c + c root, a + b) are taken at a power-of-two scale,
+    which changes no rounding.
     """
     n_s, n = params.n_total_seed, params.bit_amplitude_N
     c = params.n_total_amp + 1.0
-    root = math.sqrt(1.0 - (2.0 * n_s + 1.0) / c / c - (n / c) ** 2)
-    a_plus_b = n_s + 1.0 + math.sqrt(n_s - n) * math.sqrt(n_s + n)
-    return 0.5 * math.log(c * (1.0 + root) / a_plus_b)
+    root = math.sqrt(1.0 - (n_s + 0.5) / c / c * 2.0 - (n / c) ** 2)
+    half_a_plus_b = 0.5 * n_s + 0.5 + 2.0 * math.sqrt(0.25 * n_s - 0.25 * n) * math.sqrt(0.25 * n_s + 0.25 * n)
+    return 0.5 * math.log(0.5 * c * (1.0 + root) / half_a_plus_b)
 
 
 @functools.lru_cache(maxsize=128)
@@ -314,6 +316,12 @@ def alice_source(params: SourceParams, bit: int, basis: Basis | str) -> Gaussian
     rotation that moves the signal onto the +45/-45 difference observable.
     Results are memoized: states are immutable. The cache serves the
     single-pulse reference and its tests, which rebuild a pulse per draw.
+
+    The covariance carries the gain, so V_match = n_s as read off it by
+    ``diff_number_moments`` loses digits as G grows: at n_s = 1e6, N = n_s/2
+    its relative error was 6.1e-11, 1.9e-9, 3.6e-7, 4.3e-5 and 0.25 at G =
+    1e3, 1e4, 1e5, 1e6 and 1e8; at (1e12, 1e13, 0.5) it reads -0.494, which
+    ``outcome_law`` refuses. ``source_law``, which sessions read, is exact.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1 (got {bit})")

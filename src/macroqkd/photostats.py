@@ -124,6 +124,9 @@ def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
     Memoized on (state identity, basis): states are immutable. The cache
     serves the single-pulse reference and its tests, which measure the same
     pulses per draw; the benchmark's ``CACHED`` list reads its hit ratio.
+
+    Of ``alice_source`` pulses (n_s = 1e6) the launch-basis variance's
+    relative error grows from 6.1e-11 at G = 1e3 to 0.25 at 1e8; see there.
     """
     if state.num_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.num_modes} modes")
@@ -135,10 +138,11 @@ def _pulse_law(n_s, n, r):
     """(N, V_match, V_mis, N_T) of the seed of n_s photons and difference N
     squeezed by r. V_match = n_s (squeezing conserves n_V - n_H); V_mis =
     ((2 n_s + 1) cosh 4r + 2 b sinh 4r - 1) / 2 is summed in terms below it,
-    so it reads inf only past the float range."""
-    b = math.sqrt(n_s - n) * math.sqrt(n_s + n)
+    with b = sqrt(n_s^2 - N^2) and 2 b h s taken at power-of-two scales
+    that change no rounding, so it reads inf only past the float range."""
+    b = 4.0 * math.sqrt(0.25 * n_s - 0.25 * n) * math.sqrt(0.25 * n_s + 0.25 * n)
     h, s, a = math.cosh(2.0 * r), math.sinh(2.0 * r), n_s + 0.5
-    return n, n_s, a * h * h + a * s * s + 2.0 * b * h * s - 0.5, (n_s + 1.0) * h + b * s - 1.0
+    return n, n_s, a * h * h + a * s * s + b * h * s * 2.0 - 0.5, (n_s + 1.0) * h + b * s - 1.0
 
 
 def source_law(params: SourceParams) -> tuple[float, float, float, float]:
@@ -234,9 +238,10 @@ def _erfc(x: np.ndarray) -> np.ndarray:
 
 def _flip_probabilities(mean: np.ndarray, total_var: np.ndarray) -> np.ndarray:
     """0.5 erfc(|mean| / sqrt(2 total_var)) elementwise: exactly 0.5 at zero
-    mean and 0 at zero variance otherwise."""
+    mean and 0 at zero variance otherwise. z is taken at half scale, which
+    changes no rounding, so a variance past half the float range stays finite."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.abs(mean) / np.sqrt(2.0 * total_var)
+        z = 0.5 * np.abs(mean) / np.sqrt(0.5 * total_var)
     p = 0.5 * _erfc(z)
     p[total_var <= 0.0] = 0.0
     p[mean == 0.0] = 0.5
@@ -297,8 +302,10 @@ def eve_tap_probability(params: SourceParams, eta: float) -> float:
 
 
 def _normal_density(grid: np.ndarray, mean: float, sigma: float) -> np.ndarray:
-    """Normal(mean, sigma^2) probability density at each grid value."""
-    return np.exp(-0.5 * ((grid - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    """Normal(mean, sigma^2) probability density at each grid value; a
+    distance past the float range reads inf, and its density 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * ((grid - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
 
 
 def distribution_curve(

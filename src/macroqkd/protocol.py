@@ -43,7 +43,7 @@ from itertools import count
 
 import numpy as np
 
-from .attacks import AttackConfig, AttackKind
+from .attacks import AttackConfig, AttackKind, _draw_basis
 from .gaussian import GaussianState, SourceParams, alice_source, is_number
 from .photostats import (
     Basis,
@@ -129,7 +129,7 @@ def alice_prepare(
 ) -> tuple[int, Basis, GaussianState]:
     """Draw Alice's (bit, basis) for one pulse and build the encoded state."""
     bit = int(rng.integers(0, 2))
-    basis = Basis.VH if rng.integers(0, 2) == 0 else Basis.DIAG
+    basis = _draw_basis(rng)
     return bit, basis, alice_source(config.source, bit, basis)
 
 
@@ -138,7 +138,7 @@ def bob_measure(
 ) -> tuple[Basis, float]:
     """Bob's randomized-basis difference-number measurement of one pulse:
     his basis and raw outcome (his bit is ``decode_bit`` of it)."""
-    basis = Basis.VH if rng.integers(0, 2) == 0 else Basis.DIAG
+    basis = _draw_basis(rng)
     mean, sigma = outcome_law(state, basis, config.detector)
     return basis, mean + sigma * rng.standard_normal()
 

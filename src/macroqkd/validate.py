@@ -27,7 +27,7 @@ from .photostats import Basis, _pulse_law, _thinned_law
 LADDER_R = (0.2, 0.5, 0.8)
 LADDER_ALPHA_SQ = (1.0, 2.0, 4.0)
 LADDER_ETA = (0.0, 0.5)
-DEFAULT_TOLERANCE = 1e-6
+TOLERANCE = 1e-6
 # Relative errors are taken against max(|oracle|, MEAN_FLOOR) so that
 # identically-zero means compare by absolute size instead of blowing up.
 MEAN_FLOOR = 1e-6
@@ -57,7 +57,6 @@ def _point_rows(
     alpha_h_sq: float,
     etas: tuple[float, ...],
     bases: tuple[Basis, ...],
-    tolerance: float,
 ) -> list[ComparisonRow]:
     """Rows of one ladder point for each loss in ``etas`` and, within it,
     each basis in ``bases``. The point's V/H Fock state and +45/-45 number
@@ -85,7 +84,7 @@ def _point_rows(
                 rows.append(
                     ComparisonRow(
                         r, alpha_v_sq, alpha_h_sq, eta, basis.value, quantity,
-                        engine_value, oracle_value, rel, deficit, rel <= tolerance,
+                        engine_value, oracle_value, rel, deficit, rel <= TOLERANCE,
                     )
                 )
     return rows
@@ -97,20 +96,19 @@ def compare_point(
     alpha_h_sq: float,
     eta: float,
     basis: Basis,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[ComparisonRow]:
     """Engine-vs-oracle comparison at one ladder point."""
-    return _point_rows(r, alpha_v_sq, alpha_h_sq, (eta,), (Basis(basis),), tolerance)
+    return _point_rows(r, alpha_v_sq, alpha_h_sq, (eta,), (Basis(basis),))
 
 
-def run_ladder(tolerance: float = DEFAULT_TOLERANCE) -> list[ComparisonRow]:
+def run_ladder() -> list[ComparisonRow]:
     """Full validation ladder over r x seed amplitudes x loss x basis."""
     return [
         row
         for r in LADDER_R
         for av2 in LADDER_ALPHA_SQ
         for ah2 in LADDER_ALPHA_SQ
-        for row in _point_rows(r, av2, ah2, LADDER_ETA, (Basis.VH, Basis.DIAG), tolerance)
+        for row in _point_rows(r, av2, ah2, LADDER_ETA, (Basis.VH, Basis.DIAG))
     ]
 
 

@@ -1,7 +1,8 @@
 """Shared test plumbing: single-threaded BLAS, a deterministic Hypothesis
 profile, the decoding of session cell codes, a count of the Gaussian states
-a test builds, and the acceptance suite's per-criterion lines, which this
-hook prints after the run, capture or not."""
+a test builds, a fault the oracle gate must catch, and the acceptance
+suite's per-criterion lines, which this hook prints after the run, capture
+or not."""
 
 import os
 from pathlib import Path
@@ -22,7 +23,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 from hypothesis import settings  # noqa: E402
 
-from macroqkd import gaussian  # noqa: E402
+from macroqkd import gaussian, validate  # noqa: E402
 
 # Same examples on every run, with no reliance on a local example database.
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -49,6 +50,18 @@ def built_states(monkeypatch):
 
     monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting_post_init)
     return built
+
+
+@pytest.fixture
+def variance_fault(monkeypatch):
+    """The oracle gate's closed-form law with both variances off by 1e-4."""
+    pulse_law = validate._pulse_law
+
+    def broken_law(n_s, n, r):
+        n, v_match, v_mis, n_total = pulse_law(n_s, n, r)
+        return n, v_match * (1 + 1e-4), v_mis * (1 + 1e-4), n_total
+
+    monkeypatch.setattr(validate, "_pulse_law", broken_law)
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -61,7 +61,7 @@ def test_criterion_1_variance_conservation():
 
 def test_criterion_2_oracle_gate():
     t0 = time.time()
-    rows = validate.run_ladder(tolerance=1e-6)
+    rows = validate.run_ladder()
     elapsed = time.time() - t0
     worst = max(rows, key=lambda r: r.relative_error)
     ok = validate.ladder_passed(rows) and elapsed < 60.0

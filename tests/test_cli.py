@@ -1,5 +1,5 @@
-"""Command-line harness: subcommands, CSV/report formats, exit codes,
-byte-level determinism."""
+"""Command-line harness: subcommands, figure CSVs and the JSON run report,
+exit codes, byte-level determinism."""
 
 import importlib.util
 import json
@@ -239,7 +239,7 @@ def test_run_report_roundtrip(tmp_path):
     # parsing the echoed config reproduces the run exactly
     config = config_from_dict(payload["config"])
     report = run_session(config)
-    assert report_text(config, report, "report") == out.read_text()
+    assert report_text(config, report) == out.read_text()
 
 
 def test_run_byte_identical_reports(tmp_path):
@@ -247,16 +247,6 @@ def test_run_byte_identical_reports(tmp_path):
     main(run_args("--out", str(a)))
     main(run_args("--out", str(b)))
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_run_csv_format(tmp_path):
-    out = tmp_path / "report.csv"
-    assert main(run_args("--format", "csv", "--out", str(out))) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "key,value"
-    keys = {line.split(",")[0] for line in lines[1:]}
-    assert "report.estimated_error_rate" in keys
-    assert "config.seed" in keys
 
 
 def test_every_run_flag_reaches_its_config_field(tmp_path):
@@ -314,6 +304,20 @@ def test_run_attack_flag(tmp_path):
     assert payload["report"]["estimated_error_rate"] == pytest.approx(0.25, abs=0.1)
 
 
+def test_every_command_runs_at_the_top_of_the_float_range(tmp_path):
+    # an accepted source whose plain-form law overflows part-way
+    source = ["--gain", "1.0000001", "--n-total", "1.5e308", "--bit-amplitude", "1e300"]
+    for argv in (["fig1"], ["fig2", "--grid", "0:0.5:3"], ["fig3"], ["run", "--pulses", "1000"]):
+        assert main([*argv, *source, "--out", str(tmp_path / argv[0])]) == 0, argv
+    assert (tmp_path / "fig2").read_text() == "eta,p_err\n0,0\n0.25,0\n0.5,0\n"
+    assert json.loads((tmp_path / "run").read_text())["report"]["estimated_error_rate"] == 0.0
+    # with N close to n_s, fig1's default grid spans 2 N, past the float range
+    argv = ["fig1", "--gain", "1.0000001", "--n-total", "1.7e308", "--bit-amplitude", "1.6e308"]
+    assert main([*argv, "--out", str(tmp_path / "fig1")]) == 0
+    table = np.loadtxt(tmp_path / "fig1", delimiter=",", skiprows=1)
+    assert np.isfinite(table).all() and table[0, 0] == -table[-1, 0] == -1.6e308
+
+
 # ------------------------------------------------------------------ exit codes
 
 
@@ -339,8 +343,6 @@ def test_exit_code_config_errors(capsys):
     for pulses in ("1.5", "1e-3", "nan", "inf", "many"):
         assert main(["run", "--pulses", pulses]) == 1, pulses
         assert "--pulses" in capsys.readouterr().err, pulses
-    assert main(["run", "--pulses", "2e3", "--format", "csv"]) == 0
-    assert "report.pulses_sent,2000\n" in capsys.readouterr().out
     # fig3 is the noiseless known-basis curve: a detector flag would be ignored
     assert main(["fig3", "--detector-nen", "1000"]) == 1
     assert main(["fig2", "--detector-nen", "nan"]) == 1
@@ -357,11 +359,11 @@ def test_exit_code_config_errors(capsys):
     ):
         assert main(argv) == 1, argv
         assert "must be finite" in capsys.readouterr().err, argv
-    # a bad tolerance is the flag's fault, not the engine's: no ladder runs
-    for tol in ("nan", "-1", "inf"):
-        assert main(["validate", "--tol", tol]) == 1, tol
+    # the run report has one format and the oracle gate one fixed tolerance
+    for argv in (["run", "--format", "csv"], ["validate", "--tol", "1e-6"]):
+        assert main(argv) == 1, argv
         err = capsys.readouterr().err
-        assert "--tol" in err and "validation FAILED" not in err, tol
+        assert "unrecognized arguments" in err and "validation FAILED" not in err, argv
 
 
 def test_run_lists_source_detector_session_and_attack_problems(capsys):
@@ -524,8 +526,15 @@ def test_exit_code_validation(tmp_path):
     assert lines[0].startswith("r,alpha_v_sq,alpha_h_sq,eta,basis,quantity")
     assert len(lines) == 1 + 3 * 3 * 3 * 2 * 2 * 2
     assert all(line.endswith(",pass") for line in lines[1:])
-    # an absurdly tight tolerance must flip the exit code to 2
-    assert main(["validate", "--tol", "1e-18", "--out", str(out)]) == 2
+
+
+def test_exit_code_validation_failure(tmp_path, variance_fault, capsys):
+    # a faulty engine, not a tightened bar, flips the exit code to 2
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--out", str(out)]) == 2
+    assert "validation FAILED" in capsys.readouterr().err
+    failed = [line for line in out.read_text().splitlines()[1:] if line.endswith(",FAIL")]
+    assert failed and all(",variance," in line for line in failed)
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -501,14 +501,7 @@ def test_gaussian_engine_agrees_with_the_oracle_on_the_ladder():
         assert abs(value - row.oracle_value) <= 1e-6 * max(abs(row.oracle_value), validate.MEAN_FLOOR), row
 
 
-def test_injected_variance_fault_is_caught(monkeypatch):
-    pulse_law = validate._pulse_law
-
-    def broken_law(n_s, n, r):
-        n, v_match, v_mis, n_total = pulse_law(n_s, n, r)
-        return n, v_match * (1 + 1e-4), v_mis * (1 + 1e-4), n_total
-
-    monkeypatch.setattr(validate, "_pulse_law", broken_law)
+def test_injected_variance_fault_is_caught(variance_fault):
     rows = validate.run_ladder()
     assert not validate.ladder_passed(rows)
     bad = [r for r in rows if not r.passed]

@@ -444,6 +444,18 @@ def test_source_law_is_exact_at_high_gain():
     assert source_law(params)[:2] == (0.5, 10.0)
 
 
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("basis", list(Basis))
+def test_reference_refuses_the_pulse_its_covariance_loses(bit, basis):
+    # the same pulse built as a state: its launch-basis variance, a
+    # difference of covariance terms 1e12 times larger, reads about -0.49,
+    # and the reference refuses to draw from it rather than draw nonsense
+    pulse = alice_source(SourceParams(1e12, 1e13, 0.5), bit, basis)
+    assert diff_number_moments(pulse, basis).variance < 0
+    with pytest.raises(ValueError, match="variance must be >= 0"):
+        outcome_law(pulse, basis, NOISELESS)
+
+
 def test_source_law_saturates_past_the_float_range():
     # V_mis grows as G^2 n_s: at G = 1e150 it still fits (the value is
     # exact at solve_gain_squeeze's r), at G = 1e160 it reads inf, and
@@ -451,6 +463,63 @@ def test_source_law_saturates_past_the_float_range():
     assert source_law(SourceParams(1e150, 1e151, 1.0))[2] == pytest.approx(9.318752858790282e300, rel=1e-15)
     params = SourceParams(1e160, 1e161, 1.0)
     assert source_law(params) == (1.0, params.n_total_seed, math.inf, 1e161)
+
+
+# Sources barely amplified at the top of the float range: sums of the plain
+# forms (2 n_s + 1, n_s + N, 2 b) pass it though V_mis does not. V_mis from
+# mpmath at 50 digits at solve_gain_squeeze's float r (4.999999752919352e-08
+# and 1.4796605749509395e-07); in the second, N is close to n_s.
+TOP_OF_RANGE = [
+    ((1.0000001, 1.5e308, 1e300), 1.5000001500000001611041146507535000663440552472853e308),
+    ((1.0000001, 1.7e308, 1.6e308), 1.7000001700001316409652281564076348619242160200171e308),
+]
+
+
+@pytest.mark.parametrize("design, v_mis", TOP_OF_RANGE)
+def test_source_law_at_the_top_of_the_float_range(design, v_mis):
+    params = SourceParams(*design)
+    assert source_law(params) == (params.bit_amplitude_N, params.n_total_seed, v_mis, params.n_total_amp)
+    # N is over 1e146 standard deviations: no loss up to half flips a bit
+    np.testing.assert_array_equal(bob_error_curve(params, [0.0, 0.25, 0.5], NOISELESS), 0.0)
+
+
+def _plain_law(params: SourceParams) -> tuple[float, float]:
+    """(r, V_mis) by the unscaled forms, which overflow near the float range."""
+    n_s, n = params.n_total_seed, params.bit_amplitude_N
+    c = params.n_total_amp + 1.0
+    b = math.sqrt(n_s - n) * math.sqrt(n_s + n)
+    root = math.sqrt(1.0 - (2.0 * n_s + 1.0) / c / c - (n / c) ** 2)
+    r = 0.5 * math.log(c * (1.0 + root) / (n_s + 1.0 + b))
+    h, s, a = math.cosh(2.0 * r), math.sinh(2.0 * r), n_s + 0.5
+    return r, a * h * h + a * s * s + 2.0 * b * h * s - 0.5
+
+
+def test_scaled_law_is_bit_identical_to_the_plain_forms():
+    # 10^4 sources from G = 1 + 1e-12 to 1e3 and N_T = 1e-2 to 1.78e308:
+    # none raises, and wherever the plain forms stay finite the scaled ones
+    # give the same bits, flip probabilities at t = 1 and 1/2 included
+    compared = 0
+    for g in 1.0 + np.logspace(-12, 3, 25):
+        for n_total in np.logspace(-2, math.log10(1.78e308), 40):
+            for frac in (1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0 - 1e-9):
+                params = SourceParams(float(g), float(n_total), frac * float(n_total) / float(g))
+                law = source_law(params)
+                r = solve_gain_squeeze(params)
+                assert math.isfinite(r), params
+                try:
+                    plain = _plain_law(params)
+                except ValueError:
+                    continue
+                if not all(map(math.isfinite, plain)):
+                    continue
+                assert (r, law[2]) == plain, params
+                mean, var = photostats._thinned_law(law, np.array([1.0, 0.5]))[:2]
+                if np.isfinite(2.0 * var).all():
+                    with np.errstate(over="ignore"):
+                        expected = 0.5 * photostats._erfc(np.abs(mean) / np.sqrt(2.0 * var))
+                    np.testing.assert_array_equal(photostats._flip_probabilities(mean, var), expected)
+                compared += 1
+    assert compared > 9000, compared
 
 
 _CURVE_POINT = dict(gain=10.0, n_total=2e6, sigmas=5.5, eta=0.3, qe=1.0, nen=250.0, eve_eta=0.5)
