@@ -179,8 +179,16 @@ def _two_mode_amplitudes(
 
 def _lower_toeplitz(x: np.ndarray) -> np.ndarray:
     """T[n, k] = x[n - k], zero for k > n: a negative n - k reads the zero padding."""
-    n = np.arange(x.shape[0])
-    return np.concatenate((x, np.zeros(n.size - 1, dtype=x.dtype)))[np.subtract.outer(n, n)]
+    return np.concatenate((x, np.zeros(x.shape[0] - 1, dtype=x.dtype)))[_differences(x.shape[0])]
+
+
+@functools.cache
+def _differences(size: int) -> np.ndarray:
+    """The read-only index D[n, k] = n - k for n, k < size."""
+    n = np.arange(size)
+    index = np.subtract.outer(n, n)
+    index.setflags(write=False)
+    return index
 
 
 def _squeezed_coherent_amplitudes(beta: complex, r: float, phi: float, cutoff: int) -> np.ndarray:
@@ -366,8 +374,7 @@ def exact_loss_distribution(state: FockState, eta: float, basis: Basis) -> np.nd
     if eta > 0.0:
         kernel = _thinning_kernel(1.0 - eta)[: size + 1, : size + 1]
         joint = kernel @ joint @ kernel.T
-    n = np.arange(size + 1)
-    return np.bincount(np.subtract.outer(n, n).ravel() + size, weights=joint.ravel())
+    return np.bincount(_differences(size + 1).ravel() + size, weights=joint.ravel())
 
 
 def product_loss_distribution(marginals: np.ndarray, eta: float) -> np.ndarray:

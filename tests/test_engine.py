@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from test_attacks import DUAL_BASIS_INFERENCE_ACCURACY
 
 from macroqkd import attacks, gaussian, protocol
+from macroqkd._discrete import _binomial_logpmf
 from macroqkd.attacks import (
     AttackConfig,
     AttackKind,
@@ -59,6 +60,7 @@ from macroqkd.streams import (
     _key,
     derive_stream,
     pulse_block,
+    pulse_word,
 )
 
 DESIGN_POINT = SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0)
@@ -150,6 +152,18 @@ def test_pulse_block_is_the_documented_counter_hash():
         assert pulse_block(seed, lane, lo, hi).tolist() == expected
     # seed 0's lane-0 stream is the SplitMix64 sequence seeded with 0
     assert pulse_block(0, LANE_PULSE, 0, 1)[0, 0] == 0xE220A8397B1DCDAF
+
+
+def test_pulse_word_is_the_block_element():
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        for lane in (LANE_PULSE, LANE_SESSION):
+            for i in (0, 2**48 - 1):
+                block = pulse_block(seed, lane, i, i + 1)
+                for w in range(BLOCK_WORDS):
+                    assert pulse_word(seed, lane, i, w) == int(block[0, w]), (seed, lane, i, w)
+    for bad in ((0, 8, 0, 0), (0, 0, 2**48, 0), (0, 0, -1, 0), (0, 0, 0, BLOCK_WORDS)):
+        with pytest.raises(ValueError):
+            pulse_word(*bad)
 
 
 def test_block_rejects_bad_range():
@@ -610,6 +624,34 @@ def test_cell_histograms_reproduce_their_digests(kind):
     assert digest.hexdigest() == CELL_HISTOGRAM_SHA256[kind]
 
 
+def _report_grid():
+    """60 sessions: every kind, losses 0 and 0.3, the two ends of the seed
+    range and 1 to 2^16 + 1 pulses, Bob's noisy detector, the tap at 0.4."""
+    for kind in AttackKind:
+        for channel_loss in (0.0, 0.3):
+            for seed in (0, 2**64 - 1):
+                for num_pulses in (1, 1000, 2**16 + 1):
+                    yield SessionConfig(
+                        source=DESIGN_POINT,
+                        channel_loss=channel_loss,
+                        detector=DetectorModel(noise_equivalent_number=120.0, quantum_efficiency=0.7),
+                        attack=AttackConfig(kind, 0.4 if kind is AttackKind.BEAMSPLITTER_TAP else None),
+                        num_pulses=num_pulses,
+                        seed=seed,
+                    )
+
+
+# sha256 of the newline-joined repr(run_session(config)) over _report_grid
+REPORT_GRID_SHA256 = "b79a085781386c6da11c99923e4e248a815ff432bb9ca04780bf4784b807a741"
+
+
+def test_session_reports_reproduce_their_digest():
+    """Whole reports are frozen, not only the cell histograms: the disclosed
+    errors, the estimate, the verdict and e_sys of every session too."""
+    text = "\n".join(repr(run_session(config)) for config in _report_grid())
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_GRID_SHA256
+
+
 # ------------------------------------------------------ dual-basis Eve's law
 
 
@@ -696,6 +738,27 @@ def test_gauss_legendre_rule_is_symmetric_and_exact(nodes):
         assert abs(weights @ x ** (2 * k) - 1.0 / (2 * k + 1)) <= 1e-15 * nodes, k
     if nodes == 80:
         np.testing.assert_allclose((weights.min(), weights.max()), GAUSS_LEGENDRE_80_EXTREME_WEIGHTS, rtol=2e-14)
+
+
+def test_gauss_legendre_rule_takes_two_recurrence_passes(monkeypatch):
+    """The rule mirrors its nonnegative half, and every node of that half is
+    read by exactly two recurrence passes: the Halley pass over all of them,
+    then the Newton pass, each node by one of the two recurrences."""
+    points = []
+    for name in ("_legendre", "_legendre_near_one"):
+
+        def counted(n, x, recurrence=getattr(protocol, name)):
+            points.append(x.size)
+            return recurrence(n, x)
+
+        monkeypatch.setattr(protocol, name, counted)
+    for nodes in (80, 320):
+        points.clear()
+        protocol._gauss_legendre.cache_clear()
+        protocol._gauss_legendre(nodes)
+        half = (nodes + 1) // 2
+        assert len(points) == 3 and points[0] == half and sum(points) == 2 * half, points
+    protocol._gauss_legendre.cache_clear()  # drop the rules built under the patch
 
 
 def test_dual_basis_session_calls_no_eigensolver(monkeypatch):
@@ -807,6 +870,60 @@ def test_hypergeometric_mode_takes_its_probability(good, bad, k, p_mode):
         middle = (below + above) / 2.0
         below, above = (middle, above) if _hypergeometric(good, bad, k, middle) == mode else (below, middle)
     assert abs(below / p_mode - 1.0) < 1e-13, below
+
+
+# the outcomes of u = (j + 0.5) / 64 at the disclosure of a 1e8-pulse session
+# (12 424 000 errors, 37 572 171 agreements, 4 999 617 disclosed), frozen from
+# the sampler that normalized by summing the weights out to 2^-64 of the mode's
+HYPERGEOMETRIC_1E8_GRID = [
+    1242391, 1242373, 1242355, 1242337, 1242319, 1242301, 1242517, 1242535,
+    1242553, 1242228, 1242210, 1242608, 1242173, 1242645, 1242136, 1242117,
+    1242098, 1242079, 1242060, 1242759, 1242778, 1242798, 1241982, 1241962,
+    1242858, 1241921, 1242899, 1242920, 1241858, 1242963, 1241815, 1243007,
+    1241770, 1241747, 1241724, 1241700, 1241676, 1241651, 1243174, 1243200,
+    1241573, 1241546, 1243282, 1243311, 1241459, 1241428, 1241396, 1243437,
+    1243472, 1241291, 1241253, 1243587, 1241170, 1241124, 1241075, 1241022,
+    1243836, 1240899, 1243974, 1244059, 1240639, 1244292, 1240323, 1239962,
+]
+
+
+def test_hypergeometric_grid_at_a_1e8_pulse_disclosure():
+    outcomes = [_hypergeometric(12_424_000, 37_572_171, 4_999_617, (j + 0.5) / 64) for j in range(64)]
+    assert outcomes == HYPERGEOMETRIC_1E8_GRID
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_binomial_logpmf_equals_exact_pmfs(n):
+    """Every x at n <= 60 against the exact rational pmf, at p and q = 1 - p
+    that are both exact doubles: within 1e-14 of the log's magnitude, or of
+    1 below it (a relative 1e-14 of the pmf there)."""
+    from fractions import Fraction
+
+    ps = [1.0 - q for q in (0.999999, 0.999, 0.99, 0.9, 0.7, 0.6)] + [0.5, 0.6, 0.7, 0.9, 0.99, 0.999, 0.999999]
+    for p in ps:
+        q = 1.0 - p
+        for x in range(n + 1):
+            exact = math.comb(n, x) * Fraction(p) ** x * Fraction(q) ** (n - x)
+            shift = exact.numerator.bit_length() - exact.denominator.bit_length()  # log of a float in range
+            log_exact = math.log(exact / Fraction(2) ** shift) + shift * math.log(2.0)
+            assert abs(_binomial_logpmf(x, n, p, q) - log_exact) <= 1e-14 * max(1.0, abs(log_exact)), (x, p)
+
+
+# log Binomial(n, p) pmfs at 10^9-pulse sizes: mpmath loggamma at 50 digits
+BINOMIAL_LOGPMF_1E9 = [
+    (500_000_000, 10**9, 0.5, -10.58742427136793301044),
+    (499_000_000, 10**9, 0.5, -2010.588755606830605571),
+    (1_000_123, 10**9, 1.0 - 0.999, -7.833826841946526774258),
+    (0, 10**9, 2.0**-30, -0.9313225750491593848885),
+    (10**9, 10**9, 1.0 - 2.0**-40, -0.0009094947017733418282213),
+    (7, 999_999_937, 1.0 - (1.0 - 1e-8), -2.407065537181381504875),
+    (12_424_000, 49_996_171, 0.25, -309.7109210199504341899),
+]
+
+
+@pytest.mark.parametrize("x, n, p, log_pmf", BINOMIAL_LOGPMF_1E9)
+def test_binomial_logpmf_at_scale(x, n, p, log_pmf):
+    assert abs(_binomial_logpmf(x, n, p, 1.0 - p) - log_pmf) <= 1e-14 * max(1.0, abs(log_pmf))
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
