@@ -36,13 +36,13 @@ sampling from exactly the law the table holds for its state.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
 
-from ._discrete import _hypergeometric
 from .attacks import AttackConfig, AttackKind, _draw_basis
 from .gaussian import GaussianState, SourceParams, alice_source, is_number
 from .photostats import (
@@ -55,7 +55,7 @@ from .photostats import (
     outcome_law,
     source_law,
 )
-from .streams import LANE_PULSE, LANE_SESSION, pulse_block, pulse_word
+from .streams import LANE_PULSE, LANE_SESSION, pulse_block
 
 VERDICT_CLEAN = "clean"
 VERDICT_DETECTED = "eavesdropper_detected"
@@ -288,13 +288,15 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     takes one Newton step to the root r = x + d: below |x| = 1/2 with
     ``_legendre``, from 1/2 on with ``_legendre_near_one`` at t = 1 - x,
     which is exact there. A weight's relative error is 2|x| / (1 - x^2)
-    times its node's, so the weights are taken at r itself, Taylor-corrected
-    from x: 1 - r^2 = (1 - x^2) - (2x + d) d, and (1 - x^2) P_n' has
-    derivative n(n + 1) P_n. At 80 nodes every node is within 1 ulp of the
-    correctly rounded root; at every n up to 320 every node is within
-    0.6 * 2^-53 of its root, a few of its own ulps for the smallest. At 80
-    and 320 nodes the weights are within 2e-15 and 6e-15 relative of
-    50-digit ones. No LAPACK routine runs."""
+    times its node's, so the weights are taken at r itself, with
+    1 - r^2 = (1 - x^2) - (2x + d) d. (1 - x^2) P_n' has derivative
+    -n(n + 1) P_n, so from x to r it moves by about -n(n + 1) P_n d / 2,
+    which after the Halley step is below rounding: the slope is not moved.
+    At 80 nodes every node is within 1 ulp of the correctly rounded root;
+    at every n up to 320 every node is within 0.6 * 2^-53 of its root, a
+    few of its own ulps for the smallest. At 80 and 320 nodes the weights
+    are within 2e-15 and 6e-15 relative of 50-digit ones. No LAPACK routine
+    runs."""
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
     x = (x - x[::-1]) / 2.0  # exactly odd, so an odd rule's middle node is 0
     y, c = x[n // 2 :], n * (n + 1.0)  # the nonnegative half, ascending; the rule mirrors it
@@ -306,7 +308,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     (p, q), (p_near, q_near) = _legendre(n, y[:m]), _legendre_near_one(n, 1.0 - y[m:])
     p, q = np.concatenate((p, p_near)), np.concatenate((q, q_near))
     d = -p * s / q
-    w = (s - (2.0 * y + d) * d) / (q + 0.5 * c * p * d) ** 2
+    w = (s - (2.0 * y + d) * d) / q**2
     y = y + d
     x, weights = np.concatenate((-y[::-1][: n // 2], y)), np.concatenate((w[::-1][: n // 2], w))
     x.setflags(write=False)
@@ -399,6 +401,47 @@ def _pulse_cells(config: SessionConfig, table: MomentTable, lo: int, hi: int) ->
     return cells
 
 
+def _hypergeometric(good: int, bad: int, k: int, u: float) -> int:
+    """Hypergeometric(good, bad, k), the good items in a uniform k-subset of
+    good + bad, by inversion of a uniform u in [0, 1).
+
+    The pmf-ratio recurrence p(x + 1) / p(x) = (good - x)(k - x) /
+    ((x + 1)(bad - k + x + 1)) gives every weight relative to the mode
+    m = floor((k + 1)(good + 1) / (good + bad + 2)), out to each end of the
+    support or to where the rest of that tail, which falls off faster than
+    a geometric series (the law is log-concave), is below 2^-64 of the
+    mode's weight. Their sum S normalizes them. u S is then spent on m and
+    on its neighbours outward in order of weight, so each outcome takes an
+    interval of u of length p(x), exactly up to rounding.
+    """
+    lo, hi = max(0, k - bad), min(k, good)
+    mode = (k + 1) * (good + 1) // (good + bad + 2)
+    down, x, w = [], mode, 1.0  # p(mode - 1 - j) / p(mode)
+    while x > lo:
+        r = x * (bad - k + x) / ((good - x + 1) * (k - x + 1))  # p(x - 1) / p(x)
+        w *= r
+        x -= 1
+        down.append(w)
+        if w < 2.0**-64 * (1.0 - r):
+            break
+    up, x, w = [], mode, 1.0  # p(mode + 1 + j) / p(mode)
+    while x < hi:
+        r = (good - x) * (k - x) / ((x + 1) * (bad - k + x + 1))  # p(x + 1) / p(x)
+        w *= r
+        x += 1
+        up.append(w)
+        if w < 2.0**-64 * (1.0 - r):
+            break
+    t = u * math.fsum([1.0, *down, *up]) - 1.0  # the mode weighs 1
+    x = mode
+    for w, outcome in heapq.merge(zip(down, count(mode - 1, -1)), zip(up, count(mode + 1)), reverse=True):
+        if t < 0.0:
+            break
+        t -= w
+        x = outcome
+    return x
+
+
 def run_session(config: SessionConfig) -> RunReport:
     """Execute a full QKD session and summarize it from one cell histogram."""
     n = config.num_pulses
@@ -414,7 +457,7 @@ def run_session(config: SessionConfig) -> RunReport:
     if sampled_count > 0:
         # the disagreements in a uniform k-subset of the sifted key are
         # Hypergeometric(disagreements, agreements, k)
-        word = pulse_word(config.seed, LANE_SESSION, 0, 0)
+        word = int(pulse_block(config.seed, LANE_SESSION, 0, 1)[0, 0])
         errors = _hypergeometric(n_sifted - agree, agree, sampled_count, ((word >> 11) + 0.5) * 2.0**-53)
         estimated = errors / sampled_count
         verdict = _verdict(estimated, sampled_count, e_sys, config.detection_sigma_k)

@@ -17,9 +17,8 @@ Two forms share that contract:
       key(seed, lane) = gamma (mix64(seed mod 2^64) + lane 2^61),
 
   with gamma = 0x9E3779B97F4A7C15 and mix64 SplitMix64's output function
-  (Steele, Lea & Flood, OOPSLA 2014). The session engine reads these
-  blocks; ``pulse_word`` computes one word of them in Python integers, for
-  the session-level draw (the disclosed-error count).
+  (Steele, Lea & Flood, OOPSLA 2014). The session engine and its
+  session-level draw (the disclosed-error count) read these blocks.
 * ``derive_stream`` gives a full Philox ``Generator`` keyed by (seed, lane,
   index), for the single-pulse reference functions and the tests.
 
@@ -76,24 +75,6 @@ def _mix64(z: int) -> int:
     return z ^ z >> 31
 
 
-def _lane_key(seed: int, lane: int) -> int:
-    """key(seed, lane) mod 2^64 of the counter hash (see the module docstring)."""
-    if not 0 <= lane < 8:
-        raise ValueError(f"lane must be in [0, 8) (got {lane})")
-    return (_mix64(seed & _MASK) + (lane << 61)) * _GAMMA & _MASK
-
-
-def pulse_word(seed: int, lane: int, index: int, word: int) -> int:
-    """Word ``word`` of pulse ``index`` on a lane as a Python int: the
-    element [0, word] of ``pulse_block(seed, lane, index, index + 1)``,
-    without building the block."""
-    if not 0 <= index < _MAX_INDEX:
-        raise ValueError(f"index must be in [0, 2^48) (got {index})")
-    if not 0 <= word < BLOCK_WORDS:
-        raise ValueError(f"word must be in [0, {BLOCK_WORDS}) (got {word})")
-    return _mix64(_lane_key(seed, lane) + (3 * index + word + 1) * _GAMMA & _MASK)
-
-
 def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> None:
     """``_mix64`` on every element of a uint64 array, in place; uint64
     products wrap modulo 2^64, as the function needs."""
@@ -114,7 +95,9 @@ def pulse_block(seed: int, lane: int, lo: int, hi: int) -> np.ndarray:
     """
     if not 0 <= lo <= hi <= _MAX_INDEX:
         raise ValueError(f"pulse range must satisfy 0 <= lo <= hi <= 2^48 (got {lo}, {hi})")
-    key = _lane_key(seed, lane)
+    if not 0 <= lane < 8:
+        raise ValueError(f"lane must be in [0, 8) (got {lane})")
+    key = (_mix64(seed & _MASK) + (lane << 61)) * _GAMMA
     words = np.empty((BLOCK_WORDS, hi - lo), dtype=np.uint64)
     scratch = np.arange(lo, hi, dtype=np.uint64)
     scratch *= 3 * _GAMMA & _MASK  # the counter 3i in units of gamma

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from test_attacks import DUAL_BASIS_INFERENCE_ACCURACY
 
 from macroqkd import attacks, gaussian, protocol
-from macroqkd._discrete import _binomial_logpmf
 from macroqkd.attacks import (
     AttackConfig,
     AttackKind,
@@ -60,7 +59,6 @@ from macroqkd.streams import (
     _key,
     derive_stream,
     pulse_block,
-    pulse_word,
 )
 
 DESIGN_POINT = SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0)
@@ -152,18 +150,6 @@ def test_pulse_block_is_the_documented_counter_hash():
         assert pulse_block(seed, lane, lo, hi).tolist() == expected
     # seed 0's lane-0 stream is the SplitMix64 sequence seeded with 0
     assert pulse_block(0, LANE_PULSE, 0, 1)[0, 0] == 0xE220A8397B1DCDAF
-
-
-def test_pulse_word_is_the_block_element():
-    for seed in (0, 1, 2**63, 2**64 - 1):
-        for lane in (LANE_PULSE, LANE_SESSION):
-            for i in (0, 2**48 - 1):
-                block = pulse_block(seed, lane, i, i + 1)
-                for w in range(BLOCK_WORDS):
-                    assert pulse_word(seed, lane, i, w) == int(block[0, w]), (seed, lane, i, w)
-    for bad in ((0, 8, 0, 0), (0, 0, 2**48, 0), (0, 0, -1, 0), (0, 0, 0, BLOCK_WORDS)):
-        with pytest.raises(ValueError):
-            pulse_word(*bad)
 
 
 def test_block_rejects_bad_range():
@@ -873,8 +859,7 @@ def test_hypergeometric_mode_takes_its_probability(good, bad, k, p_mode):
 
 
 # the outcomes of u = (j + 0.5) / 64 at the disclosure of a 1e8-pulse session
-# (12 424 000 errors, 37 572 171 agreements, 4 999 617 disclosed), frozen from
-# the sampler that normalized by summing the weights out to 2^-64 of the mode's
+# (12 424 000 errors, 37 572 171 agreements, 4 999 617 disclosed)
 HYPERGEOMETRIC_1E8_GRID = [
     1242391, 1242373, 1242355, 1242337, 1242319, 1242301, 1242517, 1242535,
     1242553, 1242228, 1242210, 1242608, 1242173, 1242645, 1242136, 1242117,
@@ -890,40 +875,6 @@ HYPERGEOMETRIC_1E8_GRID = [
 def test_hypergeometric_grid_at_a_1e8_pulse_disclosure():
     outcomes = [_hypergeometric(12_424_000, 37_572_171, 4_999_617, (j + 0.5) / 64) for j in range(64)]
     assert outcomes == HYPERGEOMETRIC_1E8_GRID
-
-
-@pytest.mark.parametrize("n", range(1, 61))
-def test_binomial_logpmf_equals_exact_pmfs(n):
-    """Every x at n <= 60 against the exact rational pmf, at p and q = 1 - p
-    that are both exact doubles: within 1e-14 of the log's magnitude, or of
-    1 below it (a relative 1e-14 of the pmf there)."""
-    from fractions import Fraction
-
-    ps = [1.0 - q for q in (0.999999, 0.999, 0.99, 0.9, 0.7, 0.6)] + [0.5, 0.6, 0.7, 0.9, 0.99, 0.999, 0.999999]
-    for p in ps:
-        q = 1.0 - p
-        for x in range(n + 1):
-            exact = math.comb(n, x) * Fraction(p) ** x * Fraction(q) ** (n - x)
-            shift = exact.numerator.bit_length() - exact.denominator.bit_length()  # log of a float in range
-            log_exact = math.log(exact / Fraction(2) ** shift) + shift * math.log(2.0)
-            assert abs(_binomial_logpmf(x, n, p, q) - log_exact) <= 1e-14 * max(1.0, abs(log_exact)), (x, p)
-
-
-# log Binomial(n, p) pmfs at 10^9-pulse sizes: mpmath loggamma at 50 digits
-BINOMIAL_LOGPMF_1E9 = [
-    (500_000_000, 10**9, 0.5, -10.58742427136793301044),
-    (499_000_000, 10**9, 0.5, -2010.588755606830605571),
-    (1_000_123, 10**9, 1.0 - 0.999, -7.833826841946526774258),
-    (0, 10**9, 2.0**-30, -0.9313225750491593848885),
-    (10**9, 10**9, 1.0 - 2.0**-40, -0.0009094947017733418282213),
-    (7, 999_999_937, 1.0 - (1.0 - 1e-8), -2.407065537181381504875),
-    (12_424_000, 49_996_171, 0.25, -309.7109210199504341899),
-]
-
-
-@pytest.mark.parametrize("x, n, p, log_pmf", BINOMIAL_LOGPMF_1E9)
-def test_binomial_logpmf_at_scale(x, n, p, log_pmf):
-    assert abs(_binomial_logpmf(x, n, p, 1.0 - p) - log_pmf) <= 1e-14 * max(1.0, abs(log_pmf))
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
