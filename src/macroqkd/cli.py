@@ -10,18 +10,22 @@ is the bytes C's ``%.17g`` writes for it, so it parses back to the same
 double; values are comma-separated and lines end in LF, and repeated runs
 with the same configuration are byte-identical. The figure tables are
 formatted in one array pass over all their values (``_csvtext``), not value
-by value.
+by value. ``--out`` rewrites an existing file in place: it keeps its inode,
+mode, owner and links, and the old tail past the new bytes is cut. A write
+that fails exits 3 and leaves the file empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -98,9 +102,33 @@ def _write_bytes(path: str | None, data: bytes) -> None:
         if path is None or path == "-":
             sys.stdout.write(data.decode())
         else:
-            Path(path).write_bytes(data)
+            _write_file(path, data)
     except OSError as exc:
         raise _IOFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _write_file(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path``. An existing regular file is overwritten in
+    place and then cut at the new length: truncating it to zero first costs
+    more than the write. If a write fails there, the file is truncated to
+    zero, so no new bytes are left over an old tail. FIFOs and devices are
+    written as they are, never truncated."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except OSError:
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 class _IOFailure(RuntimeError):

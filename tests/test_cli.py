@@ -1,11 +1,15 @@
 """Command-line harness: subcommands, figure CSVs and the JSON run report,
 exit codes, byte-level determinism."""
 
+import errno
 import importlib.util
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -517,6 +521,146 @@ def test_program_faults_are_not_configuration_errors(monkeypatch):
 def test_exit_code_io_error(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["fig2", "--out", str(missing_dir)]) == 3
+
+
+# ------------------------------------------------------------------ --out targets
+
+# a figure command and `run`, each without its --out; fig1's default table
+# (about 190 KB) is larger than a pipe's buffer
+OUT_COMMANDS = {"fig1": ["fig1", "--loss", "0.3"], "run": run_args()}
+
+
+def written_bytes(argv: list[str], tmp_path: Path) -> bytes:
+    """What ``argv --out`` writes to a new file."""
+    path = tmp_path / "fresh.out"
+    assert main([*argv, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+def test_unwritable_out_exits_3(command, target, tmp_path, capsys):
+    out = tmp_path if target == "directory" else tmp_path / "no" / "such" / "x.out"
+    assert main([*OUT_COMMANDS[command], "--out", str(out)]) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root may write a read-only file")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_read_only_out_exits_3(command, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    out.write_bytes(b"old")
+    out.chmod(0o444)
+    assert main([*OUT_COMMANDS[command], "--out", str(out)]) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    assert out.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_a_write_failing_midway_leaves_the_file_empty(command, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.out"
+    out.write_bytes(b"old tail " * 100_000)  # longer than the new bytes
+    target = out.stat()
+    write, calls = os.write, []
+
+    def short_writes_then_full_disk(fd, data):
+        st = os.fstat(fd)
+        if (st.st_dev, st.st_ino) != (target.st_dev, target.st_ino):
+            return write(fd, data)
+        calls.append(len(data))
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data[:100])
+
+    monkeypatch.setattr(os, "write", short_writes_then_full_disk)
+    assert main([*OUT_COMMANDS[command], "--out", str(out)]) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    assert len(calls) == 3 and calls[1] == calls[0] - 100
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_leaves_exactly_the_new_bytes_in_an_existing_file(command, tmp_path):
+    expected = written_bytes(OUT_COMMANDS[command], tmp_path)
+    out, link = tmp_path / "x.out", tmp_path / "hard_link.out"
+    for old in (expected + b"old tail\n" * 1000, expected[: len(expected) // 2], b"", b"x" * len(expected)):
+        out.write_bytes(old)
+        out.chmod(0o640)
+        link.unlink(missing_ok=True)
+        os.link(out, link)
+        before = out.stat()
+        assert main([*OUT_COMMANDS[command], "--out", str(out)]) == 0
+        after = out.stat()
+        assert out.read_bytes() == expected
+        assert (after.st_ino, after.st_nlink, stat.S_IMODE(after.st_mode)) == (before.st_ino, 2, 0o640)
+        assert link.read_bytes() == expected
+
+
+@pytest.mark.skipif(not Path("/dev/null").is_char_device(), reason="no /dev/null")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_dev_null(command):
+    assert main([*OUT_COMMANDS[command], "--out", "/dev/null"]) == 0
+    assert Path("/dev/null").is_char_device()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_fifo(command, tmp_path):
+    expected = written_bytes(OUT_COMMANDS[command], tmp_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = main([*OUT_COMMANDS[command], "--out", str(fifo)])
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0
+    assert got == [expected]
+    assert fifo.is_fifo()
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_writes_through_a_symlink(command, tmp_path):
+    expected = written_bytes(OUT_COMMANDS[command], tmp_path)
+    target, link = tmp_path / "target.out", tmp_path / "link.out"
+    target.write_bytes(expected + b"old tail\n")
+    link.symlink_to(target)
+    assert main([*OUT_COMMANDS[command], "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX modes")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_write_only_file(command, tmp_path):
+    expected = written_bytes(OUT_COMMANDS[command], tmp_path)
+    out = tmp_path / "x.out"
+    out.write_bytes(b"old")
+    out.chmod(0o200)
+    assert main([*OUT_COMMANDS[command], "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o200
+    out.chmod(0o600)
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX modes")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_creates_a_new_file_with_the_umask_mode(command, tmp_path):
+    out = tmp_path / "x.out"
+    umask = os.umask(0o027)
+    try:
+        assert main([*OUT_COMMANDS[command], "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_dash_prints_the_bytes_a_file_gets(command, tmp_path, capsysbinary):
+    expected = written_bytes(OUT_COMMANDS[command], tmp_path)
+    assert main([*OUT_COMMANDS[command], "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == expected
 
 
 def test_exit_code_validation(tmp_path):
