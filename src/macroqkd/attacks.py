@@ -122,7 +122,7 @@ def dual_basis_measure(
 
     The two arm outcomes are independent, each drawn from its own normal
     law on Eve's tapped half (the symmetry argument is in
-    ``protocol._dual_basis_law``).
+    ``laws._dual_basis_law``).
     """
     eve = tap_arms(state, 0.5)[1]
     mean_vh, sigma_vh = outcome_law(eve, Basis.VH, NOISELESS)

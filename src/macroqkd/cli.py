@@ -32,11 +32,10 @@ import numpy as np
 from . import validate as validate_mod
 from .attacks import AttackConfig, AttackKind, attack_config_violations
 from .gaussian import SourceParams, source_param_violations
+from .laws import _normal_density, _thinned_law
 from .photostats import (
     DetectorModel,
     _loss_fractions,
-    _normal_density,
-    _thinned_law,
     bob_error_curve,
     detector_violations,
     eve_tap_curve,
@@ -183,6 +182,11 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     if grid is None:
         # at half scale, which changes no rounding, so stop - start stays finite
         span = 0.5 * mean + 4.0 * max(sigma_correct, sigma_wrong)
+        if not math.isfinite(span):
+            raise ConfigError(
+                f"the automatic --grid, +-(t N + 8 sigma), is past the float range at this source "
+                f"(sigma {max(sigma_correct, sigma_wrong)!r}); give --grid start:stop:steps"
+            )
         grid = 2.0 * np.linspace(-span, span, 2001)
     table = _csv(
         "n,pdf_correct_bit1,pdf_correct_bit0,pdf_incorrect",

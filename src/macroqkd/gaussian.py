@@ -22,9 +22,12 @@ import enum
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .laws import solve_gain_squeeze
 
 _SYMMETRY_GUARD = 64  # multiples of eps * |cov| tolerated before symmetrizing
 
@@ -150,8 +153,9 @@ def is_number(value: object, integral: bool = False) -> bool:
 def source_param_violations(gain_g: float, n_total_amp: float, bit_amplitude_n: float) -> list[str]:
     """All constraint violations of a prospective SourceParams, as messages."""
     out = []
-    gain_ok = is_number(gain_g) and 1 < gain_g < math.inf
-    total_ok = is_number(n_total_amp) and 0 < n_total_amp < math.inf
+    # an integer past the float range is not finite either: it has no float
+    gain_ok = is_number(gain_g) and 1 < gain_g <= sys.float_info.max
+    total_ok = is_number(n_total_amp) and 0 < n_total_amp <= sys.float_info.max
     if not gain_ok:
         out.append(f"gain_G must be finite and > 1 (got {gain_g!r})")
     if not total_ok:
@@ -270,24 +274,6 @@ def tap_split(state: GaussianState, eta: float) -> GaussianState:
         np.block([[state.cov, np.zeros((4, 4))], [np.zeros((4, 4)), 0.5 * np.eye(4)]]),
     )
     return _transformed(padded, np.kron([[t, e], [e, -t]], np.eye(4)) + 0.0)
-
-
-def solve_gain_squeeze(params: SourceParams) -> float:
-    """Squeeze parameter r with N_T,amp(r) = gain_G * N_T,seed, in closed form.
-
-    With x = 2r, a = n_s + 1 and b = 2|alpha_V||alpha_H| = sqrt(n_s^2 - N^2),
-    the gain equation a cosh x + b sinh x = c for c = n_total_amp + 1 is
-    the quadratic (a + b) y^2 - 2c y + (a - b) = 0 in y = e^x, where
-    a^2 - b^2 = 2 n_s + 1 + N^2. Its larger root is written in ratios to c,
-    so no square overflows, and the sums that can pass the float range
-    (2 n_s, n_s + N, c + c root, a + b) are taken at a power-of-two scale,
-    which changes no rounding.
-    """
-    n_s, n = params.n_total_seed, params.bit_amplitude_N
-    c = params.n_total_amp + 1.0
-    root = math.sqrt(1.0 - (n_s + 0.5) / c / c * 2.0 - (n / c) ** 2)
-    half_a_plus_b = 0.5 * n_s + 0.5 + 2.0 * math.sqrt(0.25 * n_s - 0.25 * n) * math.sqrt(0.25 * n_s + 0.25 * n)
-    return 0.5 * math.log(0.5 * c * (1.0 + root) / half_a_plus_b)
 
 
 @functools.lru_cache(maxsize=128)

@@ -15,7 +15,7 @@ m the mean vector and Omega the symplectic form. The commutator term
 closed forms are held to the exact Fock-space oracle by the tests.
 
 Every pulse a session or a figure measures is Alice's thinned to some
-transmission t, so its law is ``_thinned_law`` of ``source_law``'s
+transmission t, so its law is ``laws._thinned_law`` of ``source_law``'s
 closed-form scalars, which ``macroqkd.validate`` certifies.
 """
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,9 @@ from .gaussian import (
     apply_loss,
     is_number,
     rotation_symplectic,
-    solve_gain_squeeze,
     symplectic_form,
 )
+from .laws import _flip_probabilities, _normal_density, _pulse_law, _thinned_law, solve_gain_squeeze
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,17 @@ class DetectorModel:
         return 2.0 * self.noise_equivalent_number**2
 
 
+# the largest read noise whose difference variance 2 nen^2 is a finite float
+_MAX_NEN = math.sqrt(sys.float_info.max / 2.0)
+
+
 def detector_violations(noise_equivalent_number: float, quantum_efficiency: float) -> list[str]:
     """All constraint violations of a prospective DetectorModel, as messages."""
     out = []
-    if not (is_number(noise_equivalent_number) and 0 <= noise_equivalent_number < math.inf):
+    if not (is_number(noise_equivalent_number) and 0 <= noise_equivalent_number <= _MAX_NEN):
         out.append(
-            f"noise_equivalent_number must be finite and >= 0 (got {noise_equivalent_number!r})"
+            f"noise_equivalent_number must be finite, >= 0 and at most {_MAX_NEN!r}, where "
+            f"2 nen^2 stays finite (got {noise_equivalent_number!r})"
         )
     if not (is_number(quantum_efficiency) and 0.0 < quantum_efficiency <= 1.0):
         out.append(f"quantum_efficiency must be in (0, 1] (got {quantum_efficiency!r})")
@@ -134,17 +140,6 @@ def diff_number_moments(state: GaussianState, basis: Basis) -> DiffMoments:
     return DiffMoments(mu, var)
 
 
-def _pulse_law(n_s, n, r):
-    """(N, V_match, V_mis, N_T) of the seed of n_s photons and difference N
-    squeezed by r. V_match = n_s (squeezing conserves n_V - n_H); V_mis =
-    ((2 n_s + 1) cosh 4r + 2 b sinh 4r - 1) / 2 is summed in terms below it,
-    with b = sqrt(n_s^2 - N^2) and 2 b h s taken at power-of-two scales
-    that change no rounding, so it reads inf only past the float range."""
-    b = 4.0 * math.sqrt(0.25 * n_s - 0.25 * n) * math.sqrt(0.25 * n_s + 0.25 * n)
-    h, s, a = math.cosh(2.0 * r), math.sinh(2.0 * r), n_s + 0.5
-    return n, n_s, a * h * h + a * s * s + b * h * s * 2.0 - 0.5, (n_s + 1.0) * h + b * s - 1.0
-
-
 def source_law(params: SourceParams) -> tuple[float, float, float, float]:
     """(N, V_match, V_mis, N_T): Alice's pulse has difference mean +-N and
     variance V_match = N_T / G in its basis, 0 and V_mis in the other, and
@@ -152,16 +147,6 @@ def source_law(params: SourceParams) -> tuple[float, float, float, float]:
     gives every pulse measured from them."""
     n, v_match, v_mis, _ = _pulse_law(params.n_total_seed, params.bit_amplitude_N, solve_gain_squeeze(params))
     return n, v_match, v_mis, params.n_total_amp
-
-
-def _thinned_law(law, t, noise_variance=0.0):
-    """(t N, launch-basis variance, other-basis variance) of Alice's pulse
-    of ``source_law`` ``law`` after transmission t, read noise added: binomial
-    thinning of both counts makes the mean +-t N in the launch basis (0 in the
-    other) and the variance t^2 V + t (1 - t) N_T. Arrays of t broadcast."""
-    n, v_match, v_mis, n_total = law
-    shot = t * (1.0 - t) * n_total
-    return t * n, t * t * v_match + shot + noise_variance, t * t * v_mis + shot + noise_variance
 
 
 @functools.lru_cache(maxsize=256)
@@ -231,23 +216,6 @@ def sample_outcome(
     return mean + sigma * rng.standard_normal()
 
 
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """``math.erfc`` elementwise: NumPy has none, and SciPy is not loaded."""
-    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _flip_probabilities(mean: np.ndarray, total_var: np.ndarray) -> np.ndarray:
-    """0.5 erfc(|mean| / sqrt(2 total_var)) elementwise: exactly 0.5 at zero
-    mean and 0 at zero variance otherwise. z is taken at half scale, which
-    changes no rounding, so a variance past half the float range stays finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = 0.5 * np.abs(mean) / np.sqrt(0.5 * total_var)
-    p = 0.5 * _erfc(z)
-    p[total_var <= 0.0] = 0.0
-    p[mean == 0.0] = 0.5
-    return p
-
-
 def error_probability(moments: DiffMoments, detector: DetectorModel) -> float:
     """Probability that the sign of the outcome flips the encoded bit. Only
     the detector's read noise is applied: ``moments`` must already include
@@ -299,13 +267,6 @@ def eve_tap_probability(params: SourceParams, eta: float) -> float:
     """Eve's correct-bit probability at one sampled fraction eta: the
     one-point case of ``eve_tap_curve``."""
     return float(eve_tap_curve(params, [eta])[0])
-
-
-def _normal_density(grid: np.ndarray, mean: float, sigma: float) -> np.ndarray:
-    """Normal(mean, sigma^2) probability density at each grid value; a
-    distance past the float range reads inf, and its density 0."""
-    with np.errstate(over="ignore"):
-        return np.exp(-0.5 * ((grid - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
 
 
 def distribution_curve(

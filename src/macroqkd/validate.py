@@ -3,7 +3,7 @@
 The ladder sweeps squeeze strength, seed amplitudes, loss and both
 measurement bases at photon numbers small enough for the exact oracle,
 and checks that the difference-number mean and variance that sessions and
-figures read (``photostats._thinned_law`` of ``photostats._pulse_law``)
+figures read (``laws._thinned_law`` of ``laws._pulse_law``)
 agree to a relative tolerance. Agreement here certifies that law at any
 scale: it is an identity in the seed's photon numbers and r, so
 correctness does not depend on the photon number. The Gaussian engine is
@@ -22,7 +22,8 @@ from dataclasses import astuple, dataclass, fields
 
 from . import fock
 from .gaussian import PUMP_PHASE
-from .photostats import Basis, _pulse_law, _thinned_law
+from .laws import _pulse_law, _thinned_law
+from .photostats import Basis
 
 LADDER_R = (0.2, 0.5, 0.8)
 LADDER_ALPHA_SQ = (1.0, 2.0, 4.0)

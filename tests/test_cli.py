@@ -1,8 +1,10 @@
 """Command-line harness: subcommands, figure CSVs and the JSON run report,
 exit codes, byte-level determinism."""
 
+import contextlib
 import errno
 import importlib.util
+import io
 import json
 import math
 import os
@@ -15,14 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from macroqkd import cli, gaussian
 from macroqkd._csvtext import _BLOCK, format_rows
 from macroqkd.attacks import AttackConfig, AttackKind
 from macroqkd.cli import ConfigError, config_from_dict, config_to_dict, main, report_text
-from macroqkd.gaussian import SourceParams
+from macroqkd.gaussian import SourceParams, source_param_violations
 from macroqkd.photostats import DetectorModel, bob_error_curve
 from macroqkd.protocol import SessionConfig, run_session
 
@@ -38,6 +40,15 @@ def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     header = lines[0].split(",")
     data = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
     return header, data
+
+
+def assert_finite_output(path: Path) -> None:
+    """Every value of a figure table, or every number of a run report, is finite."""
+    text = path.read_text()
+    if text.startswith("{"):
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    else:
+        assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)).all(), path.name
 
 
 # --------------------------------------------------------------------- figures
@@ -322,6 +333,68 @@ def test_every_command_runs_at_the_top_of_the_float_range(tmp_path):
     assert np.isfinite(table).all() and table[0, 0] == -table[-1, 0] == -1.6e308
 
 
+def test_fig1_asks_for_a_grid_where_the_automatic_one_overflows(tmp_path, capsys):
+    # V_mis of this accepted source is past the float range (_pulse_law reads
+    # inf), so the automatic span +-(t N + 8 sigma) is too: fig1 wrote 2001
+    # rows of nan. An explicit grid has finite densities.
+    source = ["--n-total", "1.7e308", "--bit-amplitude", "1e300"]
+    assert main(["fig1", *source, "--out", str(tmp_path / "auto")]) == 1
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "auto").exists()
+    assert main(["fig1", *source, "--grid", "0:1:2", "--out", str(tmp_path / "fig1")]) == 0
+    assert_finite_output(tmp_path / "fig1")
+
+
+def test_read_noise_whose_variance_overflows_is_refused(tmp_path, capsys):
+    # 2 nen^2 is finite up to nen = sqrt(max / 2) and inf one ulp above: fig1
+    # wrote 2001 rows of nan there, and past about 1.34e154 nen^2 raised
+    top = math.sqrt(sys.float_info.max / 2.0)
+    assert DetectorModel(top).difference_noise_variance == 2.0 * top * top < math.inf
+    for nen in (math.nextafter(top, math.inf), 1e154, 1e155):
+        for argv in (["fig1"], ["fig2"], ["run", "--pulses", "1000"]):
+            assert main([*argv, "--detector-nen", repr(nen), "--out", str(tmp_path / "o")]) == 1, (argv, nen)
+            err = capsys.readouterr().err
+            assert "noise_equivalent_number" in err and repr(top) in err, err
+    for argv in (["fig1"], ["fig2"], ["run", "--pulses", "1000"], ["run", "--pulses", "1000", "--attack", "dual_basis"]):
+        assert main([*argv, "--detector-nen", repr(top), "--out", str(tmp_path / argv[-1])]) == 0, argv
+        assert_finite_output(tmp_path / argv[-1])
+
+
+# pulses of one photon or more up to the top of the float range, and every
+# read noise the detector accepts (no flag sets the quantum efficiency)
+@settings(max_examples=100, deadline=None)
+@given(
+    gain=st.floats(1.0, sys.float_info.max, exclude_min=True),
+    n_total=st.floats(1.0, sys.float_info.max),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    nen=st.floats(0.0, math.sqrt(sys.float_info.max / 2.0)),
+    loss=st.floats(0.0, 1.0, exclude_max=True),
+    kind=st.sampled_from(AttackKind),
+)
+def test_accepted_configs_exit_1_naming_a_field_or_write_finite_values(
+    gain, n_total, fraction, nen, loss, kind, tmp_path_factory
+):
+    n = fraction * (n_total / gain)
+    assume(not source_param_violations(gain, n_total, n))
+    source = ["--gain", repr(gain), "--n-total", repr(n_total), "--bit-amplitude", repr(n)]
+    detector = ["--detector-nen", repr(nen)]
+    attack = ["--attack", kind.value] + (["--tap-fraction", "0.5"] if kind is AttackKind.BEAMSPLITTER_TAP else [])
+    out = tmp_path_factory.mktemp("out") / "o"
+    for argv in (
+        ["fig1", *source, *detector, "--loss", repr(loss)],
+        ["fig2", *source, *detector],
+        ["fig3", *source],
+        ["run", *source, *detector, "--loss", repr(loss), "--pulses", "1000", *attack],
+    ):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--out", str(out)])
+        if code == 1:  # only fig1's automatic grid may be past the float range
+            assert argv[0] == "fig1" and "--grid" in err.getvalue(), (argv, err.getvalue())
+        else:
+            assert code == 0, argv
+            assert_finite_output(out)
+
+
 # ------------------------------------------------------------------ exit codes
 
 
@@ -507,6 +580,31 @@ def test_config_from_dict_lists_every_invalid_value():
         assert len(problems) == 2, problems
         assert any("detection_sigma_k" in p for p in problems), problems
         assert any(key in p and repr(value) in p for p in problems), problems
+    # integers past the float range, as a replayed report's JSON integers
+    # arrive, are listed too: the checks and the engine raised OverflowError
+    for section, key, value in (
+        ("source", "gain_G", 10**400),
+        ("source", "n_total_amp", 10**400),
+        (None, "detection_sigma_k", 10**400),
+        ("detector", "noise_equivalent_number", 10**200),
+    ):
+        data = config_to_dict(
+            SessionConfig(source=SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0))
+        )
+        (data[section] if section else data)[key] = value
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        problems = str(info.value).split("; ")
+        assert len(problems) == 1 and key in problems[0], problems
+    source = SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0)
+    for build in (
+        lambda: SourceParams(gain_G=10**400, n_total_amp=2e6, bit_amplitude_N=2460.0),
+        lambda: DetectorModel(noise_equivalent_number=10**200),
+        lambda: SessionConfig(source=source, detection_sigma_k=10**400),
+        lambda: AttackConfig(AttackKind.BEAMSPLITTER_TAP, 10**400),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_program_faults_are_not_configuration_errors(monkeypatch):

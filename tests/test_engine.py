@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_attacks import DUAL_BASIS_INFERENCE_ACCURACY
 
-from macroqkd import attacks, gaussian, protocol
+from macroqkd import attacks, gaussian, laws, protocol
 from macroqkd.attacks import (
     AttackConfig,
     AttackKind,
@@ -29,6 +29,7 @@ from macroqkd.attacks import (
     tap_arms,
 )
 from macroqkd.gaussian import SourceParams, alice_source, apply_loss
+from macroqkd.laws import _dual_basis_law, _hypergeometric
 from macroqkd.photostats import (
     NOISELESS,
     Basis,
@@ -43,8 +44,6 @@ from macroqkd.photostats import (
 )
 from macroqkd.protocol import (
     SessionConfig,
-    _dual_basis_law,
-    _hypergeometric,
     _moment_table,
     _pulse_cells,
     alice_prepare,
@@ -715,7 +714,7 @@ GAUSS_LEGENDRE_80_EXTREME_WEIGHTS = (5.72475001593470767272086e-4, 1.95089068281
 
 @pytest.mark.parametrize("nodes", [80, 320])
 def test_gauss_legendre_rule_is_symmetric_and_exact(nodes):
-    x, weights = protocol._gauss_legendre(nodes)
+    x, weights = laws._gauss_legendre(nodes)
     assert not (x.flags.writeable or weights.flags.writeable)
     assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1])
     # exact for polynomials of degree 2 nodes - 1: the half-weights integrate
@@ -733,18 +732,18 @@ def test_gauss_legendre_rule_takes_two_recurrence_passes(monkeypatch):
     points = []
     for name in ("_legendre", "_legendre_near_one"):
 
-        def counted(n, x, recurrence=getattr(protocol, name)):
+        def counted(n, x, recurrence=getattr(laws, name)):
             points.append(x.size)
             return recurrence(n, x)
 
-        monkeypatch.setattr(protocol, name, counted)
+        monkeypatch.setattr(laws, name, counted)
     for nodes in (80, 320):
         points.clear()
-        protocol._gauss_legendre.cache_clear()
-        protocol._gauss_legendre(nodes)
+        laws._gauss_legendre.cache_clear()
+        laws._gauss_legendre(nodes)
         half = (nodes + 1) // 2
         assert len(points) == 3 and points[0] == half and sum(points) == 2 * half, points
-    protocol._gauss_legendre.cache_clear()  # drop the rules built under the patch
+    laws._gauss_legendre.cache_clear()  # drop the rules built under the patch
 
 
 def test_dual_basis_session_calls_no_eigensolver(monkeypatch):
@@ -753,7 +752,7 @@ def test_dual_basis_session_calls_no_eigensolver(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    protocol._gauss_legendre.cache_clear()  # build the rule under the patch
+    laws._gauss_legendre.cache_clear()  # build the rule under the patch
     config = make_config(AttackKind.DUAL_BASIS)
     _moment_table(config)
     run_session(config)

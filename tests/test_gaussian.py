@@ -17,12 +17,12 @@ from macroqkd.gaussian import (
     apply_two_mode_squeeze,
     make_coherent_seed,
     rotation_symplectic,
-    solve_gain_squeeze,
     source_param_violations,
     squeeze_symplectic,
     symplectic_form,
     tap_split,
 )
+from macroqkd.laws import solve_gain_squeeze
 from macroqkd.photostats import Basis, diff_number_moments
 
 DESIGN_POINT = SourceParams(gain_G=10.0, n_total_amp=2e6, bit_amplitude_N=2460.0)

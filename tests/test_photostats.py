@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import macroqkd
-from macroqkd import gaussian, photostats
+from macroqkd import gaussian, laws, photostats
 from macroqkd.cli import build_parser, cmd_fig1
 from macroqkd.gaussian import (
     SourceParams,
@@ -17,9 +17,9 @@ from macroqkd.gaussian import (
     apply_loss,
     apply_rotation,
     make_coherent_seed,
-    solve_gain_squeeze,
     tap_split,
 )
+from macroqkd.laws import solve_gain_squeeze
 from macroqkd.photostats import (
     NOISELESS,
     Basis,
@@ -408,7 +408,7 @@ def test_source_law_matches_the_gaussian_engine(gain, n_total, sigmas):
     n, v_match, v_mis, n_total_photons = source_law(params)
     assert (n, v_match, n_total_photons) == (params.bit_amplitude_N, params.n_total_seed, params.n_total_amp)
     r = solve_gain_squeeze(params)
-    assert photostats._pulse_law(params.n_total_seed, n, r)[3] == pytest.approx(n_total, rel=1e-12)
+    assert laws._pulse_law(params.n_total_seed, n, r)[3] == pytest.approx(n_total, rel=1e-12)
     for bit in (0, 1):
         for prepared in Basis:
             pulse = alice_source(params, bit, prepared)
@@ -513,11 +513,11 @@ def test_scaled_law_is_bit_identical_to_the_plain_forms():
                 if not all(map(math.isfinite, plain)):
                     continue
                 assert (r, law[2]) == plain, params
-                mean, var = photostats._thinned_law(law, np.array([1.0, 0.5]))[:2]
+                mean, var = laws._thinned_law(law, np.array([1.0, 0.5]))[:2]
                 if np.isfinite(2.0 * var).all():
                     with np.errstate(over="ignore"):
-                        expected = 0.5 * photostats._erfc(np.abs(mean) / np.sqrt(2.0 * var))
-                    np.testing.assert_array_equal(photostats._flip_probabilities(mean, var), expected)
+                        expected = 0.5 * laws._erfc(np.abs(mean) / np.sqrt(2.0 * var))
+                    np.testing.assert_array_equal(laws._flip_probabilities(mean, var), expected)
                 compared += 1
     assert compared > 9000, compared
 
@@ -650,7 +650,7 @@ def test_tap_cross_covariance_is_the_thinned_law(gain, n_total, sigmas, bit, pre
     # A tap thins Alice's pulse to 1 - f for Bob and f for Eve. In the
     # launch basis their difference numbers covary by f (1 - f) (V_match -
     # N_T); in mixed bases not at all (the symmetry in
-    # protocol._dual_basis_law). The mixed zero is a rounding residue of
+    # laws._dual_basis_law). The mixed zero is a rounding residue of
     # sums of anti-squeezed terms, so it is bounded relative to V_mis: 1e-16
     # V_mis, twice the largest residue seen on sources up to N_T = 1e7.
     params = _design(gain, n_total, sigmas)
